@@ -1,6 +1,7 @@
 # Tier-1 verification gate and performance tooling.
 #
-#   make check      — the tier-1 gate: build, vet, repolint, tests, race tests
+#   make check      — the tier-1 gate: build, vet, repolint, tests, race tests,
+#                     and the benchmark module's vet + tests
 #   make lint       — go vet + the repo's own analyzers (cmd/repolint)
 #   make ci         — the gate plus gofmt, the lint baseline, and the crash harness
 #   make crash      — kill/resume harness + fuzz smokes (DESIGN.md §11)
@@ -15,7 +16,7 @@
 #   make benchservice — partitiond latency + cache-hit gate (DESIGN.md §14, ≥10x)
 GO ?= go
 
-.PHONY: all build vet lint test race check ci fmtcheck baselinecheck crash chaos bench benchjson benchobs benchckpt benchsoa benchlint benchshard benchservice clean clean-lintcache
+.PHONY: all build vet lint test race perfbench check ci fmtcheck baselinecheck crash chaos bench benchjson benchobs benchckpt benchsoa benchlint benchshard benchservice clean clean-lintcache
 
 all: check
 
@@ -46,8 +47,16 @@ test:
 race:
 	$(GO) test -race ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/...
 
+# perfbench vets and tests the benchmark harness. perfbench/ is a module of
+# its own (replace repro => ../), so the root ./... patterns never compile
+# it; without this target an API change it depends on would pass the gate
+# and only break when the benchmark runs.
+perfbench:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
+
 # check is the tier-1 gate every PR must keep green (see README).
-check: build lint test race
+check: build lint test race perfbench
 
 # fmtcheck fails if any file is not gofmt-clean.
 fmtcheck:

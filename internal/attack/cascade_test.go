@@ -50,11 +50,13 @@ func borderSim(t *testing.T, seed int64) *netsim.Simulation {
 			outbound[i] = append(outbound[i], p2p.NodeID(p))
 		}
 	}
-	sim, err := netsim.New(seed,
-		netsim.WithNodes(nodes),
-		netsim.WithGraph(outbound),
-		netsim.WithGateways([]p2p.NodeID{total - 1}),
-		netsim.WithGossip(p2p.Config{FailureRate: 0.10}))
+	sim, err := netsim.FromConfig(netsim.Config{
+		Seed:         seed,
+		Population:   nodes,
+		Outbound:     outbound,
+		GatewayNodes: []p2p.NodeID{total - 1},
+		Gossip:       p2p.Config{FailureRate: 0.10},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +113,10 @@ func TestCascadeGatewayPinning(t *testing.T) {
 
 func TestWithGraphValidation(t *testing.T) {
 	nodes := []*p2p.Node{p2p.NewNode(0, p2p.Profile{}), p2p.NewNode(1, p2p.Profile{})}
-	graphSim := func(outbound [][]p2p.NodeID, extra ...netsim.Option) error {
-		opts := append([]netsim.Option{netsim.WithNodes(nodes), netsim.WithGraph(outbound)}, extra...)
-		_, err := netsim.New(1, opts...)
+	graphSim := func(outbound [][]p2p.NodeID, gateways ...p2p.NodeID) error {
+		_, err := netsim.FromConfig(netsim.Config{
+			Seed: 1, Population: nodes, Outbound: outbound, GatewayNodes: gateways,
+		})
 		return err
 	}
 	// Row count mismatch.
@@ -133,8 +136,7 @@ func TestWithGraphValidation(t *testing.T) {
 		t.Errorf("valid graph rejected: %v", err)
 	}
 	// Gateway out of range.
-	if err := graphSim([][]p2p.NodeID{{1}, {0}},
-		netsim.WithGateways([]p2p.NodeID{9})); err == nil {
+	if err := graphSim([][]p2p.NodeID{{1}, {0}}, 9); err == nil {
 		t.Error("out-of-range gateway accepted")
 	}
 }

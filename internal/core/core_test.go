@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -215,20 +217,38 @@ func TestFigure6AllVariants(t *testing.T) {
 	}
 }
 
+// TestFigure7 runs the figure at the paper's displayed grid (25×25), at
+// 50×50, and at the paper's 10,000-node scale (100×100): the panels track
+// the block interval, so every size shows a live attack fork.
 func TestFigure7(t *testing.T) {
-	r, err := testStudy(t).Figure7()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Snapshots) != 3 {
-		t.Fatalf("snapshots = %d", len(r.Snapshots))
-	}
-	if r.ForksEmerged == 0 {
-		t.Error("no forks under 30% attacker")
-	}
-	out := r.Render()
-	if !strings.Contains(out, "time step 151") || !strings.Contains(out, "fork map") {
-		t.Error("render incomplete")
+	for _, size := range []int{25, 50, 100} {
+		t.Run(fmt.Sprintf("grid%d", size), func(t *testing.T) {
+			s := testStudy(t)
+			if size != s.Opts.GridSize {
+				var err error
+				if s, err = New(1, WithWindows(1, 1), WithGridSize(size), WithNetworkNodes(120)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r, err := s.Figure7()
+			if err != nil {
+				t.Fatal(err)
+			}
+			spb := 2 * size
+			if want := []int{3*spb + 1, 4*spb + 1, 5*spb + 1}; !reflect.DeepEqual(r.Steps, want) {
+				t.Fatalf("panel steps = %v, want %v", r.Steps, want)
+			}
+			if len(r.Snapshots) != 3 {
+				t.Fatalf("snapshots = %d", len(r.Snapshots))
+			}
+			if r.ForksEmerged == 0 {
+				t.Error("no forks under 30% attacker")
+			}
+			out := r.Render()
+			if !strings.Contains(out, fmt.Sprintf("time step %d", r.Steps[0])) || !strings.Contains(out, "fork map") {
+				t.Error("render incomplete")
+			}
+		})
 	}
 }
 

@@ -221,7 +221,10 @@ func (r *Figure6Result) Render() string {
 // Figure7Result reproduces Figure 7: the grid simulation of the temporal
 // attack, with snapshots at the paper's time steps.
 type Figure7Result struct {
-	// Snapshots at time steps 151, 201, 251 (as in the paper's panels).
+	// Steps are the panel time steps: one past the third, fourth, and fifth
+	// block events — 151, 201, 251 on the paper's 25×25 grid.
+	Steps []int
+	// Snapshots at the panel steps.
 	Snapshots []gridsim.Snapshot
 	// Renders are the ASCII fork maps for the same steps.
 	Renders []string
@@ -230,15 +233,16 @@ type Figure7Result struct {
 	PeakCounterfeitPct float64
 }
 
-// Figure7Steps are the paper's panel time steps.
-func Figure7Steps() []int { return []int{151, 201, 251} }
-
 // Figure7 runs the grid simulation with the paper's parameters (30%
 // attacker at cell [7,7], 10% failures). The paper's panels show "a sample
 // of results obtained from simulation" in which the attack fork is already
 // live at time step 151; to present the same phenomenon we scan seeds
-// (starting from the study seed) for such a run.
+// (starting from the study seed) for such a run. The panels and the
+// disruption window scale with the grid's block interval, so a larger grid
+// shows the same arc at proportionally later steps.
 func (s *Study) Figure7() (*Figure7Result, error) {
+	spb := gridsim.NewConfig(s.seed, s.gridOptions(gridsim.WithSpanRatio(2.0))...).StepsPerBlock()
+	steps := []int{3*spb + 1, 4*spb + 1, 5*spb + 1}
 	var g *gridsim.Grid
 	for offset := int64(0); offset < 32 && g == nil; offset++ {
 		candidate, err := gridsim.New(s.seed+offset, s.gridOptions(
@@ -246,9 +250,10 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 			gridsim.WithFailureRate(0.10),
 			gridsim.WithAttacker(0.30, 7, 7),
 			// The attacker holds a radius-5 region open with targeted
-			// communication disruption until step 200, then the honest
-			// chain floods back — the arc of the paper's three panels.
-			gridsim.WithBoundary(5, 0, 200),
+			// communication disruption until the fourth block event, then
+			// the honest chain floods back — the arc of the paper's three
+			// panels.
+			gridsim.WithBoundary(5, 0, 4*spb),
 			gridsim.WithObserver(s.Opts.Obs),
 			gridsim.WithFaults(s.Opts.Faults),
 			gridsim.WithStepBudget(s.Opts.StepBudget),
@@ -256,7 +261,7 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		candidate.Advance(Figure7Steps()[0])
+		candidate.Advance(steps[0])
 		if err := candidate.BudgetErr(); err != nil {
 			return nil, fmt.Errorf("core: figure7: %w", err)
 		}
@@ -265,15 +270,15 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 		}
 	}
 	if g == nil {
-		return nil, fmt.Errorf("core: no seed in range produced a live attack fork by step %d", Figure7Steps()[0])
+		return nil, fmt.Errorf("core: no seed in range produced a live attack fork by step %d", steps[0])
 	}
-	res := &Figure7Result{}
+	res := &Figure7Result{Steps: steps}
 	cells := s.Opts.GridSize * s.Opts.GridSize
-	prev := Figure7Steps()[0]
+	prev := steps[0]
 	peak := g.CounterfeitCells()
 	res.Snapshots = append(res.Snapshots, g.Snapshot())
 	res.Renders = append(res.Renders, g.Render())
-	for _, target := range Figure7Steps()[1:] {
+	for _, target := range steps[1:] {
 		g.Advance(target - prev)
 		if err := g.BudgetErr(); err != nil {
 			return nil, fmt.Errorf("core: figure7: %w", err)
@@ -313,7 +318,7 @@ func (r *Figure7Result) Render() string {
 	var b strings.Builder
 	b.WriteString("Figure 7: grid simulation of the temporal attack (30% attacker)\n")
 	for i, snap := range r.Snapshots {
-		fmt.Fprintf(&b, "time step %d: max height %d, forks: ", Figure7Steps()[i], snap.MaxHeight)
+		fmt.Fprintf(&b, "time step %d: max height %d, forks: ", r.Steps[i], snap.MaxHeight)
 		dom, n := snap.DominantFork()
 		fmt.Fprintf(&b, "dominant %v (%d cells), %d distinct; lag stack %v\n",
 			dom, n, len(snap.ForkCounts), snap.Lag)

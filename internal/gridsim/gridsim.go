@@ -100,30 +100,17 @@ type Config struct {
 	// Shards selects the engine (DESIGN.md §13). Zero — the default — runs
 	// the legacy sequential engine, byte-identical to every pre-sharding
 	// release. Any value >= 1 runs the synchronous sharded engine: the world
-	// is partitioned by Router, shards tick concurrently under double
-	// buffering, and per-(cell, step) counter-mode randomness makes the
-	// output byte-identical at every shard count — shards=1 and shards=16
-	// produce the same study. The two engines use different gossip semantics
-	// (push-pull exchange vs. pull-only), so 0 and >= 1 are distinct
-	// experiments; among sharded runs only performance changes.
+	// is partitioned into contiguous row bands, shards tick concurrently
+	// under double buffering, and per-(cell, step) counter-mode randomness
+	// makes the output byte-identical at every shard count — shards=1 and
+	// shards=16 produce the same study. The two engines use different gossip
+	// semantics (push-pull exchange vs. pull-only), so 0 and >= 1 are
+	// distinct experiments; among sharded runs only performance changes.
 	Shards int
 	// ShardWorkers bounds the goroutines ticking shards inside one world;
 	// <= 0 means one per CPU. Like Workers everywhere else, it never
 	// changes results.
 	ShardWorkers int
-	// Router picks the partitioning scheme for the sharded engine:
-	// shard.KindRange (the default) for contiguous bands with the smallest
-	// halo, shard.KindRing for consistent hashing with minimal rebalance
-	// movement. Output is identical either way — ownership only decides
-	// which worker computes a cell.
-	Router shard.Kind
-	// RebalanceStep/RebalanceShards script a mid-run topology change: at the
-	// start of step RebalanceStep the world re-routes onto RebalanceShards
-	// shards (a shard join or leave), moving exactly the keys whose owner
-	// changes under the new router. Because output is shard-count invariant,
-	// a rebalanced run stays byte-identical to an unrebalanced one; only
-	// ShardStats records the movement. Zero RebalanceStep disables this.
-	RebalanceStep, RebalanceShards int
 }
 
 func (c Config) withDefaults() Config {
@@ -134,6 +121,14 @@ func (c Config) withDefaults() Config {
 		c.FailureRate = 0.10
 	}
 	return c
+}
+
+// StepsPerBlock returns the number of communication steps per block
+// interval the configuration implies: SpanRatio · Size, rounded, at least
+// one.
+func (c Config) StepsPerBlock() int {
+	c = c.withDefaults()
+	return max(1, int(math.Round(c.SpanRatio*float64(c.Size))))
 }
 
 // Validate rejects unusable parameters.
@@ -169,22 +164,8 @@ func (c Config) Validate() error {
 	if c.Shards > c.Size*c.Size {
 		return fmt.Errorf("gridsim: shard count %d exceeds %d cells", c.Shards, c.Size*c.Size)
 	}
-	if c.Shards == 0 {
-		if c.Router != "" || c.ShardWorkers != 0 || c.RebalanceStep != 0 || c.RebalanceShards != 0 {
-			return fmt.Errorf("gridsim: sharding options need Shards >= 1")
-		}
-		return nil
-	}
-	if c.RebalanceStep < 0 {
-		return fmt.Errorf("gridsim: negative rebalance step %d", c.RebalanceStep)
-	}
-	if c.RebalanceStep > 0 {
-		if c.RebalanceShards < 1 || c.RebalanceShards > c.Size*c.Size {
-			return fmt.Errorf("gridsim: rebalance shard count %d outside [1, %d]",
-				c.RebalanceShards, c.Size*c.Size)
-		}
-	} else if c.RebalanceShards != 0 {
-		return fmt.Errorf("gridsim: RebalanceShards needs RebalanceStep > 0")
+	if c.Shards == 0 && c.ShardWorkers != 0 {
+		return fmt.Errorf("gridsim: ShardWorkers needs Shards >= 1")
 	}
 	return nil
 }
@@ -348,10 +329,7 @@ func (g *Grid) ResetConfig(cfg Config) error {
 	g.cfg = cfg
 	g.rng.Seed(cfg.Seed)
 	n := cfg.Size * cfg.Size
-	g.stepsPerBlock = int(math.Round(cfg.SpanRatio * float64(cfg.Size)))
-	if g.stepsPerBlock < 1 {
-		g.stepsPerBlock = 1
-	}
+	g.stepsPerBlock = cfg.StepsPerBlock()
 	g.step, g.blocksMined, g.forksEmerged = 0, 0, 0
 	g.exhausted = false
 

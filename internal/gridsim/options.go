@@ -3,11 +3,9 @@ package gridsim
 import (
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/shard"
 )
 
-// Option mutates a Config under construction, mirroring netsim.New and
-// core.New so every simulator in the repository is built the same way.
+// Option mutates a Config under construction, mirroring core.New.
 type Option func(*Config)
 
 // New builds a grid simulation from a seed and options. The baseline is
@@ -82,14 +80,3 @@ func WithShards(k int) Option { return func(c *Config) { c.Shards = k } }
 // WithShardWorkers bounds the goroutines ticking shards inside this world;
 // <= 0 means one per CPU. Never changes results.
 func WithShardWorkers(w int) Option { return func(c *Config) { c.ShardWorkers = w } }
-
-// WithRouter picks the partitioning scheme for the sharded engine.
-func WithRouter(kind shard.Kind) Option { return func(c *Config) { c.Router = kind } }
-
-// WithRebalance scripts a mid-run topology change: at the start of the
-// given step, re-route the world onto the given shard count.
-func WithRebalance(step, shards int) Option {
-	return func(c *Config) {
-		c.RebalanceStep, c.RebalanceShards = step, shards
-	}
-}

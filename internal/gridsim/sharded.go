@@ -7,9 +7,9 @@ import (
 )
 
 // The sharded engine (DESIGN.md §13): the same grid world, partitioned
-// across shards by a deterministic router and ticked concurrently by a
-// parallel.Gang. Three design choices make the output byte-identical at
-// every shard count, router kind, and worker count:
+// into contiguous row bands and ticked concurrently by a parallel.Gang.
+// Three design choices make the output byte-identical at every shard count
+// and worker count:
 //
 //  1. Counter-mode randomness. The legacy engine consumes one sequential
 //     RNG stream in cell-index order, which no partition can reproduce
@@ -35,10 +35,6 @@ import (
 // why Shards=0 and Shards>=1 are distinct experiments while all sharded
 // configurations of a world are the same experiment at different speeds.
 
-// routerSeedSalt namespaces the ring router's virtual-point placement off
-// the run seed, like faultsSeedSalt for the injector streams.
-const routerSeedSalt = 0x5A4D
-
 // tickSeedSalt namespaces the counter-draw family off the run seed, so a
 // sharded tick never correlates with the mining stream or the fault
 // streams derived from the same seed.
@@ -49,20 +45,16 @@ const tickSeedSalt = 0x71C4
 // depend on the shard count, and the metrics registry must stay
 // byte-identical across shard counts.
 type ShardStats struct {
-	// Shards is the current shard count (after any rebalance).
+	// Shards is the shard count.
 	Shards int
 	// Workers is the gang width ticking the shards.
 	Workers int
 	// HaloCells is the per-tick boundary-exchange volume: the total number
-	// of foreign cells shards read each tick under the current plan.
+	// of foreign cells shards read each tick.
 	HaloCells int
 	// CrossPulls counts adoptions that pulled state across a shard
 	// boundary so far.
 	CrossPulls int64
-	// Rebalanced reports whether the scripted mid-run rebalance has fired;
-	// MovedKeys is how many cells changed owner when it did.
-	Rebalanced bool
-	MovedKeys  int
 }
 
 // ShardStats returns the partitioning summary; the zero value when the
@@ -74,18 +66,7 @@ func (g *Grid) ShardStats() ShardStats { return g.shardStats }
 // validation already done.
 func (g *Grid) resetSharded(cfg Config, n int) error {
 	g.adjFn = g.neighbors
-	r, err := shard.New(cfg.Router, parallel.DeriveSeed(cfg.Seed, routerSeedSalt), n, cfg.Shards)
-	if err != nil {
-		return err
-	}
-	// Validate the rebalance target now so a bad script fails at New, not
-	// mid-run.
-	if cfg.RebalanceStep > 0 {
-		if _, err := shard.New(cfg.Router, parallel.DeriveSeed(cfg.Seed, routerSeedSalt), n, cfg.RebalanceShards); err != nil {
-			return err
-		}
-	}
-	g.plan = shard.BuildPlan(r, n, g.adjFn)
+	g.plan = shard.BuildPlan(n, cfg.Shards, g.adjFn)
 	g.gang = parallel.NewGang(cfg.ShardWorkers)
 	g.tickFn = g.tickShard
 	g.tickBase = shard.Mix(uint64(parallel.DeriveSeed(cfg.Seed, tickSeedSalt)))
@@ -102,8 +83,7 @@ func (g *Grid) resetSharded(cfg Config, n int) error {
 	return nil
 }
 
-// resizeShardScratch sizes the per-shard tally slices to the current shard
-// count (initial build and rebalance).
+// resizeShardScratch sizes the per-shard tally slices to the shard count.
 func (g *Grid) resizeShardScratch() {
 	k := g.plan.Shards()
 	g.shCross = resizeI64(g.shCross, k)
@@ -151,7 +131,7 @@ func float53Threshold(p float64) int64 {
 }
 
 // advanceSharded is Advance for the sharded engine: per step, churn flips
-// on the coordinator, a scripted rebalance fires if due, the gang ticks
+// on the coordinator, the gang ticks
 // every shard against the frozen buffers, per-shard tallies fold in shard
 // order, the buffers swap, and a due block event mines on the coordinator.
 func (g *Grid) advanceSharded(n int) {
@@ -163,9 +143,6 @@ func (g *Grid) advanceSharded(n int) {
 		g.step++
 		if g.faults != nil {
 			g.faults.StepChurn(g.step)
-		}
-		if g.cfg.RebalanceStep > 0 && g.step == g.cfg.RebalanceStep {
-			g.rebalance()
 		}
 		g.tickKey = shard.Mix(g.tickBase + uint64(g.step)*shard.Gamma)
 		if g.obsOn {
@@ -312,26 +289,4 @@ func (g *Grid) foldShards() {
 				obs.F("fork", ForkID(f).String()))
 		}
 	}
-}
-
-// rebalance fires the scripted mid-run topology change: re-route the world
-// onto RebalanceShards shards, record exactly which keys moved, and rebuild
-// the plan and per-shard scratch. State never moves — the SoA arenas are
-// shared — so "key movement" is precisely the ownership diff, and the run's
-// output is unchanged because output is shard-count invariant.
-func (g *Grid) rebalance() {
-	n := len(g.fork)
-	r, err := shard.New(g.cfg.Router, parallel.DeriveSeed(g.cfg.Seed, routerSeedSalt), n, g.cfg.RebalanceShards)
-	if err != nil {
-		// The target router was validated at reset; an error here means the
-		// config mutated mid-run, which nothing supports.
-		panic(err)
-	}
-	moved := shard.Moves(g.plan.Router(), r, n)
-	g.plan = shard.BuildPlan(r, n, g.adjFn)
-	g.resizeShardScratch()
-	g.shardStats.Shards = g.cfg.RebalanceShards
-	g.shardStats.HaloCells = g.plan.HaloCells()
-	g.shardStats.Rebalanced = true
-	g.shardStats.MovedKeys = len(moved)
 }

@@ -7,8 +7,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/shard"
 )
 
 // shardedFingerprint runs a sharded world to the given step and collapses
@@ -39,8 +37,8 @@ func shardedFingerprint(t *testing.T, steps int, opts ...Option) string {
 }
 
 // TestShardCountInvariance is the tentpole property (DESIGN.md §13): the
-// same world ticked at shard counts 1, 4, and 16 — and under either router
-// — produces byte-identical render, fork counts, metrics, and trace.
+// same world ticked at shard counts 1, 4, and 16 produces byte-identical
+// render, fork counts, metrics, and trace.
 func TestShardCountInvariance(t *testing.T) {
 	attack := []Option{
 		WithSize(24),
@@ -50,24 +48,21 @@ func TestShardCountInvariance(t *testing.T) {
 	steps := 0
 	base := ""
 	for _, k := range []int{1, 4, 16} {
-		for _, kind := range []shard.Kind{shard.KindRange, shard.KindRing} {
-			opts := append(append([]Option{}, attack...),
-				WithShards(k), WithRouter(kind), WithShardWorkers(4))
-			if steps == 0 {
-				g, err := New(7, opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				steps = g.StepsPerBlock()*8 + 3
+		opts := append(append([]Option{}, attack...), WithShards(k), WithShardWorkers(4))
+		if steps == 0 {
+			g, err := New(7, opts...)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := shardedFingerprint(t, steps, opts...)
-			if base == "" {
-				base = got
-				continue
-			}
-			if got != base {
-				t.Fatalf("shards=%d router=%s diverged from shards=1 range", k, kind)
-			}
+			steps = g.StepsPerBlock()*8 + 3
+		}
+		got := shardedFingerprint(t, steps, opts...)
+		if base == "" {
+			base = got
+			continue
+		}
+		if got != base {
+			t.Fatalf("shards=%d diverged from shards=1", k)
 		}
 	}
 }
@@ -156,70 +151,6 @@ func TestShardedAttackCaptures(t *testing.T) {
 	}
 }
 
-// TestRebalanceInvariance proves the mid-run topology change is free:
-// a run that rebalances 4→9 shards at step 60 is byte-identical to runs
-// that never rebalance, at either endpoint shard count, and ShardStats
-// reports the exact ownership diff as moved keys.
-func TestRebalanceInvariance(t *testing.T) {
-	const steps = 140
-	opts := []Option{WithSize(20), WithAttacker(0.30, 5, 5), WithBoundary(4, 0, 100)}
-	static4 := shardedFingerprint(t, steps, append(append([]Option{}, opts...), WithShards(4))...)
-	static9 := shardedFingerprint(t, steps, append(append([]Option{}, opts...), WithShards(9))...)
-	reb := shardedFingerprint(t, steps,
-		append(append([]Option{}, opts...), WithShards(4), WithRebalance(60, 9))...)
-	if reb != static4 || reb != static9 {
-		t.Fatal("rebalanced run diverged from static runs")
-	}
-
-	for _, kind := range []shard.Kind{shard.KindRange, shard.KindRing} {
-		g, err := New(7, append(append([]Option{}, opts...),
-			WithShards(4), WithRouter(kind), WithRebalance(60, 9))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Advance(59)
-		if st := g.ShardStats(); st.Rebalanced || st.Shards != 4 {
-			t.Fatalf("%s: rebalance fired early: %+v", kind, st)
-		}
-		g.Advance(1)
-		st := g.ShardStats()
-		if !st.Rebalanced || st.Shards != 9 {
-			t.Fatalf("%s: rebalance did not fire: %+v", kind, st)
-		}
-		// Moved keys must equal the router ownership diff exactly.
-		n := g.NumCells()
-		from, err := shard.New(kind, routerSeedFor(7), n, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		to, err := shard.New(kind, routerSeedFor(7), n, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := len(shard.Moves(from, to, n)); st.MovedKeys != want {
-			t.Fatalf("%s: MovedKeys = %d, want %d", kind, st.MovedKeys, want)
-		}
-	}
-}
-
-// TestRingRebalanceMovesFewerKeys pins the router trade on a live grid: a
-// ring join 4→5 moves far fewer cells than the range re-banding.
-func TestRingRebalanceMovesFewerKeys(t *testing.T) {
-	moved := map[shard.Kind]int{}
-	for _, kind := range []shard.Kind{shard.KindRange, shard.KindRing} {
-		g, err := New(7, WithSize(30), WithShards(4), WithRouter(kind), WithRebalance(10, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Advance(12)
-		moved[kind] = g.ShardStats().MovedKeys
-	}
-	if moved[shard.KindRing]*2 >= moved[shard.KindRange] {
-		t.Fatalf("ring join moved %d keys, range %d — ring should move far fewer",
-			moved[shard.KindRing], moved[shard.KindRange])
-	}
-}
-
 // TestShardStatsAndCrossPulls sanity-checks the partition summary: halo
 // matches the plan, cross-shard pulls accumulate with >1 shard and stay
 // zero with 1.
@@ -287,29 +218,23 @@ func TestShardConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Size: 10, Shards: -1},
 		{Size: 10, Shards: 101},
-		{Size: 10, Router: shard.KindRing},              // router without shards
-		{Size: 10, ShardWorkers: 2},                     // workers without shards
-		{Size: 10, RebalanceStep: 5},                    // rebalance without shards
-		{Size: 10, Shards: 2, RebalanceStep: -1},        // negative step
-		{Size: 10, Shards: 2, RebalanceStep: 5},         // missing target
-		{Size: 10, Shards: 2, RebalanceShards: 4},       // target without step
-		{Size: 10, Shards: 2, Router: shard.Kind("xy")}, // unknown router
+		{Size: 10, ShardWorkers: 2}, // workers without shards
 	}
 	for i, cfg := range bad {
 		if _, err := FromConfig(cfg); err == nil {
 			t.Errorf("case %d: config %+v should be rejected", i, cfg)
 		}
 	}
-	if _, err := FromConfig(Config{Size: 10, Shards: 2, RebalanceStep: 5, RebalanceShards: 3}); err != nil {
-		t.Errorf("valid rebalance config rejected: %v", err)
+	if _, err := FromConfig(Config{Size: 10, Shards: 100, ShardWorkers: 2}); err != nil {
+		t.Errorf("valid sharded config rejected: %v", err)
 	}
 }
 
 // TestShardedTrials proves the ensemble path carries sharding: RunTrials
 // over a sharded Config produces identical aggregates at any shard count,
-// and the journal fingerprint collapses every shard count >= 1 (plus
-// router/worker/rebalance knobs) to one identity while keeping the
-// legacy-vs-sharded engine split.
+// and the journal fingerprint collapses every shard count >= 1 (plus the
+// worker width) to one identity while keeping the legacy-vs-sharded engine
+// split.
 func TestShardedTrials(t *testing.T) {
 	mk := func(shards int) Config {
 		return NewConfig(9, WithSize(14), WithAttacker(0.3, 4, 4), WithBoundary(3, 0, 80),
@@ -330,7 +255,7 @@ func TestShardedTrials(t *testing.T) {
 
 	base := tc.Fingerprint(mk(1))
 	same := NewConfig(9, WithSize(14), WithAttacker(0.3, 4, 4), WithBoundary(3, 0, 80),
-		WithShards(16), WithRouter(shard.KindRing), WithShardWorkers(8), WithRebalance(10, 4))
+		WithShards(16), WithShardWorkers(8))
 	if tc.Fingerprint(same) != base {
 		t.Error("fingerprint distinguishes equivalent sharded configs")
 	}
@@ -338,9 +263,4 @@ func TestShardedTrials(t *testing.T) {
 	if tc.Fingerprint(legacy) == base {
 		t.Error("fingerprint conflates the legacy and sharded engines")
 	}
-}
-
-// routerSeedFor mirrors the engine's router-seed derivation for tests.
-func routerSeedFor(seed int64) int64 {
-	return parallel.DeriveSeed(seed, routerSeedSalt)
 }

@@ -64,8 +64,8 @@ func (tc TrialsConfig) supervised() bool {
 // configuration and every ensemble parameter that changes results. Workers
 // and the observer are excluded — results are identical across worker
 // counts and instrumentation. Sharding is normalized the same way: output
-// is byte-identical for every shard count >= 1, router, worker width, and
-// rebalance schedule, so those collapse to Shards=1 — while the 0-vs-1
+// is byte-identical for every shard count >= 1 and worker width, so those
+// collapse to Shards=1 — while the 0-vs-1
 // engine distinction (legacy push-pull vs. sharded pull-only) is real and
 // stays in the fingerprint.
 func (tc TrialsConfig) Fingerprint(cfg Config) string {
@@ -75,9 +75,6 @@ func (tc TrialsConfig) Fingerprint(cfg Config) string {
 	if scrubbed.Shards >= 1 {
 		scrubbed.Shards = 1
 		scrubbed.ShardWorkers = 0
-		scrubbed.Router = ""
-		scrubbed.RebalanceStep = 0
-		scrubbed.RebalanceShards = 0
 	}
 	return checkpoint.Fingerprint(
 		"gridsim.trials",

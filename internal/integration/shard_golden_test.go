@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/gridsim"
-	"repro/internal/shard"
 )
 
 // TestExperimentAllShardedGolden pins the sharded-engine evaluation
@@ -81,9 +80,9 @@ func TestExperimentAllShardedChurnyGolden(t *testing.T) {
 // millionNodeDigest runs the 1000×1000 world — the million-node study the
 // sharded engine exists for — for two block intervals plus a settle tail
 // and digests everything observable into one SHA-256.
-func millionNodeDigest(t *testing.T, shards, workers int, kind shard.Kind, rebalance bool) string {
+func millionNodeDigest(t *testing.T, shards, workers int) string {
 	t.Helper()
-	opts := []gridsim.Option{
+	g, err := gridsim.New(1,
 		gridsim.WithSize(1000),
 		// A small span ratio keeps the million-cell run to tens of steps:
 		// 0.02 × 1000 = 20 communication steps per block.
@@ -93,12 +92,7 @@ func millionNodeDigest(t *testing.T, shards, workers int, kind shard.Kind, rebal
 		gridsim.WithBoundary(40, 0, 30),
 		gridsim.WithShards(shards),
 		gridsim.WithShardWorkers(workers),
-		gridsim.WithRouter(kind),
-	}
-	if rebalance {
-		opts = append(opts, gridsim.WithRebalance(25, shards+3))
-	}
-	g, err := gridsim.New(1, opts...)
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,32 +114,25 @@ const millionNodeGolden = "7131f3313cb10ad58fc2ec78b896d1591c1192003a35b650c2d2b
 
 // TestMillionNodeShardedStudy is the acceptance gate of DESIGN.md §13: a
 // 10⁶-node world produces a byte-identical study at shard counts 1, 4, and
-// 16, at gang widths 1 and 8, under either router, and across a mid-run
-// rebalance — all pinned to one golden digest.
+// 16 and at gang widths 1 and 8 — all pinned to one golden digest.
 func TestMillionNodeShardedStudy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("nine million-cell runs")
+		t.Skip("five million-cell runs")
 	}
 	configs := []struct {
-		name      string
-		shards    int
-		workers   int
-		kind      shard.Kind
-		rebalance bool
+		name    string
+		shards  int
+		workers int
 	}{
-		{"shards1_workers1", 1, 1, shard.KindRange, false},
-		{"shards4_workers1", 4, 1, shard.KindRange, false},
-		{"shards4_workers8", 4, 8, shard.KindRange, false},
-		{"shards16_workers1", 16, 1, shard.KindRange, false},
-		{"shards16_workers8", 16, 8, shard.KindRange, false},
-		{"shards4_ring", 4, 8, shard.KindRing, false},
-		{"shards16_ring", 16, 8, shard.KindRing, false},
-		{"shards4_rebalance", 4, 8, shard.KindRange, true},
-		{"shards16_ring_rebalance", 16, 8, shard.KindRing, true},
+		{"shards1_workers1", 1, 1},
+		{"shards4_workers1", 4, 1},
+		{"shards4_workers8", 4, 8},
+		{"shards16_workers1", 16, 1},
+		{"shards16_workers8", 16, 8},
 	}
 	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			got := millionNodeDigest(t, tc.shards, tc.workers, tc.kind, tc.rebalance)
+			got := millionNodeDigest(t, tc.shards, tc.workers)
 			if got != millionNodeGolden {
 				t.Errorf("digest %s diverged from golden %s", got, millionNodeGolden)
 			}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunCheckedBudgetExhausted(t *testing.T) {
-	s, err := New(1, WithNodeCount(20), WithEventBudget(25))
+	s, err := FromConfig(Config{Nodes: 20, Seed: 1, EventBudget: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestRunCheckedBudgetExhausted(t *testing.T) {
 }
 
 func TestRunCheckedCleanWithoutBudget(t *testing.T) {
-	s, err := New(1, WithNodeCount(20))
+	s, err := FromConfig(Config{Nodes: 20, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,11 +56,11 @@ func TestScenarioRunDeterministic(t *testing.T) {
 // back (churn_up fires), and gateways never churn.
 func TestChurnTakesNodesDownAndBack(t *testing.T) {
 	o := obs.NewMetricsOnly()
-	s, err := New(4,
-		WithNodeCount(60),
-		WithGossip(p2p.Config{FailureRate: 1e-12, Obs: o}),
-		WithFaults(faults.Churny()),
-	)
+	s, err := FromConfig(Config{
+		Nodes: 60, Seed: 4,
+		Gossip: p2p.Config{FailureRate: 1e-12, Obs: o},
+		Faults: faults.Churny(),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,34 +98,5 @@ func TestZeroScenarioMatchesNoFaults(t *testing.T) {
 	if b1 != s.BlocksProduced() || l1 != s.LagHistogram() || m1 != s.Network.MsgStats() {
 		t.Errorf("zero-value Scenario perturbed the run: (%d,%+v,%+v) vs (%d,%+v,%+v)",
 			b1, l1, m1, s.BlocksProduced(), s.LagHistogram(), s.Network.MsgStats())
-	}
-}
-
-// TestOptionsMatchConfigLiteral: the functional-options constructor is
-// sugar over FromConfig — both spellings must produce identical runs.
-func TestOptionsMatchConfigLiteral(t *testing.T) {
-	s1, err := New(4,
-		WithNodeCount(50),
-		WithGossip(p2p.Config{FailureRate: 1e-12}),
-		WithTxPerBlock(5),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := FromConfig(Config{
-		Nodes: 50, Seed: 4,
-		Gossip:     p2p.Config{FailureRate: 1e-12},
-		TxPerBlock: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*Simulation{s1, s2} {
-		s.StartMining()
-		s.Run(6 * time.Hour)
-	}
-	if s1.BlocksProduced() != s2.BlocksProduced() || s1.LagHistogram() != s2.LagHistogram() {
-		t.Errorf("options-built and literal-built runs diverged: %d/%+v vs %d/%+v",
-			s1.BlocksProduced(), s1.LagHistogram(), s2.BlocksProduced(), s2.LagHistogram())
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/p2p"
 	"repro/internal/parallel"
-	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -68,20 +67,6 @@ type Config struct {
 	// and RunChecked reports an error wrapping checkpoint.ErrBudget, so a
 	// non-terminating fault scenario cannot hang a trial.
 	EventBudget uint64
-	// Shards, when >= 1, partitions the node population across that many
-	// shards with an internal/shard router (DESIGN.md §13) and installs the
-	// p2p cross-shard seam: messages between nodes owned by different
-	// shards are tallied (p2p.cross_shard_msgs) and pick up CrossShardDelay
-	// extra latency. The routing draws no randomness, so Shards with a zero
-	// delay only adds accounting — delivery timing stays byte-identical.
-	// Zero — the default — leaves the population unsharded.
-	Shards int
-	// Router picks the partitioning strategy when Shards >= 1 (range-band
-	// or consistent-hash ring; "" defaults to range).
-	Router shard.Kind
-	// CrossShardDelay is the extra latency of a message hop crossing a
-	// shard boundary; only meaningful with Shards >= 1.
-	CrossShardDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -103,9 +88,6 @@ type Simulation struct {
 	cfg    Config
 	rng    *rand.Rand
 	nextTx blockchain.TxID
-	// router partitions the population when Config.Shards >= 1; nil in an
-	// unsharded simulation.
-	router shard.Router
 
 	// poolNodes maps each pool index to the node that publishes its blocks
 	// (a stand-in for the pool's gateway full node).
@@ -125,9 +107,7 @@ type Simulation struct {
 // FromConfig builds a simulation: over Config.Population when set (e.g.
 // dataset-generated nodes with realistic AS/organization profiles), over
 // cfg.Nodes fresh profile-less nodes otherwise, and over the explicit
-// Config.Outbound peer graph when one is given. New is the options-based
-// construction path over the same Config — the former NewWithNodes and
-// NewWithGraph entry points are the WithNodes and WithGraph options there.
+// Config.Outbound peer graph when one is given.
 func FromConfig(cfg Config) (*Simulation, error) {
 	cfg = cfg.withDefaults()
 	nodes := cfg.Population
@@ -147,30 +127,11 @@ func FromConfig(cfg Config) (*Simulation, error) {
 // seed, so enabling a scenario never perturbs any existing simulation draw.
 const faultsSeedSalt = 0xFA17
 
-// shardSeedSalt namespaces the shard router's placement (the ring's
-// virtual points) off the simulation seed.
-const shardSeedSalt = 0x5A4E
-
 func newWithNodes(cfg Config, nodes []*p2p.Node, rng *rand.Rand, outbound [][]p2p.NodeID) (*Simulation, error) {
 	engine := &sim.Engine{}
 	engine.SetEventBudget(cfg.EventBudget)
 	if cfg.Obs != nil && cfg.Gossip.Obs == nil {
 		cfg.Gossip.Obs = cfg.Obs
-	}
-	var router shard.Router
-	if cfg.Shards >= 1 {
-		var err error
-		router, err = shard.New(cfg.Router,
-			parallel.DeriveSeed(cfg.Seed, shardSeedSalt), len(nodes), cfg.Shards)
-		if err != nil {
-			return nil, fmt.Errorf("netsim: %w", err)
-		}
-		if cfg.Gossip.ShardOf == nil {
-			cfg.Gossip.ShardOf = func(id p2p.NodeID) int { return router.Owner(int(id)) }
-			cfg.Gossip.CrossShardDelay = cfg.CrossShardDelay
-		}
-	} else if cfg.Router != "" || cfg.CrossShardDelay != 0 {
-		return nil, errors.New("netsim: sharding options need Shards >= 1")
 	}
 	var injector *faults.Injector
 	if cfg.Faults.Enabled() {
@@ -202,7 +163,6 @@ func newWithNodes(cfg Config, nodes []*p2p.Node, rng *rand.Rand, outbound [][]p2
 		Pools:       pools,
 		cfg:         cfg,
 		rng:         rng,
-		router:      router,
 		honestShare: pools.TotalShare(),
 		nextTx:      1,
 	}
@@ -234,15 +194,6 @@ func newWithNodes(cfg Config, nodes []*p2p.Node, rng *rand.Rand, outbound [][]p2
 
 // Config returns the effective configuration.
 func (s *Simulation) Config() Config { return s.cfg }
-
-// ShardOf returns the shard owning a node, or -1 when the simulation is
-// unsharded (Config.Shards == 0).
-func (s *Simulation) ShardOf(id p2p.NodeID) int {
-	if s.router == nil {
-		return -1
-	}
-	return s.router.Owner(int(id))
-}
 
 // Gateways returns the nodes that publish each pool's blocks. Gateways are
 // by construction synced, well-connected nodes; partition attacks must

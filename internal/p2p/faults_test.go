@@ -9,30 +9,6 @@ import (
 	"repro/internal/stats"
 )
 
-func TestNewConfigOptions(t *testing.T) {
-	cfg := NewConfig(
-		WithPeerCount(16),
-		WithMeanRelayDelay(3*time.Second),
-		WithFailureRate(0.02),
-		WithSpreading(Trickle),
-		WithTrickleInterval(7*time.Second),
-		WithRequestTimeout(45*time.Second),
-		WithSameASBias(0.4),
-	)
-	if cfg.PeerCount != 16 || cfg.MeanRelayDelay != 3*time.Second ||
-		cfg.FailureRate != 0.02 || cfg.Spreading != Trickle ||
-		cfg.TrickleInterval != 7*time.Second || cfg.RequestTimeout != 45*time.Second ||
-		cfg.SameASBias != 0.4 {
-		t.Errorf("NewConfig assembled %+v", cfg)
-	}
-	// Zero options = zero Config: defaults still applied by NewNetwork,
-	// exactly as for a struct literal.
-	net := newTestNetwork(t, 10, NewConfig(), 1)
-	if net.Config().PeerCount == 0 {
-		t.Error("defaults not applied to options-built config")
-	}
-}
-
 // dropAll is a FaultInjector that kills every message.
 type dropAll struct{}
 
@@ -41,10 +17,7 @@ func (dropAll) Intercept(from, to NodeID, now time.Duration) FaultVerdict {
 }
 
 func TestFaultInjectorDropsSuppressDelivery(t *testing.T) {
-	net := newTestNetwork(t, 30, NewConfig(
-		WithFailureRate(1e-12),
-		WithFaultInjector(dropAll{}),
-	), 3)
+	net := newTestNetwork(t, 30, Config{FailureRate: 1e-12, Faults: dropAll{}}, 3)
 	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(0, b); err != nil {
 		t.Fatal(err)
@@ -70,10 +43,7 @@ func (d delayOnly) Intercept(from, to NodeID, now time.Duration) FaultVerdict {
 
 func TestFaultInjectorDelayStillDelivers(t *testing.T) {
 	calls := 0
-	net := newTestNetwork(t, 30, NewConfig(
-		WithFailureRate(1e-12),
-		WithFaultInjector(delayOnly{&calls}),
-	), 3)
+	net := newTestNetwork(t, 30, Config{FailureRate: 1e-12, Faults: delayOnly{&calls}}, 3)
 	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(0, b); err != nil {
 		t.Fatal(err)

@@ -70,18 +70,6 @@ type Config struct {
 	// model. Nil — the default — injects nothing with byte-identical
 	// output; internal/faults provides the implementation.
 	Faults FaultInjector
-	// ShardOf assigns each node to a shard for cross-shard delivery
-	// accounting (DESIGN.md §13). When non-nil, a message whose endpoints
-	// map to different shards picks up CrossShardDelay on top of its normal
-	// hop delay and is tallied in Stats.CrossShard and the
-	// p2p.cross_shard_msgs counter. The check draws no randomness, so a nil
-	// ShardOf — the default — is byte-identical to a build without the
-	// seam, and a non-nil ShardOf with zero delay only adds accounting.
-	ShardOf func(NodeID) int
-	// CrossShardDelay is the extra latency of a hop crossing a shard
-	// boundary; consulted only when ShardOf is set. It models the
-	// serialization cost of leaving a shard's memory domain.
-	CrossShardDelay time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -120,12 +108,6 @@ func (c Config) Validate() error {
 	if c.SameASBias < 0 || c.SameASBias > 1 {
 		return fmt.Errorf("p2p: same-AS bias %v outside [0,1]", c.SameASBias)
 	}
-	if c.CrossShardDelay < 0 {
-		return fmt.Errorf("p2p: negative cross-shard delay %v", c.CrossShardDelay)
-	}
-	if c.CrossShardDelay > 0 && c.ShardOf == nil {
-		return errors.New("p2p: CrossShardDelay needs ShardOf")
-	}
 	return nil
 }
 
@@ -137,11 +119,10 @@ type LinkPolicy func(from, to NodeID, now time.Duration) bool
 
 // Stats counts message outcomes for a network run.
 type Stats struct {
-	Sent       int // messages scheduled
-	Dropped    int // lost to random failure
-	Blocked    int // denied by the link policy
-	Faulted    int // discarded by the fault injector
-	CrossShard int // messages crossing a shard boundary (ShardOf set)
+	Sent    int // messages scheduled
+	Dropped int // lost to random failure
+	Blocked int // denied by the link policy
+	Faulted int // discarded by the fault injector
 }
 
 // Network couples nodes to the event engine and implements the gossip
@@ -182,17 +163,16 @@ type Network struct {
 type netObs struct {
 	trace *obs.Tracer
 	// sent/deduped are indexed by MsgType (inv, getdata, block).
-	sent       [4]*obs.Counter
-	deduped    [4]*obs.Counter
-	dropped    *obs.Counter
-	blocked    *obs.Counter
-	faulted    *obs.Counter
-	crossShard *obs.Counter
-	retries    *obs.Counter
-	orphans    *obs.Counter
-	accept     *obs.Counter
-	reorgs     *obs.Counter
-	revTxs     *obs.Counter
+	sent    [4]*obs.Counter
+	deduped [4]*obs.Counter
+	dropped *obs.Counter
+	blocked *obs.Counter
+	faulted *obs.Counter
+	retries *obs.Counter
+	orphans *obs.Counter
+	accept  *obs.Counter
+	reorgs  *obs.Counter
+	revTxs  *obs.Counter
 }
 
 // initObs resolves the instrument handles once at construction.
@@ -212,11 +192,6 @@ func (n *Network) initObs(o *obs.Observer) {
 	// faults-off metrics render (and its golden) is untouched.
 	if n.cfg.Faults != nil {
 		n.obs.faulted = reg.Counter("p2p.msgs_faulted")
-	}
-	// Likewise, only a sharded network registers the cross-shard counter:
-	// the unsharded registry render stays byte-identical.
-	if n.cfg.ShardOf != nil {
-		n.obs.crossShard = reg.Counter("p2p.cross_shard_msgs")
 	}
 	n.obs.retries = reg.Counter("p2p.getdata_retries")
 	n.obs.orphans = reg.Counter("p2p.orphans_stashed")
@@ -436,14 +411,7 @@ func (n *Network) send(m Message) {
 		n.obs.blocked.Inc()
 		return
 	}
-	// The shard seam draws no randomness, so a nil ShardOf leaves every
-	// downstream draw — and therefore the whole run — byte-identical.
 	var extraDelay time.Duration
-	if n.cfg.ShardOf != nil && n.cfg.ShardOf(m.From) != n.cfg.ShardOf(m.To) {
-		n.msgStats.CrossShard++
-		n.obs.crossShard.Inc()
-		extraDelay = n.cfg.CrossShardDelay
-	}
 	if n.cfg.Faults != nil {
 		v := n.cfg.Faults.Intercept(m.From, m.To, n.Engine.Now())
 		if v.Drop {
@@ -452,9 +420,9 @@ func (n *Network) send(m Message) {
 			return
 		}
 		if v.Duplicate {
-			n.scheduleDelivery(m, extraDelay+v.ExtraDelay+n.hopDelay())
+			n.scheduleDelivery(m, v.ExtraDelay+n.hopDelay())
 		}
-		extraDelay += v.ExtraDelay
+		extraDelay = v.ExtraDelay
 	}
 	if stats.Bernoulli(n.rng, n.cfg.FailureRate) {
 		n.msgStats.Dropped++

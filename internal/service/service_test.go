@@ -294,6 +294,23 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsOversizedSpec pins the 413 path: a body one byte over
+// the bound is refused whole, even when the cut would fall after a valid
+// spec document (here, inside its trailing whitespace).
+func TestSubmitRejectsOversizedSpec(t *testing.T) {
+	svc, _ := newService(t, t.TempDir(), 1, 1)
+	ts := httptest.NewServer(service.Handler(svc))
+	defer ts.Close()
+	doc := canonical(t, buildSpec(t, "attack", "spatial", 7))
+	body := append(doc, bytes.Repeat([]byte(" "), service.MaxSpecBytes+1-len(doc))...)
+	if code, _ := postSpec(t, ts.URL, body); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: code %d, want 413", code)
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized submit admitted %d jobs", len(jobs))
+	}
+}
+
 // TestDrainRestartResume is the graceful-drain half of the tentpole
 // contract: a daemon drained mid-`experiment all` stops at an experiment
 // boundary with the journal intact, and a new daemon over the same state

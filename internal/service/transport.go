@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -58,7 +59,8 @@ var retrySleep = time.Sleep
 // Handler builds the partitiond HTTP API over the service:
 //
 //	POST /v1/jobs            submit a spec; 202 accepted, 200 cached/exists,
-//	                         429 refused (admission control), 400 invalid
+//	                         429 refused (admission control), 400 invalid,
+//	                         413 spec larger than maxSpecBytes
 //	GET  /v1/jobs            list tracked jobs
 //	GET  /v1/jobs/{id}       job status
 //	GET  /v1/jobs/{id}/result the raw output bytes of a done job
@@ -68,7 +70,13 @@ var retrySleep = time.Sleep
 func Handler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		raw, err := io.ReadAll(io.LimitReader(r.Body, maxSpecBytes))
+		raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Sprintf("spec exceeds %d bytes", tooLarge.Limit))
+			return
+		}
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("read spec: %v", err))
 			return

@@ -1,19 +1,18 @@
 package shard
 
-// Plan materializes a Router over a concrete world: the owner of every key,
-// each shard's key list, and each shard's halo — the foreign keys whose
-// state the shard must read when it ticks its own, i.e. the per-tick
-// boundary-exchange set. Like the engines it serves, the Plan is held
-// structure-of-arrays: one flat backing slice per relation with per-shard
-// offsets, so a 10⁶-key world costs a handful of allocations however many
-// shards it splits into.
+// Plan materializes the band partition over a concrete world: the owner of
+// every key, each shard's key list, and each shard's halo — the foreign
+// keys whose state the shard must read when it ticks its own, i.e. the
+// per-tick boundary-exchange set. Like the engines it serves, the Plan is
+// held structure-of-arrays: one flat backing slice per relation with
+// per-shard offsets, so a 10⁶-key world costs a handful of allocations
+// however many shards it splits into.
 //
 // All lists are in ascending key order. That is the merge-order half of the
 // determinism contract: any fold over a shard's keys — and any fold over
 // shards 0..k-1 of per-shard results — visits keys in a fixed total order,
 // so merged statistics cannot depend on which worker ticked which shard.
 type Plan struct {
-	router Router
 	// owner[key] is the shard that owns key.
 	owner []int32
 	// keys/keyOff: shard s owns keys[keyOff[s]:keyOff[s+1]], ascending.
@@ -25,34 +24,26 @@ type Plan struct {
 	haloOff []int32
 }
 
-// BuildPlan routes every key in [0, n) and derives per-shard key and halo
-// lists. adj returns a key's neighborhood (any order; the grid passes its
-// flat Moore-neighbor cache, the peer graph its outbound lists). adj may be
+// BuildPlan splits the keys [0, n) into k contiguous bands — key belongs
+// to shard key·k/n — and derives per-shard key and halo lists. The caller
+// guarantees 1 <= k <= n; the multiply stays in int range for any world
+// this repository can hold (n·k < 2^63). adj returns a key's neighborhood
+// (any order; the grid passes its flat Moore-neighbor cache). adj may be
 // nil for worlds with no read-across-shards coupling, leaving every halo
 // empty.
-func BuildPlan(r Router, n int, adj func(key int) []int32) *Plan {
-	k := r.Shards()
+func BuildPlan(n, k int, adj func(key int) []int32) *Plan {
 	p := &Plan{
-		router: r,
 		owner:  make([]int32, n),
 		keys:   make([]int32, n),
 		keyOff: make([]int32, k+1),
 	}
-	counts := make([]int32, k)
+	// Bands are contiguous and ascending, so the key list is the identity
+	// and each band's end offset is one past its last key.
 	for key := 0; key < n; key++ {
-		s := r.Owner(key)
+		s := key * k / n
 		p.owner[key] = int32(s)
-		counts[s]++
-	}
-	for s := 0; s < k; s++ {
-		p.keyOff[s+1] = p.keyOff[s] + counts[s]
-	}
-	fill := make([]int32, k)
-	copy(fill, p.keyOff[:k])
-	for key := 0; key < n; key++ {
-		s := p.owner[key]
-		p.keys[fill[s]] = int32(key)
-		fill[s]++
+		p.keys[key] = int32(key)
+		p.keyOff[s+1] = int32(key + 1)
 	}
 
 	p.haloOff = make([]int32, k+1)
@@ -64,8 +55,8 @@ func BuildPlan(r Router, n int, adj func(key int) []int32) *Plan {
 	// stamp[key] = s+1 marks key as already in shard s's halo, so each
 	// foreign neighbor is listed once however many owned cells touch it.
 	// Keys ascend within each shard and neighbors are deduped on first
-	// sight, then sorted per shard below — ascending order either way; the
-	// insertion sort never moves anything for the grid's row-major bands.
+	// sight, then sorted per shard below, since adj may list them in any
+	// order.
 	stamp := make([]int32, n)
 	for s := 0; s < k; s++ {
 		for _, key := range p.keys[p.keyOff[s]:p.keyOff[s+1]] {
@@ -96,9 +87,6 @@ func sortI32(s []int32) {
 		s[j+1] = v
 	}
 }
-
-// Router returns the router the plan was built from.
-func (p *Plan) Router() Router { return p.router }
 
 // Shards returns the shard count.
 func (p *Plan) Shards() int { return len(p.keyOff) - 1 }

@@ -1,32 +1,22 @@
 // Package shard is the deterministic spatial-partitioning layer under the
-// million-node worlds (DESIGN.md §13): it decides which shard owns which
-// key (a grid cell index or a peer-graph node ID) and materializes that
-// decision into a Plan — per-shard key lists plus the halo of foreign cells
-// each shard must read at a tick boundary.
+// million-node grid worlds (DESIGN.md §13): it decides which shard owns
+// which key (a grid cell index) and materializes that decision into a
+// Plan — per-shard key lists plus the halo of foreign cells each shard
+// must read at a tick boundary.
 //
-// Everything here is a pure function of (seed, key count, shard count):
-// routing never draws from a shared RNG stream and never depends on
-// scheduling, so the same world partitioned into 1, 4, or 16 shards — or
-// re-partitioned mid-run — assigns keys identically on every run. The
-// engines built on top (gridsim's synchronous sharded tick, netsim's
-// partitioned peer graph) rely on that to keep study output byte-identical
-// at any shard count.
+// The partition is contiguous balanced bands over [0, n): shard s owns the
+// keys whose floor(key·k/n) is s, so band sizes differ by at most one key.
+// On a row-major grid the bands are horizontal stripes, and each shard's
+// halo is the row above and the row below its band — the smallest
+// boundary-exchange volume a Moore-neighborhood grid admits up to rotation.
 //
-// Two Router implementations ship:
-//
-//   - RangeRouter: contiguous balanced bands over [0, n). Owned keys are
-//     spatially contiguous in row-major order, which minimizes the halo on a
-//     grid; a rebalance from k to k' shards moves O(n) keys.
-//   - RingRouter: consistent hashing over a 64-bit ring with virtual
-//     points. Owned keys interleave (larger halo) but a rebalance from k to
-//     k+1 shards moves only ~n/(k+1) keys — the classic trade the paper's
-//     AS-level populations motivate.
-//
-// Both must produce byte-identical simulation output, because ownership
-// only decides which worker computes a cell, never what the cell computes.
+// Everything here is a pure function of (key count, shard count): the
+// same world partitioned into 1, 4, or 16 shards assigns keys identically
+// on every run. The sharded gridsim engine relies on that, together with
+// its counter-mode randomness, to keep study output byte-identical at any
+// shard count — ownership only decides which worker computes a cell, never
+// what the cell computes.
 package shard
-
-import "fmt"
 
 // SplitMix64 constants (Steele, Lea & Flood, OOPSLA 2014). Gamma is
 // exported so engines can derive per-(cell, step) counter keys in the same
@@ -48,62 +38,4 @@ func Mix(z uint64) uint64 {
 	z *= mul2
 	z ^= z >> 31
 	return z
-}
-
-// Router assigns every key in [0, n) to a shard in [0, Shards()). An
-// implementation must be a pure function: Owner(key) may not depend on call
-// order, prior calls, or any mutable state.
-type Router interface {
-	// Shards returns the number of shards keys are routed across.
-	Shards() int
-	// Owner returns the shard that owns key.
-	Owner(key int) int
-}
-
-// Kind names a Router implementation in configuration.
-type Kind string
-
-const (
-	// KindRange selects contiguous balanced bands (the default: smallest
-	// halo on spatially local worlds).
-	KindRange Kind = "range"
-	// KindRing selects consistent hashing with virtual points (minimal key
-	// movement under rebalancing).
-	KindRing Kind = "ring"
-)
-
-// New builds a router of the given kind over n keys and shards shards.
-// An empty kind means KindRange. The seed only matters for KindRing (it
-// places the virtual points); KindRange ignores it, so range-routed runs
-// need no seed plumbing.
-func New(kind Kind, seed int64, n, shards int) (Router, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("shard: key count %d < 1", n)
-	}
-	if shards < 1 {
-		return nil, fmt.Errorf("shard: shard count %d < 1", shards)
-	}
-	if shards > n {
-		return nil, fmt.Errorf("shard: shard count %d exceeds key count %d", shards, n)
-	}
-	switch kind {
-	case KindRange, "":
-		return NewRange(n, shards), nil
-	case KindRing:
-		return NewRing(seed, n, shards), nil
-	}
-	return nil, fmt.Errorf("shard: unknown router kind %q", kind)
-}
-
-// Moves returns the keys in [0, n) whose owner differs between from and to,
-// in ascending key order — the deterministic movement list a mid-run
-// rebalance must apply. The caller owns the returned slice.
-func Moves(from, to Router, n int) []int {
-	var moved []int
-	for k := 0; k < n; k++ {
-		if from.Owner(k) != to.Owner(k) {
-			moved = append(moved, k)
-		}
-	}
-	return moved
 }

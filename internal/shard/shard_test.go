@@ -24,169 +24,82 @@ func gridAdj(size int) func(key int) []int32 {
 	}
 }
 
-// TestNewValidates covers the constructor's error surface and kind
-// dispatch.
-func TestNewValidates(t *testing.T) {
-	if _, err := New(KindRange, 1, 0, 1); err == nil {
-		t.Fatal("want error for zero keys")
-	}
-	if _, err := New(KindRange, 1, 10, 0); err == nil {
-		t.Fatal("want error for zero shards")
-	}
-	if _, err := New(KindRange, 1, 4, 5); err == nil {
-		t.Fatal("want error for more shards than keys")
-	}
-	if _, err := New(Kind("mesh"), 1, 10, 2); err == nil {
-		t.Fatal("want error for unknown kind")
-	}
-	r, err := New("", 1, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.(*RangeRouter); !ok {
-		t.Fatalf("empty kind should default to range, got %T", r)
-	}
-	r, err = New(KindRing, 1, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.(*RingRouter); !ok {
-		t.Fatalf("want ring router, got %T", r)
-	}
-}
-
-// TestRoutersCoverAndBalance checks the core routing invariants for both
-// implementations: every key gets an owner in range, and loads stay near
-// even (exactly even for range, within a consistent-hash tolerance for
-// ring).
-func TestRoutersCoverAndBalance(t *testing.T) {
-	const n = 10000
-	for _, tc := range []struct {
-		kind  Kind
-		slack float64 // max relative deviation from n/k per shard
-	}{
-		{KindRange, 0.001},
-		{KindRing, 0.45},
-	} {
-		for _, k := range []int{1, 4, 16} {
-			r, err := New(tc.kind, 7, n, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if r.Shards() != k {
-				t.Fatalf("%s: Shards() = %d, want %d", tc.kind, r.Shards(), k)
-			}
-			counts := make([]int, k)
-			for key := 0; key < n; key++ {
-				s := r.Owner(key)
-				if s < 0 || s >= k {
-					t.Fatalf("%s k=%d: owner %d out of range for key %d", tc.kind, k, s, key)
-				}
-				counts[s]++
-			}
-			even := float64(n) / float64(k)
-			for s, c := range counts {
-				dev := float64(c)/even - 1
-				if dev < 0 {
-					dev = -dev
-				}
-				if dev > tc.slack {
-					t.Errorf("%s k=%d: shard %d owns %d keys, want %.0f±%.0f%%",
-						tc.kind, k, s, c, even, tc.slack*100)
-				}
-			}
-		}
-	}
-}
-
-// TestRoutingIsPure re-queries owners in a different order and through a
-// freshly built router: answers must be identical — routing is a pure
-// function of (seed, n, k).
+// TestRoutingIsPure rebuilds a plan and re-queries owners in reverse
+// order: answers must be identical and equal to the band formula — routing
+// is a pure function of (n, k).
 func TestRoutingIsPure(t *testing.T) {
 	const n, k = 5000, 8
-	for _, kind := range []Kind{KindRange, KindRing} {
-		a, _ := New(kind, 42, n, k)
-		b, _ := New(kind, 42, n, k)
-		for key := n - 1; key >= 0; key-- {
-			if a.Owner(key) != b.Owner(key) || a.Owner(key) != a.Owner(key) {
-				t.Fatalf("%s: owner of %d unstable", kind, key)
-			}
-		}
-	}
-}
-
-// TestRingMovesFraction pins the consistent-hashing contract: growing the
-// ring from k to k+1 shards moves roughly n/(k+1) keys, far fewer than the
-// range router re-bands, and Moves lists them deterministically ascending.
-func TestRingMovesFraction(t *testing.T) {
-	const n, seed = 20000, 3
-	for _, k := range []int{4, 8} {
-		from := NewRing(seed, n, k)
-		to := NewRing(seed, n, k+1)
-		moved := Moves(from, to, n)
-		want := float64(n) / float64(k+1)
-		if f := float64(len(moved)); f < want*0.5 || f > want*1.7 {
-			t.Errorf("ring %d->%d moved %d keys, want ~%.0f", k, k+1, len(moved), want)
-		}
-		for i := 1; i < len(moved); i++ {
-			if moved[i-1] >= moved[i] {
-				t.Fatalf("Moves not strictly ascending at %d", i)
-			}
-		}
-		// Every listed key changed owner and every unlisted key kept it.
-		idx := map[int]bool{}
-		for _, key := range moved {
-			idx[key] = true
-		}
-		for key := 0; key < n; key++ {
-			if (from.Owner(key) != to.Owner(key)) != idx[key] {
-				t.Fatalf("Moves disagrees with owner diff at key %d", key)
-			}
-		}
-
-		// The range router re-bands: it must move far more than the ring.
-		rangeMoved := Moves(NewRange(n, k), NewRange(n, k+1), n)
-		if len(rangeMoved) < len(moved)*2 {
-			t.Errorf("range %d->%d moved %d keys, expected well above ring's %d",
-				k, k+1, len(rangeMoved), len(moved))
+	a, b := BuildPlan(n, k, nil), BuildPlan(n, k, nil)
+	for key := n - 1; key >= 0; key-- {
+		if a.Owner(key) != b.Owner(key) || a.Owner(key) != key*k/n {
+			t.Fatalf("owner of %d unstable or off the band formula", key)
 		}
 	}
 }
 
 // TestPlanPartitions checks that a plan's key lists partition [0, n):
-// ascending within each shard, disjoint, total length n, and consistent
-// with Owner.
+// ascending within each shard, disjoint, total length n, consistent with
+// Owner.
 func TestPlanPartitions(t *testing.T) {
 	const size = 40
 	n := size * size
-	for _, kind := range []Kind{KindRange, KindRing} {
-		for _, k := range []int{1, 4, 16} {
-			r, _ := New(kind, 11, n, k)
-			p := BuildPlan(r, n, gridAdj(size))
-			if p.Shards() != k || p.Len() != n {
-				t.Fatalf("%s k=%d: plan shape %d/%d", kind, k, p.Shards(), p.Len())
-			}
-			seen := make([]bool, n)
-			total := 0
-			for s := 0; s < k; s++ {
-				keys := p.Keys(s)
-				total += len(keys)
-				for i, key := range keys {
-					if i > 0 && keys[i-1] >= key {
-						t.Fatalf("%s k=%d: shard %d keys not ascending", kind, k, s)
-					}
-					if seen[key] {
-						t.Fatalf("%s k=%d: key %d owned twice", kind, k, key)
-					}
-					seen[key] = true
-					if p.Owner(int(key)) != s {
-						t.Fatalf("%s k=%d: Owner(%d) != %d", kind, k, key, s)
-					}
+	for _, k := range []int{1, 4, 16, 7, n} {
+		p := BuildPlan(n, k, gridAdj(size))
+		if p.Shards() != k || p.Len() != n {
+			t.Fatalf("k=%d: plan shape %d/%d", k, p.Shards(), p.Len())
+		}
+		seen := make([]bool, n)
+		total := 0
+		for s := 0; s < k; s++ {
+			keys := p.Keys(s)
+			total += len(keys)
+			for i, key := range keys {
+				if i > 0 && keys[i-1] >= key {
+					t.Fatalf("k=%d: shard %d keys not ascending", k, s)
+				}
+				if seen[key] {
+					t.Fatalf("k=%d: key %d owned twice", k, key)
+				}
+				seen[key] = true
+				if p.Owner(int(key)) != s {
+					t.Fatalf("k=%d: Owner(%d) != %d", k, key, s)
 				}
 			}
-			if total != n {
-				t.Fatalf("%s k=%d: keys cover %d of %d", kind, k, total, n)
+		}
+		if total != n {
+			t.Fatalf("k=%d: keys cover %d of %d", k, total, n)
+		}
+	}
+}
+
+// TestRoutersCoverAndBalance checks the band partition's routing
+// invariants: every key gets an owner in range, and shard loads differ by
+// at most one key.
+func TestRoutersCoverAndBalance(t *testing.T) {
+	const n = 10000
+	for _, k := range []int{1, 4, 16, 7} {
+		p := BuildPlan(n, k, nil)
+		if p.Shards() != k {
+			t.Fatalf("k=%d: Shards() = %d", k, p.Shards())
+		}
+		counts := make([]int, k)
+		for key := 0; key < n; key++ {
+			s := p.Owner(key)
+			if s < 0 || s >= k {
+				t.Fatalf("k=%d: owner %d out of range for key %d", k, s, key)
 			}
+			counts[s]++
+		}
+		minLen, maxLen := n, 0
+		for s, c := range counts {
+			if c != len(p.Keys(s)) {
+				t.Fatalf("k=%d: shard %d owns %d keys but lists %d", k, s, c, len(p.Keys(s)))
+			}
+			minLen, maxLen = min(minLen, c), max(maxLen, c)
+		}
+		if maxLen-minLen > 1 {
+			t.Errorf("k=%d: shard sizes span [%d, %d], want a spread of at most one key",
+				k, minLen, maxLen)
 		}
 	}
 }
@@ -200,34 +113,31 @@ func TestHaloSufficiency(t *testing.T) {
 	const size = 32
 	n := size * size
 	adj := gridAdj(size)
-	for _, kind := range []Kind{KindRange, KindRing} {
-		for _, k := range []int{1, 4, 16} {
-			r, _ := New(kind, 5, n, k)
-			p := BuildPlan(r, n, adj)
-			if k == 1 && p.HaloCells() != 0 {
-				t.Fatalf("%s: single shard should have empty halo, got %d", kind, p.HaloCells())
+	for _, k := range []int{1, 4, 16, 7} {
+		p := BuildPlan(n, k, adj)
+		if k == 1 && p.HaloCells() != 0 {
+			t.Fatalf("single shard should have empty halo, got %d", p.HaloCells())
+		}
+		for s := 0; s < k; s++ {
+			inView := map[int32]bool{}
+			for _, key := range p.Keys(s) {
+				inView[key] = true
 			}
-			for s := 0; s < k; s++ {
-				inView := map[int32]bool{}
-				for _, key := range p.Keys(s) {
-					inView[key] = true
+			halo := p.Halo(s)
+			for i, h := range halo {
+				if i > 0 && halo[i-1] >= h {
+					t.Fatalf("k=%d: shard %d halo not ascending/deduped", k, s)
 				}
-				halo := p.Halo(s)
-				for i, h := range halo {
-					if i > 0 && halo[i-1] >= h {
-						t.Fatalf("%s k=%d: shard %d halo not ascending/deduped", kind, k, s)
-					}
-					if p.Owner(int(h)) == s {
-						t.Fatalf("%s k=%d: shard %d halo contains owned key %d", kind, k, s, h)
-					}
-					inView[h] = true
+				if p.Owner(int(h)) == s {
+					t.Fatalf("k=%d: shard %d halo contains owned key %d", k, s, h)
 				}
-				for _, key := range p.Keys(s) {
-					for _, nb := range adj(int(key)) {
-						if !inView[nb] {
-							t.Fatalf("%s k=%d: shard %d cannot see neighbor %d of owned %d",
-								kind, k, s, nb, key)
-						}
+				inView[h] = true
+			}
+			for _, key := range p.Keys(s) {
+				for _, nb := range adj(int(key)) {
+					if !inView[nb] {
+						t.Fatalf("k=%d: shard %d cannot see neighbor %d of owned %d",
+							k, s, nb, key)
 					}
 				}
 			}
@@ -235,13 +145,13 @@ func TestHaloSufficiency(t *testing.T) {
 	}
 }
 
-// TestRangeHaloIsRowBoundary pins the range router's headline property on a
-// row-major grid: each interior band's halo is exactly the row above plus
+// TestRangeHaloIsRowBoundary pins the band partition's headline property on
+// a row-major grid: each interior band's halo is exactly the row above plus
 // the row below (2·size cells; edge bands half that).
 func TestRangeHaloIsRowBoundary(t *testing.T) {
 	const size, k = 32, 4
 	n := size * size
-	p := BuildPlan(NewRange(n, k), n, gridAdj(size))
+	p := BuildPlan(n, k, gridAdj(size))
 	for s := 0; s < k; s++ {
 		want := 2 * size
 		if s == 0 || s == k-1 {
