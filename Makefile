@@ -6,17 +6,11 @@
 #   make ci         — the gate plus gofmt, the lint baseline, and the crash harness
 #   make crash      — kill/resume harness + fuzz smokes (DESIGN.md §11)
 #   make chaos      — exhaustive crash-point recovery proofs (DESIGN.md §15)
-#   make bench      — every table/figure/ablation benchmark + the JSON gates
-#   make benchjson  — machine-readable sequential-vs-parallel report
-#   make benchobs   — observability overhead gate (DESIGN.md §9, ≤5%)
-#   make benchckpt  — checkpoint overhead gate (DESIGN.md §11, ≤5%)
-#   make benchsoa   — structure-of-arrays speedup gate (DESIGN.md §12, ≥3x)
-#   make benchlint  — incremental lint driver gate (DESIGN.md §8, warm ≤2x vet)
-#   make benchshard — sharded million-node engine gate (DESIGN.md §13, core-aware)
-#   make benchservice — partitiond latency + cache-hit gate (DESIGN.md §14, ≥10x)
+#   make bench      — the benchmark: perfbench's sweep, scale and daemon
+#                     workloads (perfbench/README.md)
 GO ?= go
 
-.PHONY: all build vet lint test race perfbench check ci fmtcheck baselinecheck crash chaos bench benchjson benchobs benchckpt benchsoa benchlint benchshard benchservice clean clean-lintcache
+.PHONY: all build vet lint test race perfbench check ci fmtcheck baselinecheck crash chaos bench clean clean-lintcache
 
 all: check
 
@@ -92,54 +86,14 @@ baselinecheck:
 # harness, and the exhaustive chaos crash-point proofs.
 ci: check fmtcheck baselinecheck crash chaos
 
-bench: benchobs benchckpt benchsoa benchshard
-	$(GO) test -bench=. -benchmem ./...
-
-# benchjson regenerates BENCH_parallel.json: ns/op for the sequential vs
-# parallel variants of the hot experiment paths.
-benchjson:
-	$(GO) run ./cmd/benchjson -out BENCH_parallel.json
-
-# benchobs regenerates BENCH_obs.json and enforces the DESIGN.md §9 gate:
-# each hot workload measured with instrumentation off and on must stay
-# within 5% overhead.
-benchobs:
-	$(GO) run ./cmd/benchjson -obs -out BENCH_obs.json
-
-# benchckpt regenerates BENCH_checkpoint.json and enforces the DESIGN.md
-# §11 gate: a journaled trial ensemble must stay within 5% of the plain
-# path.
-benchckpt:
-	$(GO) run ./cmd/benchjson -checkpoint -out BENCH_checkpoint.json
-
-# benchsoa regenerates BENCH_soa.json and enforces the DESIGN.md §12 gate:
-# the structure-of-arrays gridsim and gossip hot paths must hold a 3x
-# speedup over the ns/op committed before the rewrite and stay under their
-# allocs/op ceilings.
-benchsoa:
-	$(GO) run ./cmd/benchjson -soa -out BENCH_soa.json
-
-# benchlint regenerates BENCH_lint.json and enforces the DESIGN.md §8 gate:
-# a warm-cache repolint run over the whole module must stay within 2x of
-# `go vet ./...`.
-benchlint:
-	$(GO) run ./cmd/benchjson -lint -out BENCH_lint.json
-
-# benchshard regenerates BENCH_shard.json and enforces the DESIGN.md §13
-# gate on the million-node sharded engine. The gate is core-aware: with 4+
-# CPUs the best multi-shard configuration must hold a 2x speedup over
-# single-shard; on smaller hosts a 0.8x no-regression floor runs instead
-# (shard parallelism cannot exceed the physical core count).
-benchshard:
-	$(GO) run ./cmd/benchjson -shard -out BENCH_shard.json
-
-# benchservice regenerates BENCH_service.json and enforces the DESIGN.md
-# §14 gate on the resident daemon: submit→result latency through the HTTP
-# surface, fresh versus cache-served by a restarted daemon over the same
-# state directory, with the cache-served p50 required to beat the fresh p50
-# by 10x.
-benchservice:
-	$(GO) run ./cmd/benchjson -service -out BENCH_service.json
+# bench runs the one benchmark harness, perfbench, on each of its three
+# workloads: the in-process paper sweep, the paper-scale kernels, and the
+# partitiond daemon under load (perfbench/README.md). Go micro-benchmarks
+# stay reachable with `go test -bench=. -benchmem ./...`.
+bench:
+	for w in sweep scale daemon; do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 || exit 1; \
+	done
 
 clean: clean-lintcache
 	$(GO) clean ./...

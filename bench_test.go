@@ -469,8 +469,7 @@ func BenchmarkAblationBlockAware(b *testing.B) {
 // fanned across every CPU (workers = 0 → GOMAXPROCS). Output is
 // bit-identical either way (see TestRunTrialsDeterministic and the core
 // determinism tests); on a ≥4-core machine the parallel variants target
-// ≥3× the sequential throughput. cmd/benchjson records the same pairs as
-// machine-readable JSON.
+// ≥3× the sequential throughput.
 
 func gridTrialsConfig() gridsim.Config {
 	return gridsim.Config{
@@ -533,25 +532,6 @@ func BenchmarkTableVParallel(b *testing.B) {
 	}
 	b.ReportMetric(frac*100, "t5min-behind1-pct")
 }
-
-func benchFigure6Panels(b *testing.B, s *core.Study) {
-	b.ReportAllocs()
-	var samples int
-	for i := 0; i < b.N; i++ {
-		rs, err := s.Figure6All()
-		if err != nil {
-			b.Fatal(err)
-		}
-		samples = len(rs[0].Trace.Samples)
-	}
-	b.ReportMetric(float64(samples), "samples")
-}
-
-// BenchmarkFigure6Panels regenerates all three Figure 6 panels one by one.
-func BenchmarkFigure6Panels(b *testing.B) { benchFigure6Panels(b, study(b)) }
-
-// BenchmarkFigure6PanelsParallel regenerates the three panels concurrently.
-func BenchmarkFigure6PanelsParallel(b *testing.B) { benchFigure6Panels(b, parStudy(b)) }
 
 func benchStudyAll(b *testing.B, s *core.Study, workers int) {
 	b.ReportAllocs()

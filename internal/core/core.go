@@ -204,10 +204,11 @@ func New(seed int64, opts ...Option) (*Study, error) {
 }
 
 // populations memoizes the synthetic population per generation seed. The
-// build is the dominant cost of study construction, it is deterministic in
-// the seed, and the experiment paths are read-only on it (the spatial
-// executors that announce hijacks withdraw them), so studies sharing a seed
-// share one copy built exactly once — even when constructed concurrently.
+// build is the dominant cost of study construction and deterministic in the
+// seed, so studies sharing a seed share one copy built exactly once — even
+// when constructed concurrently. The memoized copy is never mutated: the
+// only mutable part, the BGP route table the spatial attacks and defenses
+// announce into and purge, is forked per study by newStudy.
 var populations sync.Map // int64 -> *popEntry
 
 type popEntry struct {
@@ -224,13 +225,16 @@ func generatePopulation(seed int64) (*dataset.Population, error) {
 }
 
 // newStudy wraps a (memoized) population in a Study, reusing a cached
-// population when one was already built for the seed.
+// population when one was already built for the seed. The study gets its
+// own route table so its hijacks never reach another study of the seed.
 func newStudy(seed int64, opts Options) (*Study, error) {
 	pop, err := generatePopulation(seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Study{Pop: pop, Opts: opts.withDefaults(), seed: seed}, nil
+	own := *pop
+	own.Topo = pop.Topo.Fork()
+	return &Study{Pop: &own, Opts: opts.withDefaults(), seed: seed}, nil
 }
 
 // Seed returns the study's generation seed.
@@ -239,13 +243,6 @@ func (s *Study) Seed() int64 { return s.seed }
 // Observer returns the study's attached observability layer (nil when
 // observability is off).
 func (s *Study) Observer() *obs.Observer { return s.Opts.Obs }
-
-// Snapshot returns a sorted point-in-time copy of the study's metrics.
-// Without an attached observer it is empty — cmd/benchjson consumes this
-// to record instrumentation overhead in BENCH_obs.json.
-func (s *Study) Snapshot() obs.Snapshot {
-	return s.Opts.Obs.Registry().Snapshot()
-}
 
 // Pools returns the Table IV mining roster.
 func (s *Study) Pools() []mining.Pool {

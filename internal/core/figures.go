@@ -186,15 +186,6 @@ func (s *Study) Figure6(v Figure6Variant) (*Figure6Result, error) {
 	}
 }
 
-// Figure6All regenerates the three panels of Figure 6 concurrently (each
-// panel is an independent trace with its own derived seed), returned in
-// panel order a, b, c.
-func (s *Study) Figure6All() ([]*Figure6Result, error) {
-	return parallel.Sweep(s.Opts.Workers,
-		[]Figure6Variant{Figure6a, Figure6b, Figure6c},
-		func(_ int, v Figure6Variant) (*Figure6Result, error) { return s.Figure6(v) })
-}
-
 // Render prints the stacked series (cumulative counts as in the paper).
 func (r *Figure6Result) Render() string {
 	var b strings.Builder

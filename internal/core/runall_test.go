@@ -20,6 +20,9 @@ func workerStudy(t *testing.T, workers int) *Study {
 	return s
 }
 
+// TestPopulationMemoized pins that a seed's population is generated once:
+// studies of one seed share the generated node and AS rows (one backing
+// array each), while a different seed builds its own.
 func TestPopulationMemoized(t *testing.T) {
 	a, err := New(1)
 	if err != nil {
@@ -29,22 +32,56 @@ func TestPopulationMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Pop != b.Pop {
+	if &a.Pop.Nodes[0] != &b.Pop.Nodes[0] || &a.Pop.ASRows[0] != &b.Pop.ASRows[0] {
 		t.Error("same seed built two populations")
 	}
 	c, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Pop == a.Pop {
+	if &c.Pop.Nodes[0] == &a.Pop.Nodes[0] {
 		t.Error("different seeds share a population")
+	}
+}
+
+// TestStudiesOwnTheirRouteTable pins that the memoized population stays
+// read-only: two studies of one seed share the generated nodes but not the
+// BGP route table, so a hijack one study announces is invisible to the
+// other (concurrent spatial attacks on one seed used to collide there).
+func TestStudiesOwnTheirRouteTable(t *testing.T) {
+	a, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &a.Pop.Nodes[0] != &b.Pop.Nodes[0] {
+		t.Fatal("same seed built two populations")
+	}
+	if a.Pop.Topo.Routes() == b.Pop.Topo.Routes() {
+		t.Fatal("studies of one seed share a route table")
+	}
+	victim, ok := a.Pop.Topo.AS(24940)
+	if !ok || len(victim.Prefixes) == 0 {
+		t.Fatal("AS24940 has no prefixes to hijack")
+	}
+	if err := a.Pop.Topo.Routes().HijackPrefix(666, victim.Prefixes[0]); err != nil {
+		t.Fatal(err)
+	}
+	if a.Pop.Topo.Routes().HijackCount() == 0 {
+		t.Fatal("hijack was not announced")
+	}
+	if got := b.Pop.Topo.Routes().HijackCount(); got != 0 {
+		t.Errorf("hijack on one study leaked %d routes into another", got)
 	}
 }
 
 // TestRunAllSurfacesExperimentError pins the bugfix for silently partial
 // sweeps: when one experiment fails (here Figure 6a, via an invalid trend
-// window), RunAll and Figure6All must return a nil result set and the
-// named error — not a slice with zero-valued rows in the failed slots.
+// window), RunAll must return a nil result set and the named error — not a
+// slice with zero-valued rows in the failed slots.
 func TestRunAllSurfacesExperimentError(t *testing.T) {
 	s, err := New(1,
 		WithWindows(1, -1), // Figure6aDays < 0: the figure6a trace fails
@@ -63,13 +100,6 @@ func TestRunAllSurfacesExperimentError(t *testing.T) {
 	}
 	if outputs != nil {
 		t.Errorf("RunAll leaked %d partial outputs alongside the error", len(outputs))
-	}
-	panels, err := s.Figure6All()
-	if err == nil {
-		t.Fatal("Figure6All succeeded with an invalid Figure 6a window")
-	}
-	if panels != nil {
-		t.Errorf("Figure6All leaked %d partial panels alongside the error", len(panels))
 	}
 }
 
@@ -140,30 +170,6 @@ func TestFigure4DeterministicAcrossWorkers(t *testing.T) {
 		}
 		if r.Render() != want {
 			t.Errorf("workers=%d: Figure 4 diverged", workers)
-		}
-	}
-}
-
-// TestFigure6AllDeterministicAcrossWorkers pins the concurrent panel set.
-func TestFigure6AllDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) []string {
-		rs, err := workerStudy(t, workers).Figure6All()
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		out := make([]string, len(rs))
-		for i, r := range rs {
-			out[i] = r.Render()
-		}
-		return out
-	}
-	want := render(1)
-	if len(want) != 3 {
-		t.Fatalf("panels = %d", len(want))
-	}
-	for _, workers := range []int{2, 8} {
-		if got := render(workers); !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: Figure 6 panels diverged", workers)
 		}
 	}
 }

@@ -148,11 +148,6 @@ func TableIII() []CentralizationRow {
 	}
 }
 
-// PoolRow is one row of Table IV.
-type PoolRow struct {
-	Pool mining.Pool
-}
-
 // TableIV returns the paper's top-5 mining pools with their hash shares and
 // stratum-server AS placement. The remaining 12 pools (34.3% aggregate) are
 // excluded, as in the paper.
@@ -234,8 +229,3 @@ const (
 
 // BlockInterval re-exports the Bitcoin block time for convenience.
 const BlockInterval = 600 * time.Second
-
-// CollectionDate is the snapshot date of the paper's primary analysis.
-func CollectionDate() time.Time {
-	return time.Date(2018, time.February, 28, 0, 0, 0, 0, time.UTC)
-}

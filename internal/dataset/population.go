@@ -415,15 +415,6 @@ func otherClientNames(n int) []string {
 
 // --- Query helpers used by the analyses -----------------------------------
 
-// ASNodeCounts returns nodes per AS.
-func (p *Population) ASNodeCounts() map[topology.ASN]int {
-	out := make(map[topology.ASN]int, len(p.ASRows))
-	for _, r := range p.ASRows {
-		out[r.ASN] = r.Nodes
-	}
-	return out
-}
-
 // OrgNodeCounts returns nodes per organization.
 func (p *Population) OrgNodeCounts() map[string]int {
 	out := map[string]int{}

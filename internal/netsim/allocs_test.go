@@ -1,0 +1,37 @@
+package netsim
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/p2p"
+)
+
+// TestGossipAllocsCeiling holds the structure-of-arrays gossip hot path
+// (DESIGN.md §12) under its allocation ceiling: 150 nodes mining and
+// relaying for 8 simulated hours. It measures about 9,300 allocations; a
+// per-message or per-hop allocation in the relay loop would blow through
+// the ceiling.
+func TestGossipAllocsCeiling(t *testing.T) {
+	const ceiling = 12000
+	var runErr error
+	allocs := testing.AllocsPerRun(1, func() {
+		sim, err := FromConfig(Config{
+			Nodes: 150, Seed: 7,
+			Gossip: p2p.Config{FailureRate: 0.10},
+		})
+		if err != nil {
+			runErr = err
+			return
+		}
+		sim.StartMining()
+		sim.Run(8 * time.Hour)
+	})
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	t.Logf("%.0f allocs/op (ceiling %d)", allocs, ceiling)
+	if allocs > ceiling {
+		t.Errorf("150-node gossip run: %.0f allocs/op, ceiling %d", allocs, ceiling)
+	}
+}

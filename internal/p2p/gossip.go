@@ -383,10 +383,6 @@ func (n *Network) Config() Config { return n.cfg }
 // MsgStats returns message accounting so far.
 func (n *Network) MsgStats() Stats { return n.msgStats }
 
-// RefTip returns the highest block ever published to the network — the
-// global chain tip nodes are measured against ("how many blocks behind").
-func (n *Network) RefTip() *blockchain.Block { return n.refTip }
-
 // RefHeight returns the height of the global reference tip.
 func (n *Network) RefHeight() int { return n.refTip.Height }
 

@@ -102,21 +102,20 @@ func (t *Topology) ASNs() []ASN {
 	return out
 }
 
-// OrgNames returns all organization names in lexical order.
-func (t *Topology) OrgNames() []string {
-	out := make([]string, 0, len(t.orgs))
-	for name := range t.orgs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NumASes returns the number of registered ASes.
 func (t *Topology) NumASes() int { return len(t.ases) }
 
 // NumOrgs returns the number of registered organizations.
 func (t *Topology) NumOrgs() int { return len(t.orgs) }
+
+// Fork returns a topology that shares t's AS and organization registry and
+// owns a copy of its route table, so announcements and withdrawals on the
+// fork never reach t. The registry must not be modified through either.
+func (t *Topology) Fork() *Topology {
+	rt := *t.rt
+	rt.routes = append([]Route(nil), t.rt.routes...)
+	return &Topology{ases: t.ases, orgs: t.orgs, rt: &rt}
+}
 
 // Routes exposes the route table for announcement and hijack operations.
 func (t *Topology) Routes() *RouteTable { return t.rt }
@@ -125,12 +124,6 @@ func (t *Topology) Routes() *RouteTable { return t.rt }
 // including the effect of any active hijacks.
 func (t *Topology) Resolve(ip IP) (ASN, bool) {
 	return t.rt.Resolve(ip)
-}
-
-// OwnerOf returns the legitimate (pre-hijack) origin AS of ip based on
-// registered prefixes, ignoring hijack announcements.
-func (t *Topology) OwnerOf(ip IP) (ASN, bool) {
-	return t.rt.ResolveLegit(ip)
 }
 
 // ASesOfOrg returns the AS records for an organization, sorted by ASN.

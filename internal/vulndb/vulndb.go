@@ -182,11 +182,6 @@ func New() *DB {
 	}}
 }
 
-// All returns every CVE, newest first as embedded.
-func (db *DB) All() []CVE {
-	return append([]CVE(nil), db.cves...)
-}
-
 // Len returns the number of records.
 func (db *DB) Len() int { return len(db.cves) }
 
