@@ -22,8 +22,9 @@ vet:
 
 # lint runs go vet plus the determinism-and-safety analyzers from
 # internal/lint (seededrand, seedflow, maporder, detmerge, nogoroutine,
-# wallclock, checkederr, hotalloc, hotescape — see DESIGN.md §8). Any
-# diagnostic fails the target. Results are replayed from the on-disk
+# wallclock, checkederr, hotescape — see DESIGN.md §8). Any diagnostic
+# fails the target. unusedexport needs the whole module at once, so it runs
+# in the root audit test (seedaudit_test.go) under `make test` instead. Results are replayed from the on-disk
 # action cache in .lintcache/ when sources and analyzer versions are
 # unchanged, so repeat runs cost a fraction of the first.
 lint: vet

@@ -315,7 +315,7 @@ func BenchmarkAblationSpreading(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				g := sim.Network.Nodes[0].Tree.Genesis()
+				g := blockchain.Genesis()
 				blk := blockchain.NewBlock(g, 0, 0, nil, false)
 				if err := sim.Network.Publish(0, blk); err != nil {
 					b.Fatal(err)

@@ -113,21 +113,13 @@ func NewPlan(name string, env Env) (Plan, error) {
 	return ctor(env), nil
 }
 
-// Plans instantiates every registered plan in sorted-name order.
-func Plans(env Env) []Plan {
-	names := PlanNames()
-	out := make([]Plan, 0, len(names))
-	for _, name := range names {
-		out = append(out, planRegistry[name](env))
-	}
-	return out
-}
-
 // ReplaySummaries reconstructs each plan's Summary() from a decoded trace:
 // every Plan.Run emits a final "summary" event carrying the plan name and
 // the exact summary text, so a recorded JSONL trace replays the reported
 // outcome without re-running the simulation. Later events win when a plan
 // ran more than once.
+//
+//lint:ignore unusedexport replays recorded traces for the integration replay tests; README, DESIGN.md and EXPERIMENTS.md document it
 func ReplaySummaries(log *obs.TraceLog) map[string]string {
 	out := map[string]string{}
 	for _, ev := range log.Events {

@@ -38,15 +38,6 @@ func LogIsolationBound(m int, lambda float64, T int) float64 {
 	return stats.LogChoose(T, m) + float64(m)*lnTerm
 }
 
-// IsolationBound returns min(1, b(m, T)).
-func IsolationBound(m int, lambda float64, T int) float64 {
-	lb := LogIsolationBound(m, lambda, T)
-	if lb >= 0 {
-		return 1
-	}
-	return math.Exp(lb)
-}
-
 // ErrUnreachableTarget is returned when no timing constraint up to the
 // search horizon achieves the target probability.
 var ErrUnreachableTarget = errors.New("attack: target probability unreachable")
@@ -125,6 +116,8 @@ func ConnectionCDF(lambda, t float64) float64 {
 
 // IsolationProbability evaluates Eq. 2's exact product form for a concrete
 // timing assignment: ρ(T) = Π (1 - e^{-λ·ti}).
+//
+//lint:ignore unusedexport Eq. 2's exact product, the reference the Cauchy-bound property test compares the model against
 func IsolationProbability(lambda float64, times []float64) float64 {
 	p := 1.0
 	for _, t := range times {

@@ -20,9 +20,9 @@ func TestLogIsolationBoundEdgeCases(t *testing.T) {
 }
 
 func TestIsolationBoundMonotoneInT(t *testing.T) {
-	prev := -1.0
+	prev := math.Inf(-1)
 	for T := 100; T <= 2000; T += 50 {
-		b := IsolationBound(100, 0.5, T)
+		b := LogIsolationBound(100, 0.5, T)
 		if b < prev-1e-12 {
 			t.Fatalf("bound not monotone at T=%d: %v < %v", T, b, prev)
 		}

@@ -16,7 +16,7 @@ func BenchmarkHashBlock(b *testing.B) {
 func BenchmarkTreeLinearAdd(b *testing.B) {
 	b.ReportAllocs()
 	tree := NewTree()
-	parent := tree.Genesis()
+	parent := Genesis()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		blk := NewBlock(parent, 0, time.Duration(i), nil, false)
@@ -33,7 +33,7 @@ func BenchmarkTreeReorg(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		tree := NewTree()
-		parent := tree.Genesis()
+		parent := Genesis()
 		for h := 0; h < 6; h++ {
 			blk := NewBlock(parent, 0, time.Duration(h), []TxID{TxID(h)}, false)
 			if _, err := tree.Add(blk); err != nil {
@@ -41,7 +41,7 @@ func BenchmarkTreeReorg(b *testing.B) {
 			}
 			parent = blk
 		}
-		side := tree.Genesis()
+		side := Genesis()
 		blocks := make([]*Block, 0, 7)
 		for h := 0; h < 7; h++ {
 			blk := NewBlock(side, 1, time.Duration(100+h), []TxID{TxID(100 + h)}, false)
@@ -53,63 +53,6 @@ func BenchmarkTreeReorg(b *testing.B) {
 			if _, err := tree.Add(blk); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func BenchmarkBestChain(b *testing.B) {
-	tree := NewTree()
-	parent := tree.Genesis()
-	for h := 0; h < 1000; h++ {
-		blk := NewBlock(parent, 0, time.Duration(h), nil, false)
-		if _, err := tree.Add(blk); err != nil {
-			b.Fatal(err)
-		}
-		parent = blk
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := tree.BestChain(); len(got) != 1001 {
-			b.Fatal("bad chain")
-		}
-	}
-}
-
-func BenchmarkUTXOApplyReorg(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		tree := NewTree()
-		u := NewUTXOSet()
-		parent := tree.Genesis()
-		for h := 0; h < 6; h++ {
-			tx := TxID(h + 1)
-			blk := NewBlock(parent, 0, time.Duration(h), []TxID{tx}, false)
-			if _, err := tree.Add(blk); err != nil {
-				b.Fatal(err)
-			}
-			if err := u.Confirm(tx, 0, false); err != nil {
-				b.Fatal(err)
-			}
-			parent = blk
-		}
-		side := tree.Genesis()
-		var reorg *Reorg
-		for h := 0; h < 7; h++ {
-			blk := NewBlock(side, 1, time.Duration(100+h), []TxID{TxID(100 + h)}, false)
-			r, err := tree.Add(blk)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if r != nil {
-				reorg = r
-			}
-			side = blk
-		}
-		b.StartTimer()
-		if _, _, err := u.ApplyReorg(reorg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -2,8 +2,8 @@
 // simulator: blocks, 64-bit linked hashes (the paper's simulated nodes each
 // maintain "a 64-bit MD5 hash linked chain of values updated to its current
 // fork" as an internal error check), a block tree with longest-chain fork
-// choice, reorg accounting, and a minimal transaction/UTXO layer used to
-// quantify how many transactions a partition reverses.
+// choice, and reorg accounting that counts the transactions a partition
+// reverses.
 package blockchain
 
 import (

@@ -3,7 +3,6 @@ package blockchain
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Common errors returned by Tree operations.
@@ -21,11 +20,6 @@ type Reorg struct {
 	Abandoned []*Block // old-branch blocks, ancestor-first
 	Adopted   []*Block // new-branch blocks, ancestor-first
 }
-
-// Depth returns the number of abandoned blocks, i.e. the fork height that
-// was rolled back. (The paper notes natural Bitcoin forks have reached
-// depth 13.)
-func (r Reorg) Depth() int { return len(r.Abandoned) }
 
 // ReversedTxs returns all transactions confirmed in abandoned blocks but not
 // re-confirmed in adopted ones — the transactions a user would see vanish.
@@ -54,16 +48,7 @@ func (r Reorg) ReversedTxs() []TxID {
 // Ties on height are broken in favour of the earlier-seen block, matching
 // Bitcoin's first-seen rule.
 type Tree struct {
-	blocks map[Hash]*Block
-	// parents is the flat log of hashes that have at least one child,
-	// appended per insertion. Leaf enumeration (Tips) derives the parent
-	// set from it on demand; keeping the hot Add path to plain appends
-	// instead of a map-of-slices insert is part of the allocation
-	// discipline of DESIGN.md §12.
-	parents []Hash
-	// arrival records first-seen order for tie-breaking.
-	arrival map[Hash]int
-	nextSeq int
+	blocks  map[Hash]*Block
 	tip     *Block
 	genesis *Block
 	// extend is the reused result for the common tip-extension case of Add
@@ -77,25 +62,17 @@ func NewTree() *Tree {
 	g := Genesis()
 	t := &Tree{
 		blocks:  map[Hash]*Block{g.Hash: g},
-		arrival: map[Hash]int{g.Hash: 0},
-		nextSeq: 1,
 		tip:     g,
 		genesis: g,
 	}
 	return t
 }
 
-// Genesis returns the tree's genesis block.
-func (t *Tree) Genesis() *Block { return t.genesis }
-
 // Tip returns the current best block.
 func (t *Tree) Tip() *Block { return t.tip }
 
 // Height returns the height of the best chain.
 func (t *Tree) Height() int { return t.tip.Height }
-
-// Len returns the number of blocks in the tree, including genesis.
-func (t *Tree) Len() int { return len(t.blocks) }
 
 // Get returns the block for a hash, if known.
 func (t *Tree) Get(h Hash) (*Block, bool) {
@@ -135,9 +112,6 @@ func (t *Tree) Add(b *Block) (*Reorg, error) {
 		return nil, fmt.Errorf("blockchain: block %v has height %d, parent height %d", b.Hash, b.Height, parent.Height)
 	}
 	t.blocks[b.Hash] = b
-	t.parents = append(t.parents, b.Parent)
-	t.arrival[b.Hash] = t.nextSeq
-	t.nextSeq++
 
 	// Longest chain with first-seen tie-break: only a strictly higher block
 	// displaces the tip.
@@ -185,19 +159,6 @@ func reverse(bs []*Block) {
 	}
 }
 
-// BestChain returns the best chain from genesis to the tip, inclusive.
-func (t *Tree) BestChain() []*Block {
-	var chain []*Block
-	for b := t.tip; ; b = t.blocks[b.Parent] {
-		chain = append(chain, b)
-		if b.Hash == t.genesis.Hash {
-			break
-		}
-	}
-	reverse(chain)
-	return chain
-}
-
 // AtHeight returns the best-chain block at the given height, if the height
 // is within the best chain.
 func (t *Tree) AtHeight(h int) (*Block, bool) {
@@ -211,31 +172,11 @@ func (t *Tree) AtHeight(h int) (*Block, bool) {
 	return b, true
 }
 
-// Tips returns all leaf blocks (blocks with no children), sorted by height
-// descending then by arrival order. Multiple tips indicate a live fork.
-func (t *Tree) Tips() []*Block {
-	hasChild := make(map[Hash]bool, len(t.parents))
-	for _, p := range t.parents {
-		hasChild[p] = true
-	}
-	var tips []*Block
-	for h, b := range t.blocks {
-		if !hasChild[h] {
-			tips = append(tips, b)
-		}
-	}
-	sort.Slice(tips, func(i, j int) bool {
-		if tips[i].Height != tips[j].Height {
-			return tips[i].Height > tips[j].Height
-		}
-		return t.arrival[tips[i].Hash] < t.arrival[tips[j].Hash]
-	})
-	return tips
-}
-
 // ForkDepth returns, for a live fork, the number of blocks on the best chain
 // since the common ancestor with the given tip; 0 if other is on the best
 // chain.
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (t *Tree) ForkDepth(other Hash) (int, error) {
 	b, ok := t.blocks[other]
 	if !ok {
@@ -249,6 +190,8 @@ func (t *Tree) ForkDepth(other Hash) (int, error) {
 // recomputed 64-bit MD5 link of every block matches its stored hash — the
 // paper's per-node internal error check. It is invoked by property tests
 // and by the simulator's self-check mode.
+//
+//lint:ignore unusedexport invariant checker the tree property tests assert after random fork sequences
 func (t *Tree) Validate() error {
 	for h, b := range t.blocks {
 		if b.Hash != h {

@@ -10,7 +10,7 @@ import (
 // extend builds and adds a block on top of parent, failing the test on error.
 func extend(t *testing.T, tree *Tree, parent *Block, miner int, txs ...TxID) (*Block, *Reorg) {
 	t.Helper()
-	b := NewBlock(parent, miner, time.Duration(tree.Len())*time.Second, txs, false)
+	b := NewBlock(parent, miner, time.Duration(len(tree.blocks))*time.Second, txs, false)
 	r, err := tree.Add(b)
 	if err != nil {
 		t.Fatalf("Add: %v", err)
@@ -18,19 +18,28 @@ func extend(t *testing.T, tree *Tree, parent *Block, miner int, txs ...TxID) (*B
 	return b, r
 }
 
+// bestChain returns the best chain from genesis to the tip, inclusive.
+func bestChain(tree *Tree) []*Block {
+	chain := make([]*Block, tree.Height()+1)
+	for h := range chain {
+		chain[h], _ = tree.AtHeight(h)
+	}
+	return chain
+}
+
 func TestGenesisDeterministic(t *testing.T) {
 	if Genesis().Hash != Genesis().Hash {
 		t.Fatal("genesis hash not deterministic")
 	}
 	tree := NewTree()
-	if tree.Height() != 0 || tree.Len() != 1 {
-		t.Fatalf("fresh tree: height=%d len=%d", tree.Height(), tree.Len())
+	if tree.Height() != 0 || len(tree.blocks) != 1 {
+		t.Fatalf("fresh tree: height=%d len=%d", tree.Height(), len(tree.blocks))
 	}
 }
 
 func TestLinearGrowth(t *testing.T) {
 	tree := NewTree()
-	parent := tree.Genesis()
+	parent := Genesis()
 	for i := 1; i <= 10; i++ {
 		b, r := extend(t, tree, parent, 0)
 		if tree.Tip().Hash != b.Hash {
@@ -44,7 +53,7 @@ func TestLinearGrowth(t *testing.T) {
 	if tree.Height() != 10 {
 		t.Fatalf("height = %d, want 10", tree.Height())
 	}
-	chain := tree.BestChain()
+	chain := bestChain(tree)
 	if len(chain) != 11 {
 		t.Fatalf("best chain length = %d, want 11", len(chain))
 	}
@@ -57,7 +66,7 @@ func TestLinearGrowth(t *testing.T) {
 
 func TestFirstSeenTieBreak(t *testing.T) {
 	tree := NewTree()
-	g := tree.Genesis()
+	g := Genesis()
 	a, _ := extend(t, tree, g, 1)
 	// A competing block at the same height must not displace the tip.
 	b := NewBlock(g, 2, time.Second, nil, false)
@@ -71,14 +80,14 @@ func TestFirstSeenTieBreak(t *testing.T) {
 	if tree.Tip().Hash != a.Hash {
 		t.Error("tip switched on a same-height competitor (violates first-seen)")
 	}
-	if len(tree.Tips()) != 2 {
-		t.Errorf("Tips = %d, want 2", len(tree.Tips()))
+	if !tree.Has(a.Hash) || !tree.Has(b.Hash) {
+		t.Error("same-height competitor not kept as a live fork")
 	}
 }
 
 func TestReorgSwitchesBranch(t *testing.T) {
 	tree := NewTree()
-	g := tree.Genesis()
+	g := Genesis()
 	// Main branch: g -> a1 -> a2 with txs 1, 2.
 	a1, _ := extend(t, tree, g, 0, TxID(1))
 	a2, _ := extend(t, tree, a1, 0, TxID(2))
@@ -102,8 +111,8 @@ func TestReorgSwitchesBranch(t *testing.T) {
 	if r == nil {
 		t.Fatal("overtaking branch produced no reorg")
 	}
-	if r.Depth() != 2 {
-		t.Errorf("reorg depth = %d, want 2", r.Depth())
+	if len(r.Abandoned) != 2 {
+		t.Errorf("reorg depth = %d, want 2", len(r.Abandoned))
 	}
 	if len(r.Adopted) != 3 {
 		t.Errorf("adopted = %d, want 3", len(r.Adopted))
@@ -124,7 +133,7 @@ func TestReorgSwitchesBranch(t *testing.T) {
 
 func TestAddErrors(t *testing.T) {
 	tree := NewTree()
-	g := tree.Genesis()
+	g := Genesis()
 	a, _ := extend(t, tree, g, 0)
 
 	t.Run("duplicate", func(t *testing.T) {
@@ -154,7 +163,7 @@ func TestAddErrors(t *testing.T) {
 
 func TestAtHeight(t *testing.T) {
 	tree := NewTree()
-	parent := tree.Genesis()
+	parent := Genesis()
 	var blocks []*Block
 	for i := 0; i < 5; i++ {
 		parent, _ = extend(t, tree, parent, 0)
@@ -176,7 +185,7 @@ func TestAtHeight(t *testing.T) {
 
 func TestForkDepth(t *testing.T) {
 	tree := NewTree()
-	g := tree.Genesis()
+	g := Genesis()
 	a1, _ := extend(t, tree, g, 0)
 	a2, _ := extend(t, tree, a1, 0)
 	b1 := NewBlock(g, 1, 5*time.Second, nil, false)
@@ -201,7 +210,7 @@ func TestForkDepth(t *testing.T) {
 
 func TestValidateDetectsTampering(t *testing.T) {
 	tree := NewTree()
-	parent := tree.Genesis()
+	parent := Genesis()
 	for i := 0; i < 5; i++ {
 		parent, _ = extend(t, tree, parent, 0, TxID(i))
 	}
@@ -217,11 +226,11 @@ func TestValidateDetectsTampering(t *testing.T) {
 
 func TestTreePropertyRandomForks(t *testing.T) {
 	// Property: after any sequence of random valid insertions, (1) the tree
-	// validates, (2) the tip is a maximal-height block, (3) BestChain links
+	// validates, (2) the tip is a maximal-height block, (3) the best chain links
 	// hash-to-hash from genesis to tip.
 	f := func(choices []uint8) bool {
 		tree := NewTree()
-		all := []*Block{tree.Genesis()}
+		all := []*Block{Genesis()}
 		for i, c := range choices {
 			parent := all[int(c)%len(all)]
 			b := NewBlock(parent, int(c)%5, time.Duration(i)*time.Second, []TxID{TxID(i)}, false)
@@ -247,7 +256,7 @@ func TestTreePropertyRandomForks(t *testing.T) {
 		if tree.Height() != maxH {
 			return false
 		}
-		chain := tree.BestChain()
+		chain := bestChain(tree)
 		for i := 1; i < len(chain); i++ {
 			if chain[i].Parent != chain[i-1].Hash {
 				return false

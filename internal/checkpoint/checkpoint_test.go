@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -15,7 +14,7 @@ func writeSample(t *testing.T) (string, string) {
 	t.Helper()
 	fp := Fingerprint("test-run", "seed=1")
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	j, err := Create(path, fp)
+	j, err := CreateJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +36,7 @@ func writeSample(t *testing.T) (string, string) {
 
 func TestJournalRoundtrip(t *testing.T) {
 	path, fp := writeSample(t)
-	log, err := Load(path, fp)
+	log, err := LoadJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +95,7 @@ func TestResumeRecoversAndContinues(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, err = Load(path, fp)
+	log, err = LoadJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +118,7 @@ func TestBitFlipStopsAtValidPrefix(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	log, err := Load(path, fp)
+	log, err := LoadJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,11 +132,11 @@ func TestBitFlipStopsAtValidPrefix(t *testing.T) {
 
 func TestHeaderValidation(t *testing.T) {
 	path, fp := writeSample(t)
-	if _, err := Load(path, "0000000000000000"); !errors.Is(err, ErrFingerprint) {
+	if _, err := LoadJournal(path, "0000000000000000", JournalOptions{}); !errors.Is(err, ErrFingerprint) {
 		t.Errorf("fingerprint mismatch: got %v", err)
 	}
 	// Any fingerprint is accepted when the expectation is empty.
-	if _, err := Load(path, ""); err != nil {
+	if _, err := LoadJournal(path, "", JournalOptions{}); err != nil {
 		t.Errorf("empty expectation rejected: %v", err)
 	}
 
@@ -146,18 +145,18 @@ func TestHeaderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(bytes.NewReader(bad), ""); !errors.Is(err, ErrSchema) {
+	if _, _, err := parse(bad, ""); !errors.Is(err, ErrSchema) {
 		t.Errorf("unknown schema: got %v", err)
 	}
 	// A headerless file is corrupt.
-	if _, err := Read(strings.NewReader("not a journal"), fp); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := parse([]byte("not a journal"), fp); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("headerless file: got %v", err)
 	}
 }
 
 func TestAppendValidation(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "v.ckpt")
-	j, err := Create(path, "fp")
+	j, err := CreateJournal(path, "fp", JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,9 +183,6 @@ func TestAppendValidation(t *testing.T) {
 	}
 	if err := nilJ.Close(); err != nil {
 		t.Errorf("nil Close: %v", err)
-	}
-	if nilJ.Appended() != 0 {
-		t.Error("nil Appended != 0")
 	}
 }
 

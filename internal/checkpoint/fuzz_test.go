@@ -92,7 +92,7 @@ func FuzzReadJournal(f *testing.F) {
 func sampleJournal(f *testing.F) []byte {
 	f.Helper()
 	dir := f.TempDir()
-	j, err := Create(dir+"/seed.ckpt", Fingerprint("fuzz"))
+	j, err := CreateJournal(dir+"/seed.ckpt", Fingerprint("fuzz"), JournalOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -95,7 +95,6 @@ type Journal struct {
 	fingerprint string
 	spec        []byte
 	sync        bool
-	appended    int
 }
 
 // JournalOptions parameterizes CreateJournal and ResumeJournal.
@@ -114,14 +113,9 @@ type JournalOptions struct {
 	Spec []byte
 }
 
-// Create opens a fresh journal at path (truncating any existing file) and
-// writes the ckpt.v1 header for the given run fingerprint.
-func Create(path, fingerprint string) (*Journal, error) {
-	return CreateJournal(path, fingerprint, JournalOptions{})
-}
-
-// CreateWithSpec is Create with the canonical study-spec document embedded
-// in the header. A nil or empty spec writes the plain header.
+// CreateWithSpec is CreateJournal with default options and the canonical
+// study-spec document embedded in the header. A nil or empty spec writes
+// the plain header.
 func CreateWithSpec(path, fingerprint string, spec []byte) (*Journal, error) {
 	return CreateJournal(path, fingerprint, JournalOptions{Spec: spec})
 }
@@ -176,7 +170,7 @@ func ResumeJournal(path, fingerprint string, opts JournalOptions) (*Journal, *Lo
 		_ = f.Close() // the seek error is the one worth reporting
 		return nil, nil, fmt.Errorf("checkpoint: resume: %w", err)
 	}
-	j := &Journal{f: f, bw: bufio.NewWriter(f), fingerprint: fingerprint, sync: opts.Sync, appended: len(log.Records)}
+	j := &Journal{f: f, bw: bufio.NewWriter(f), fingerprint: fingerprint, sync: opts.Sync}
 	return j, log, nil
 }
 
@@ -247,19 +241,7 @@ func (j *Journal) Append(rec Record) error {
 			return fmt.Errorf("checkpoint: sync record: %w", err)
 		}
 	}
-	j.appended++
 	return nil
-}
-
-// Appended returns how many records this journal handle has written
-// (including records replayed into it by Resume).
-func (j *Journal) Appended() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appended
 }
 
 // Close flushes and closes the journal. A nil journal is a no-op.

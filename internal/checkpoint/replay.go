@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/iofault"
 )
@@ -43,6 +42,8 @@ func (l *Log) Result(task int, seed int64) ([]byte, bool) {
 }
 
 // Results returns how many distinct tasks have a replayable result.
+//
+//lint:ignore unusedexport the replayable-result count the resume and crash tests assert against
 func (l *Log) Results() int {
 	if l == nil {
 		return 0
@@ -50,31 +51,14 @@ func (l *Log) Results() int {
 	return len(l.results)
 }
 
-// Load reads and replays the journal at path. See Read.
-func Load(path, fingerprint string) (*Log, error) {
-	return LoadJournal(path, fingerprint, JournalOptions{})
-}
-
-// LoadJournal is Load over the configured filesystem (JournalOptions.Sync
-// is irrelevant for reading).
+// LoadJournal reads and replays the journal at path over the configured
+// filesystem (JournalOptions.Sync is irrelevant for reading). See parse.
+//
+//lint:ignore unusedexport the journal reader the resume, crash and chaos tests inspect journals with
 func LoadJournal(path, fingerprint string, opts JournalOptions) (*Log, error) {
 	data, err := iofault.OrOS(opts.FS).ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: load journal: %w", err)
-	}
-	log, _, err := parse(data, fingerprint)
-	return log, err
-}
-
-// Read replays a journal from r: it verifies the ckpt.v1 header against the
-// expected fingerprint (empty string accepts any) and returns the valid
-// record prefix. A corrupt or truncated tail is recovered from, never
-// fatal; a bad header, unknown schema, or fingerprint mismatch is a typed
-// error.
-func Read(r io.Reader, fingerprint string) (*Log, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
 	}
 	log, _, err := parse(data, fingerprint)
 	return log, err

@@ -36,7 +36,7 @@ func TestJournalHeaderEmbedsSpec(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, err := Load(path, fp)
+	log, err := LoadJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +60,14 @@ func TestJournalHeaderEmbedsSpec(t *testing.T) {
 // load fine — the pre-spec format is unchanged.
 func TestJournalHeaderWithoutSpec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plain.ckpt")
-	j, err := Create(path, "fp-1")
+	j, err := CreateJournal(path, "fp-1", JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, err := Load(path, "fp-1")
+	log, err := LoadJournal(path, "fp-1", JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

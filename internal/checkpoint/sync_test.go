@@ -42,7 +42,7 @@ func TestJournalSyncModeSurvivesPowerOff(t *testing.T) {
 
 	t.Run("sync", func(t *testing.T) {
 		path, _ := write(t, true)
-		log, err := Load(path, Fingerprint("sync-test"))
+		log, err := LoadJournal(path, Fingerprint("sync-test"), JournalOptions{})
 		if err != nil {
 			t.Fatalf("load after power-off: %v", err)
 		}
@@ -54,7 +54,7 @@ func TestJournalSyncModeSurvivesPowerOff(t *testing.T) {
 
 	t.Run("flush-only", func(t *testing.T) {
 		path, _ := write(t, false)
-		log, err := Load(path, Fingerprint("sync-test"))
+		log, err := LoadJournal(path, Fingerprint("sync-test"), JournalOptions{})
 		if err != nil {
 			// The whole file (header included) sat in unsynced pages: a
 			// corrupt/empty journal is the expected shape of the gap.
@@ -103,7 +103,7 @@ func TestJournalSyncPoints(t *testing.T) {
 func TestResumeJournalOverChaosFS(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	fp := Fingerprint("resume-chaos")
-	j, err := Create(path, fp)
+	j, err := CreateJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestResumeJournalOverChaosFS(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	final, err := Load(path, fp)
+	final, err := LoadJournal(path, fp, JournalOptions{})
 	if err != nil || final.Results() != 2 {
 		t.Fatalf("final journal: %d results, %v", final.Results(), err)
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // This file wires the crash-safety layer (DESIGN.md §11) into the study's
-// evaluation sweep: RunAllCheckpointed is RunAll with a write-ahead journal
+// evaluation sweep: RunAllDrainable is RunAll with a write-ahead journal
 // at every experiment boundary, keyed resume, and per-task supervision that
 // quarantines a panicking experiment or a watchdog-cancelled one instead of
 // losing the whole run.
@@ -90,26 +90,21 @@ func (s *Study) Fingerprint() string {
 	return fp
 }
 
-// RunAllCheckpointed regenerates the evaluation like RunAll, but journals
+// RunAllDrainable regenerates the evaluation like RunAll, but journals
 // every experiment outcome through j as it completes (nil j disables
 // journaling), replays completed experiments from resume (nil resume replays
 // nothing), and — unless failFast — continues in degraded mode past a
 // panicking or watchdog-cancelled experiment, quarantining it in the report.
 // The completed outputs are byte-identical to RunAll's for any worker count.
-func (s *Study) RunAllCheckpointed(workers int, j *checkpoint.Journal, resume *checkpoint.Log, failFast bool) (*CheckpointedRun, error) {
-	return s.runCheckpointed(experiments(), workers, j, resume, failFast, nil)
-}
-
-// RunAllDrainable is RunAllCheckpointed with a quit hook, polled between
-// experiments: when it returns true the sweep stops at the next experiment
-// boundary with the journal ending on a completed record and the report's
-// Stopped flag set — the graceful-drain path of the partitiond daemon
-// (DESIGN.md §14). A nil quit never stops.
+// quit is polled between experiments: when it returns true the sweep stops
+// at the next experiment boundary with the journal ending on a completed
+// record and the report's Stopped flag set — the graceful-drain path of the
+// partitiond daemon (DESIGN.md §14). A nil quit never stops.
 func (s *Study) RunAllDrainable(workers int, j *checkpoint.Journal, resume *checkpoint.Log, failFast bool, quit func() bool) (*CheckpointedRun, error) {
 	return s.runCheckpointed(experiments(), workers, j, resume, failFast, quit)
 }
 
-// runCheckpointed is the seam under RunAllCheckpointed: tests inject a
+// runCheckpointed is the seam under RunAllDrainable: tests inject a
 // doctored experiment list (a panicking or non-terminating entry) to prove
 // degraded-mode behavior without touching the real evaluation.
 func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Journal, resume *checkpoint.Log, failFast bool, quit func() bool) (*CheckpointedRun, error) {

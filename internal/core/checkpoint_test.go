@@ -43,7 +43,7 @@ func TestCheckpointedDegradedRun(t *testing.T) {
 	observer := obs.New(64)
 	s := newTestStudy(t, WithObserver(observer))
 	path := filepath.Join(t.TempDir(), "run.ckpt")
-	j, err := checkpoint.Create(path, s.Fingerprint())
+	j, err := checkpoint.CreateJournal(path, s.Fingerprint(), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCheckpointedDegradedRun(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	log, err := checkpoint.Load(path, s.Fingerprint())
+	log, err := checkpoint.LoadJournal(path, s.Fingerprint(), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestCheckpointedResumeReplays(t *testing.T) {
 		{"a", func(*Study) (string, error) { return "alpha\n", nil }},
 		{"b", func(*Study) (string, error) { return "beta\n", nil }},
 	}
-	j, err := checkpoint.Create(path, s.Fingerprint())
+	j, err := checkpoint.CreateJournal(path, s.Fingerprint(), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestCheckpointedDrain(t *testing.T) {
 		{"b", func(*Study) (string, error) { return "beta\n", nil }},
 		{"c", func(*Study) (string, error) { return "gamma\n", nil }},
 	}
-	j, err := checkpoint.Create(path, s.Fingerprint())
+	j, err := checkpoint.CreateJournal(path, s.Fingerprint(), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/faults"
 	"repro/internal/gridsim"
-	"repro/internal/mining"
 	"repro/internal/obs"
 )
 
@@ -178,6 +177,10 @@ func WithShardWorkers(w int) Option {
 	return func(o *Options) { o.ShardWorkers = w }
 }
 
+// gridAttackerCell is the row and column of the attacker's cell in the
+// Figure 7 and heal-study grids.
+const gridAttackerCell = 7
+
 // gridOptions prepends the study-wide grid settings — lattice side and the
 // sharding mode — to an experiment's own options, so every grid world a
 // study builds shares one engine selection.
@@ -243,11 +246,6 @@ func (s *Study) Seed() int64 { return s.seed }
 // Observer returns the study's attached observability layer (nil when
 // observability is off).
 func (s *Study) Observer() *obs.Observer { return s.Opts.Obs }
-
-// Pools returns the Table IV mining roster.
-func (s *Study) Pools() []mining.Pool {
-	return dataset.TableIV()
-}
 
 // WritePopulation streams the study's synthetic population in the columnar
 // pop.v1 format (one checksum frame per column, DESIGN.md §12) — the

@@ -239,7 +239,7 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 		candidate, err := gridsim.New(s.seed+offset, s.gridOptions(
 			gridsim.WithSpanRatio(2.0),
 			gridsim.WithFailureRate(0.10),
-			gridsim.WithAttacker(0.30, 7, 7),
+			gridsim.WithAttacker(0.30, gridAttackerCell, gridAttackerCell),
 			// The attacker holds a radius-5 region open with targeted
 			// communication disruption until the fourth block event, then
 			// the honest chain floods back — the arc of the paper's three
@@ -297,7 +297,7 @@ func (s *Study) HealStudy() (*gridsim.HealStudyResult, error) {
 		Grid: gridsim.NewConfig(s.seed, s.gridOptions(
 			gridsim.WithSpanRatio(2.0),
 			gridsim.WithFailureRate(0.10),
-			gridsim.WithAttacker(0.30, 7, 7),
+			gridsim.WithAttacker(0.30, gridAttackerCell, gridAttackerCell),
 			gridsim.WithBoundary(5, 0, 0),
 		)...),
 		Workers: s.Opts.Workers,

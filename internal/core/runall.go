@@ -77,17 +77,6 @@ func figure6Variant(v Figure6Variant) func(*Study) (string, error) {
 	}
 }
 
-// ExperimentNames returns the evaluation's experiment names in presentation
-// order — the set RunAll regenerates.
-func ExperimentNames() []string {
-	exps := experiments()
-	names := make([]string, len(exps))
-	for i, e := range exps {
-		names[i] = e.name
-	}
-	return names
-}
-
 // RunAll regenerates every table and figure of the evaluation, fanning the
 // experiments across workers (<= 0 means one per CPU; the study's
 // configured Workers bound applies inside each experiment as well). The

@@ -109,7 +109,10 @@ func TestRunAllNamesAndOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := ExperimentNames()
+	var names []string
+	for _, e := range experiments() {
+		names = append(names, e.name)
+	}
 	if len(outputs) != len(names) {
 		t.Fatalf("outputs = %d, want %d", len(outputs), len(names))
 	}

@@ -141,6 +141,16 @@ func (s Spec) Validate() error {
 	if s.ShardWorkers != 0 && s.Shards == 0 {
 		return fmt.Errorf("core: spec sets shard_workers without shards")
 	}
+	// Every grid experiment places the attacker at (gridAttackerCell,
+	// gridAttackerCell), and the sharded engine needs a cell per shard.
+	size := Options{GridSize: s.GridSize}.withDefaults().GridSize
+	if size <= gridAttackerCell {
+		return fmt.Errorf("core: spec grid_size %d leaves no room for the attacker cell (%d,%d); need at least %d",
+			size, gridAttackerCell, gridAttackerCell, gridAttackerCell+1)
+	}
+	if s.Shards > size*size {
+		return fmt.Errorf("core: spec shards %d exceeds the %d cells of a %dx%d grid", s.Shards, size*size, size, size)
+	}
 	return nil
 }
 

@@ -131,13 +131,15 @@ func TestSpecValidate(t *testing.T) {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
 	cases := map[string]func(*Spec){
-		"schema":                func(s *Spec) { s.Schema = "spec.v9" },
-		"verb":                  func(s *Spec) { s.Run.Verb = "banana" },
-		"empty name":            func(s *Spec) { s.Run.Name = "" },
-		"negative grid":         func(s *Spec) { s.GridSize = -1 },
-		"shard workers alone":   func(s *Spec) { s.ShardWorkers = 2 },
-		"negative shard count":  func(s *Spec) { s.Shards = -3 },
-		"negative trace window": func(s *Spec) { s.TableVTraceDays = -1 },
+		"schema":                 func(s *Spec) { s.Schema = "spec.v9" },
+		"verb":                   func(s *Spec) { s.Run.Verb = "banana" },
+		"empty name":             func(s *Spec) { s.Run.Name = "" },
+		"negative grid":          func(s *Spec) { s.GridSize = -1 },
+		"shard workers alone":    func(s *Spec) { s.ShardWorkers = 2 },
+		"negative shard count":   func(s *Spec) { s.Shards = -3 },
+		"negative trace window":  func(s *Spec) { s.TableVTraceDays = -1 },
+		"grid without attacker":  func(s *Spec) { s.GridSize = 7 },
+		"more shards than cells": func(s *Spec) { s.GridSize = 8; s.Shards = 65 },
 	}
 	for name, mutate := range cases {
 		bad := ok

@@ -45,6 +45,8 @@ type Snapshot struct {
 }
 
 // LagBuckets folds a snapshot into the Figure 6 stacked buckets.
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (s *Snapshot) LagBuckets() p2p.LagBuckets {
 	var lb p2p.LagBuckets
 	for _, n := range s.Nodes {
@@ -59,6 +61,8 @@ func (s *Snapshot) LagBuckets() p2p.LagBuckets {
 // VulnerableNodes returns the IDs of up nodes at least minLag behind — the
 // adversarial query of §III ("identify vulnerable nodes that are 1-5 blocks
 // behind").
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (s *Snapshot) VulnerableNodes(minLag int) []int {
 	var out []int
 	for _, n := range s.Nodes {
@@ -163,6 +167,8 @@ func (c *Crawler) capture(now time.Duration) {
 
 // VersionCensus aggregates the snapshot's client versions — the crawl-side
 // input to the logical attack of §V-D.
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (s *Snapshot) VersionCensus() map[string]int {
 	out := map[string]int{}
 	for _, n := range s.Nodes {
@@ -175,6 +181,8 @@ func (s *Snapshot) VersionCensus() map[string]int {
 
 // SyncedByAS aggregates synced-node counts per AS — the crawl-side input
 // to the spatio-temporal planner (Table VII).
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (s *Snapshot) SyncedByAS() map[int]int {
 	out := map[int]int{}
 	for _, n := range s.Nodes {
@@ -186,6 +194,8 @@ func (s *Snapshot) SyncedByAS() map[int]int {
 }
 
 // CaptureNow takes an immediate snapshot outside the periodic schedule.
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (c *Crawler) CaptureNow() Snapshot {
 	c.capture(c.sim.Engine.Now())
 	return c.snaps[len(c.snaps)-1]
@@ -207,6 +217,8 @@ func WriteJSONL(w io.Writer, snaps []Snapshot) error {
 }
 
 // ReadJSONL loads snapshots written by WriteJSONL.
+//
+//lint:ignore unusedexport decodes WriteJSONL output for the crawl round-trip and temporal-pipeline tests
 func ReadJSONL(r io.Reader) ([]Snapshot, error) {
 	var out []Snapshot
 	dec := json.NewDecoder(bufio.NewReader(r))

@@ -39,6 +39,8 @@ func WriteFramedFile(fsys iofault.FS, path string, snaps []Snapshot) error {
 // contract as ReadFramed: damaged tails truncate, damaged headers are typed
 // errors, and nothing silently misparses. A nil fsys reads the real
 // filesystem.
+//
+//lint:ignore unusedexport decodes WriteFramedFile output for the framed-file round-trip and corruption tests
 func ReadFramedFile(fsys iofault.FS, path string) (snaps []Snapshot, truncated bool, err error) {
 	f, err := iofault.OrOS(fsys).Open(path)
 	if err != nil {

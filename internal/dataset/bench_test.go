@@ -114,7 +114,7 @@ func BenchmarkMaxVulnerable(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rows := tr.MaxVulnerable(); len(rows) != 9 {
+		if rows, err := tr.MaxVulnerableParallel(1); err != nil || len(rows) != 9 {
 			b.Fatal("bad rows")
 		}
 	}

@@ -40,7 +40,7 @@ func TestFramedTraceRoundtrip(t *testing.T) {
 		t.Error("roundtrip changed the trace")
 	}
 	// The recovered config must still drive the Table V scan.
-	if len(got.MaxVulnerable()) != len(tr.Config.VulnerabilityWindows) {
+	if rows, err := got.MaxVulnerableParallel(1); err != nil || len(rows) != len(tr.Config.VulnerabilityWindows) {
 		t.Error("recovered trace lost its vulnerability windows")
 	}
 }

@@ -115,6 +115,8 @@ type OrgRow struct {
 }
 
 // TableIIOrgs returns the organization column of Table II.
+//
+//lint:ignore unusedexport Table II's organization column, the paper reference TestTableIIHeadExact checks the population against
 func TableIIOrgs() []OrgRow {
 	return []OrgRow{
 		{"Hetzner Online GmbH", 1030},
@@ -196,24 +198,13 @@ const (
 	OrgsFor50Pct = 13
 )
 
-// Table VII: top 5 ASes hosting synchronized nodes over the Figure 6(b) day.
+// SyncedASRow is one row of Table VII: an AS hosting synchronized nodes
+// over the Figure 6(b) day.
 type SyncedASRow struct {
 	ASN      topology.ASN
 	Org      string
 	Nodes    int
 	Fraction float64
-}
-
-// TableVII returns the paper's Table VII rows (for comparison in
-// EXPERIMENTS.md; our regenerated table derives from the synthetic trace).
-func TableVII() []SyncedASRow {
-	return []SyncedASRow{
-		{4134, "No.31, Jin-rong", 993, 0.0957},
-		{24940, "Hetzner Online", 830, 0.0798},
-		{16276, "OVH SAS", 530, 0.0522},
-		{16509, "Amazon.com", 417, 0.0419},
-		{14061, "DigitalOcean", 332, 0.0323},
-	}
 }
 
 // Temporal-trace calibration (§V-B, Figure 6): the share of nodes in each

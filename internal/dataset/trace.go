@@ -269,23 +269,14 @@ func episodeMultiplier(eps []episode, t time.Duration) float64 {
 	return 1
 }
 
-// MaxVulnerable scans the trace for each (window, threshold) pair and
+// MaxVulnerableParallel scans the trace for each (window, threshold) pair and
 // returns the maximum simultaneous vulnerable-node count and the fraction
 // of up nodes at the maximizing sample — Table V's optimization: "given a
 // timestamp t and a timing constraint T, find the maximum number of
-// vulnerable nodes whose lagging time L(t) is at least T".
-func (t *Trace) MaxVulnerable() []VulnRow {
-	out := make([]VulnRow, len(t.Config.VulnerabilityWindows))
-	for wi := range t.Config.VulnerabilityWindows {
-		out[wi] = t.scanWindow(wi)
-	}
-	return out
-}
-
-// MaxVulnerableParallel is MaxVulnerable with the per-window scans fanned
-// across workers (<= 0 means one per CPU). Each window's scan is
-// independent and read-only on the trace, so the output is identical to
-// the sequential path for any worker count.
+// vulnerable nodes whose lagging time L(t) is at least T". The per-window
+// scans fan across workers (<= 0 means one per CPU); each is independent
+// and read-only on the trace, so the output is identical for any worker
+// count.
 func (t *Trace) MaxVulnerableParallel(workers int) ([]VulnRow, error) {
 	return parallel.Map(workers, len(t.Config.VulnerabilityWindows),
 		func(wi int) (VulnRow, error) { return t.scanWindow(wi), nil })

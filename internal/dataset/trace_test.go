@@ -103,7 +103,10 @@ func TestMaxVulnerableShape(t *testing.T) {
 	// a large max at T=5min (paper: 62.67% >= 1 block), and a stale floor
 	// at T=200min (paper: ~9%).
 	tr := runTrace(t, TraceConfig{Duration: 7 * 24 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 7})
-	rows := tr.MaxVulnerable()
+	rows, err := tr.MaxVulnerableParallel(1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d, want 9", len(rows))
 	}

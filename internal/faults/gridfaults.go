@@ -81,9 +81,6 @@ func NewGridInjector(sc Scenario, seed int64, cells int, stepDur time.Duration, 
 	return gi, nil
 }
 
-// Scenario returns the effective (defaults-applied) scenario.
-func (gi *GridInjector) Scenario() Scenario { return gi.sc }
-
 // holdSteps converts an exponential holding time to a whole number of
 // steps, at least one so a flip is never a same-step no-op.
 func (gi *GridInjector) holdSteps(cs *stream, mean time.Duration) int {
@@ -125,17 +122,6 @@ func (gi *GridInjector) StepChurn(step int) {
 
 // Down reports whether the cell is churned out at the moment.
 func (gi *GridInjector) Down(i int) bool { return gi.down[i] }
-
-// DownCells returns how many cells are currently churned out.
-func (gi *GridInjector) DownCells() int {
-	n := 0
-	for _, d := range gi.down {
-		if d {
-			n++
-		}
-	}
-	return n
-}
 
 // Allow consults the link table for the exchange i→j at the given step,
 // counting whatever fault it hits.

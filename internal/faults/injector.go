@@ -110,9 +110,6 @@ func NewInjector(sc Scenario, seed int64, o *obs.Observer) (*Injector, error) {
 	}, nil
 }
 
-// Scenario returns the effective (defaults-applied) scenario.
-func (inj *Injector) Scenario() Scenario { return inj.sc }
-
 // Intercept implements p2p.FaultInjector: link faults first (a dead link
 // drops everything, so per-message chaos draws are not even made), then
 // message chaos in loss → duplication → delay order. Chaos draws come from

@@ -175,9 +175,9 @@ func RunTrials(cfg Config, tc TrialsConfig) (*TrialsResult, error) {
 	if ensembleReg != nil {
 		trialRegs = make([]*obs.Registry, tc.Trials)
 	}
-	// Completed grids are pooled and Reset for the next replicate: the SoA
+	// Completed grids are pooled and reset for the next replicate: the SoA
 	// arenas (cell, fork, neighbor, and region slices) are reused, so the
-	// steady-state ensemble performs near-zero allocations per trial. Reset
+	// steady-state ensemble performs near-zero allocations per trial. ResetConfig
 	// is byte-identical to New, so pooling cannot perturb any result.
 	var pool sync.Pool
 	runOne := func(trial int, seed int64) (Trial, error) {

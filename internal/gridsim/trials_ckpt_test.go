@@ -26,7 +26,7 @@ func TestSupervisedMatchesPlainPath(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4} {
 		path := filepath.Join(t.TempDir(), "trials.ckpt")
-		j, err := checkpoint.Create(path, tc.Fingerprint(cfg))
+		j, err := checkpoint.CreateJournal(path, tc.Fingerprint(cfg), checkpoint.JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestSupervisedMatchesPlainPath(t *testing.T) {
 		if got.MeanForks != plain.MeanForks || got.MeanCounterfeitShare != plain.MeanCounterfeitShare {
 			t.Errorf("workers=%d: summary stats diverged", workers)
 		}
-		log, err := checkpoint.Load(path, tc.Fingerprint(cfg))
+		log, err := checkpoint.LoadJournal(path, tc.Fingerprint(cfg), checkpoint.JournalOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestResumeAfterKill(t *testing.T) {
 	}
 	fp := tc.Fingerprint(cfg)
 	path := filepath.Join(t.TempDir(), "trials.ckpt")
-	j, err := checkpoint.Create(path, fp)
+	j, err := checkpoint.CreateJournal(path, fp, checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestResumeAfterKill(t *testing.T) {
 		t.Error("resumed ensemble diverged from the uninterrupted run")
 	}
 	// After the resumed run the journal is complete again.
-	log2, err := checkpoint.Load(path, fp)
+	log2, err := checkpoint.LoadJournal(path, fp, checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDegradeQuarantinesBudget(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trials.ckpt")
 	sc := tc
 	sc.StepBudget = 5 // far below StepsPerBlock*Blocks
-	j, err := checkpoint.Create(path, sc.Fingerprint(cfg))
+	j, err := checkpoint.CreateJournal(path, sc.Fingerprint(cfg), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestDegradeQuarantinesBudget(t *testing.T) {
 			t.Errorf("fault %d = %+v", i, f)
 		}
 	}
-	log, err := checkpoint.Load(path, sc.Fingerprint(cfg))
+	log, err := checkpoint.LoadJournal(path, sc.Fingerprint(cfg), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

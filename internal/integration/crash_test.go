@@ -26,7 +26,7 @@ func renderCheckpointed(t *testing.T, workers int, j *checkpoint.Journal, resume
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := study.RunAllCheckpointed(workers, j, resume, true)
+	run, err := study.RunAllDrainable(workers, j, resume, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestResumeGolden(t *testing.T) {
 
 	// The uninterrupted checkpointed run is itself golden-identical.
 	full := filepath.Join(t.TempDir(), "full.ckpt")
-	j, err := checkpoint.Create(full, fp)
+	j, err := checkpoint.CreateJournal(full, fp, checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestResumeGolden(t *testing.T) {
 				t.Errorf("keep=%d workers=%d: replayed %d experiments", keep, workers, run.Replayed)
 			}
 			// The resumed journal is complete again and loads clean.
-			final, err := checkpoint.Load(path, fp)
+			final, err := checkpoint.LoadJournal(path, fp, checkpoint.JournalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,7 +162,7 @@ func TestResumeGolden(t *testing.T) {
 // configuration must refuse to resume rather than replay wrong outputs.
 func TestResumeRejectsForeignJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "foreign.ckpt")
-	j, err := checkpoint.Create(path, "0123456789abcdef")
+	j, err := checkpoint.CreateJournal(path, "0123456789abcdef", checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ func runPlansWithCapacity(t *testing.T, capacity int) (map[string]string, *obs.T
 	env := planEnv(t, 1, observer)
 	live := map[string]string{}
 	var order []string
-	for _, plan := range attack.Plans(env) {
+	for _, plan := range allPlans(t, env) {
 		res, err := plan.Run(nil, observer.Registry())
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Name(), err)

@@ -118,6 +118,8 @@ type track struct {
 }
 
 // NewChaos builds a ChaosFS over the real filesystem.
+//
+//lint:ignore unusedexport test harness: the chaos proofs and durability tests drive ChaosFS through it
 func NewChaos(cfg Config) *ChaosFS {
 	c := &ChaosFS{
 		cfg:     cfg,
@@ -138,6 +140,8 @@ func NewChaos(cfg Config) *ChaosFS {
 }
 
 // Ops returns a copy of the recorded durability points, in order.
+//
+//lint:ignore unusedexport test harness: the chaos proofs and durability tests drive ChaosFS through it
 func (c *ChaosFS) Ops() []Op {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -145,6 +149,8 @@ func (c *ChaosFS) Ops() []Op {
 }
 
 // Points returns how many durability points have been counted.
+//
+//lint:ignore unusedexport test harness: the chaos proofs and durability tests drive ChaosFS through it
 func (c *ChaosFS) Points() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -152,6 +158,8 @@ func (c *ChaosFS) Points() int {
 }
 
 // InjectedFaults returns how many faults have been injected.
+//
+//lint:ignore unusedexport test harness: the chaos proofs and durability tests drive ChaosFS through it
 func (c *ChaosFS) InjectedFaults() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -159,6 +167,8 @@ func (c *ChaosFS) InjectedFaults() int {
 }
 
 // Crashed reports whether the simulated crash point has fired.
+//
+//lint:ignore unusedexport test harness: the chaos proofs and durability tests drive ChaosFS through it
 func (c *ChaosFS) Crashed() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -171,6 +181,8 @@ func (c *ChaosFS) Crashed() bool {
 // tracked file to its fsynced length — the bytes a power loss provably
 // preserves. Call it before "rebooting" onto a fresh FS over the same
 // directory.
+//
+//lint:ignore unusedexport test harness: the chaos proofs and durability tests drive ChaosFS through it
 func (c *ChaosFS) ApplyCrash() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -55,6 +55,8 @@ type expectation struct {
 
 // Run loads each fixture package under testdata/src, applies the analyzer,
 // and reports every mismatch between diagnostics and // want expectations.
+//
+//lint:ignore unusedexport test harness: every analyzer's fixture test runs through it
 func Run(t T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	for _, pkgPath := range pkgPaths {
@@ -67,6 +69,8 @@ func Run(t T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 // gofmt, and compared against the fixture's <name>.golden sibling (which is
 // also formatted first, so goldens don't have to be byte-perfect gofmt
 // output). Fixture files without a .golden must come out unchanged.
+//
+//lint:ignore unusedexport test harness: the -fix golden tests run through it
 func RunWithSuggestedFixes(t T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	for _, pkgPath := range pkgPaths {
@@ -353,6 +357,8 @@ func quotedEnd(s string) int {
 
 // WriteTree is a helper for tests that need to materialise a fixture tree
 // at runtime; it writes files (path → contents, relative to dir).
+//
+//lint:ignore unusedexport test harness: materialises fixture trees for the harness's own meta-tests
 func WriteTree(t T, dir string, files map[string]string) {
 	t.Helper()
 	for name, contents := range files {

@@ -58,8 +58,8 @@ func NewAllocEngine(idx *Index) *AllocEngine {
 
 // Reach returns the allocation sites transitively reachable from fn —
 // fn's own plus everything behind its static calls, skipping callees that
-// carry the //hot:path pragma themselves (hotalloc and hotescape police
-// those directly). Cycles resolve to the already-accumulated prefix.
+// carry the //hot:path pragma themselves (hotescape polices those
+// directly). Cycles resolve to the already-accumulated prefix.
 func (e *AllocEngine) Reach(fn *Func) []Reached {
 	if r, ok := e.reach[fn.Key]; ok {
 		return r
@@ -135,7 +135,7 @@ func collectAllocs(fn *Func) []AllocSite {
 	ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			switch bn := builtinName(info, n); {
+			switch bn := BuiltinName(info, n); {
 			case bn == "make":
 				if !exemptMake(fn, n) {
 					add(n.Pos(), "make")
@@ -156,8 +156,8 @@ func collectAllocs(fn *Func) []AllocSite {
 }
 
 // BoxSites returns just the interface-boxing sites of fn's own body —
-// hotalloc already polices make/append inside annotated functions, so
-// hotescape adds only the boxing dimension there.
+// hotescape polices make/append inside annotated functions without the
+// escape exemption, so only the boxing dimension comes from here.
 func (e *AllocEngine) BoxSites(fn *Func) []AllocSite {
 	var out []AllocSite
 	for _, s := range e.Local(fn) {
@@ -168,7 +168,8 @@ func (e *AllocEngine) BoxSites(fn *Func) []AllocSite {
 	return out
 }
 
-func builtinName(info *types.Info, call *ast.CallExpr) string {
+// BuiltinName returns the name of the builtin a call invokes, or "".
+func BuiltinName(info *types.Info, call *ast.CallExpr) string {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return ""
@@ -256,7 +257,7 @@ func escapes(fn *Func, obj *types.Var) bool {
 				esc = mentions(n)
 			}
 		case *ast.CallExpr:
-			if b := builtinName(info, n); b == "len" || b == "cap" {
+			if b := BuiltinName(info, n); b == "len" || b == "cap" {
 				return true
 			}
 			for _, arg := range n.Args {

@@ -38,9 +38,6 @@ type rangeBinding struct {
 	isKey     bool
 }
 
-// Fn returns the function the evaluator is scoped to.
-func (ev *Evaluator) Fn() *Func { return ev.fn }
-
 // Info returns the type information resolving the function's syntax.
 func (ev *Evaluator) Info() *types.Info { return ev.fn.Pkg.Info }
 

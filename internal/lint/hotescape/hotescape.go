@@ -1,34 +1,52 @@
-// Package hotescape defines an interprocedural analyzer extending hotalloc
-// across call boundaries (DESIGN.md §12): a function annotated //hot:path
-// must not allocate, and that includes the functions it calls. hotalloc
-// polices the annotated body itself; hotescape walks the static call graph
-// underneath it and reports calls that reach a make, a growing append, or
-// an interface boxing in any transitively reachable callee. It also checks
-// the hot body itself for interface boxing (a dimension hotalloc does not
-// cover — passing a concrete value to an ...any parameter allocates).
+// Package hotescape enforces the allocation discipline of DESIGN.md §12 on
+// functions annotated with a "//hot:path" doc comment: a hot function is one
+// the profiles show on a per-event or per-cell path, and the
+// structure-of-arrays rewrite got its speedups precisely by keeping
+// allocation and map iteration out of those bodies. The analyzer reports,
+// inside a //hot:path function (closures included — they run, or allocate,
+// when the hot function does):
 //
-// The summary layer applies an escape exemption: a make with constant size
-// arguments whose result provably never leaves its function is stack
-// -allocated by the compiler and not charged to the hot path. Callees that
-// carry the //hot:path pragma themselves are skipped — they are policed
+//   - a call to the builtin make — a fresh allocation per invocation, which
+//     belongs in a Reset/constructor that reuses backing storage instead;
+//   - a call to the builtin append — growth reallocates and even the
+//     non-growing form hides a capacity check; hot paths index into
+//     preallocated storage;
+//   - a range over a map — a hash walk with randomised order, both slower
+//     than a slice scan and a determinism hazard;
+//   - interface boxing — passing a concrete value to an ...any parameter
+//     allocates;
+//   - a call whose callee reaches a make, a growing append or an interface
+//     boxing anywhere in its static call graph.
+//
+// The callee summaries apply an escape exemption: a make with constant size
+// arguments whose result provably never leaves its function is
+// stack-allocated by the compiler and not charged to the hot path. Callees
+// that carry the //hot:path pragma themselves are skipped — they are policed
 // directly, and reporting them again at every caller would double-count.
+// Helpers that legitimately grow storage (markRequested, setHave, interning)
+// simply are not annotated — the annotation is the contract. Test files are
+// skipped; //lint:ignore suppresses individual findings like every other
+// analyzer in the suite.
 package hotescape
 
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/dataflow"
 )
 
-// Analyzer reports hot-path calls that reach allocations in callees.
+// Analyzer reports allocations and map walks in //hot:path functions and
+// the calls that reach allocations in their callees.
 var Analyzer = &analysis.Analyzer{
 	Name: "hotescape",
-	Doc: "report calls from //hot:path functions that reach make/append/" +
-		"interface-boxing allocations in transitively reachable callees",
-	Version:  "1",
+	Doc: "flags make/append/interface boxing and map iteration inside " +
+		"functions annotated //hot:path, and calls from them that reach " +
+		"such allocations in transitively reachable callees",
+	Version:  "2",
 	Requires: []*analysis.Analyzer{dataflow.Analyzer},
 	Run:      run,
 }
@@ -46,6 +64,7 @@ func run(pass *analysis.Pass) (any, error) {
 			if pass.InTestFile(fd.Pos()) {
 				continue
 			}
+			checkBody(pass, fd)
 			fn := df.Index.ByDecl(fd)
 			if fn == nil {
 				continue
@@ -56,8 +75,37 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
+// checkBody reports every make, append and map walk in one hot function.
+func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
+	name := fd.Name.Name
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			switch dataflow.BuiltinName(pass.TypesInfo, n) {
+			case "make":
+				pass.Reportf(n.Pos(),
+					"make inside //hot:path function %s allocates per call; preallocate in a constructor or Reset and reuse the backing storage",
+					name)
+			case "append":
+				pass.Reportf(n.Pos(),
+					"append inside //hot:path function %s can grow its backing array; index into preallocated storage instead",
+					name)
+			}
+		case *ast.RangeStmt:
+			if t := pass.TypesInfo.TypeOf(n.X); t != nil {
+				if _, ok := t.Underlying().(*types.Map); ok {
+					pass.Reportf(n.Pos(),
+						"map iteration inside //hot:path function %s is a randomised hash walk; keep a flat slice (or index log) alongside the map and scan that",
+						name)
+				}
+			}
+		}
+		return true
+	})
+}
+
 func checkHot(pass *analysis.Pass, eng *dataflow.AllocEngine, fn *dataflow.Func) {
-	// The hot body's own boxing sites (make/append/map-range are hotalloc's).
+	// The hot body's own boxing sites (checkBody reports make/append/map-range).
 	for _, s := range eng.BoxSites(fn) {
 		pass.Reportf(s.Pos, "interface boxing in //hot:path function %s allocates", fn.Key)
 	}

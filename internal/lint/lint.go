@@ -22,7 +22,6 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/checkederr"
 	"repro/internal/lint/detmerge"
-	"repro/internal/lint/hotalloc"
 	"repro/internal/lint/hotescape"
 	"repro/internal/lint/load"
 	"repro/internal/lint/maporder"
@@ -44,7 +43,6 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		checkederr.Analyzer,
 		detmerge.Analyzer,
-		hotalloc.Analyzer,
 		hotescape.Analyzer,
 		maporder.Analyzer,
 		nogoroutine.Analyzer,

@@ -14,7 +14,7 @@
 // carriers: they are control hooks, and demand reaching them is an
 // artifact of joining whole struct literals. The sinks are the RNG construction and re-seeding
 // points (math/rand NewSource/New, math/rand/v2 NewPCG/NewChaCha8,
-// stats.NewFast/NewRand, (*Fast).Seed, (*rand.Rand).Seed,
+// stats.NewRand, (*Fast).Seed, (*rand.Rand).Seed,
 // parallel.DeriveSeed). A sink whose seed expression is definitely not
 // derived from any root is reported; a seed that depends on the enclosing
 // function's parameters is judged at every call site instead, so the
@@ -51,7 +51,6 @@ var sinkArgs = map[string][]int{
 	"math/rand.Rand.Seed":                {0},
 	"math/rand/v2.NewPCG":                {0, 1},
 	"math/rand/v2.NewChaCha8":            {0},
-	"repro/internal/stats.NewFast":       {0},
 	"repro/internal/stats.Fast.Seed":     {0},
 	"repro/internal/stats.NewRand":       {0},
 	"repro/internal/parallel.DeriveSeed": {0},

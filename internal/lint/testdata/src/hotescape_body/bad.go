@@ -1,5 +1,5 @@
 // Positive cases: allocation and map iteration inside //hot:path functions.
-package hotalloc
+package hotescape_body
 
 // lookup is a hot-path probe that allocates a scratch slice every call.
 //

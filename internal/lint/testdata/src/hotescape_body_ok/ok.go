@@ -1,6 +1,6 @@
 // Negative cases: unannotated growth helpers, hot functions that only index
 // into preallocated storage, and map reads (not walks) on the hot path.
-package hotalloc_ok
+package hotescape_body_ok
 
 // grow is the storage-growing helper pattern: it allocates, so it is simply
 // not annotated //hot:path — the annotation is the contract.

@@ -1,6 +1,7 @@
 // Negative cases: callees whose only make is constant-size and local
 // (stack-allocated), callees that merely index preallocated storage, and
-// hot callees policed directly by hotalloc rather than re-reported here.
+// hot callees policed directly in their own body rather than re-reported
+// at every caller.
 package hotescape_ok
 
 // sumLocal's make has a constant size and never escapes: the compiler
@@ -24,12 +25,12 @@ func HotOK(xs []int, i int) int {
 	return sumLocal() + index(xs, i)
 }
 
-// hotHelper is itself annotated: hotalloc and hotescape police its body
-// directly, so callers do not re-report it.
+// hotHelper is itself annotated: its body is policed directly, so callers
+// do not re-report it.
 //
 //hot:path
 func hotHelper(xs []int, v int) []int {
-	return append(xs, v) // hotalloc's finding, not hotescape's
+	return append(xs, v) // want `append inside //hot:path function hotHelper`
 }
 
 //hot:path

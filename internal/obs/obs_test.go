@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// isEmpty reports whether the snapshot carries no series at all.
+func isEmpty(s Snapshot) bool {
+	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
+}
+
 func TestNilSafety(t *testing.T) {
 	var o *Observer
 	var r *Registry
@@ -19,11 +24,11 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("g").Set(1.5)
 	r.Histogram("h", []float64{1, 2}).Observe(3)
 	r.Merge(NewRegistry())
-	if !r.Snapshot().Empty() {
+	if !isEmpty(r.Snapshot()) {
 		t.Fatal("nil registry must snapshot empty")
 	}
 	tr.Emit(0, "x", "y")
-	if tr.Len() != 0 || tr.Dropped() != 0 || tr.Events() != nil {
+	if len(tr.Events()) != 0 || tr.Dropped() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer must be inert")
 	}
 	var c *Counter
@@ -87,7 +92,7 @@ func TestRegistrySnapshotSorted(t *testing.T) {
 	if h.Count != 2 || h.Sum != 11.5 {
 		t.Fatalf("count=%d sum=%g, want 2/11.5", h.Count, h.Sum)
 	}
-	if s.Empty() {
+	if isEmpty(s) {
 		t.Fatal("snapshot should not be empty")
 	}
 }
@@ -149,8 +154,8 @@ func TestTracerRingEviction(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tr.Emit(int64(i*10), "test", "tick", Fint("i", int64(i)))
 	}
-	if tr.Len() != 3 {
-		t.Fatalf("len = %d, want 3", tr.Len())
+	if n := len(tr.Events()); n != 3 {
+		t.Fatalf("len = %d, want 3", n)
 	}
 	if tr.Dropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", tr.Dropped())
@@ -168,7 +173,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	tr := NewTracer(16)
 	tr.Emit(0, "netsim", "block_mined", Fint("height", 1), F("miner", "AS24940"))
 	tr.Emit(600_000_000_000, "p2p", "reorg", Fint("depth", 2), Ffloat("share", 0.3), Fbool("counterfeit", true))
-	tr.Emit(1200_000_000_000, "attack", "victims_captured", Fuint("n", 18))
+	tr.Emit(1200_000_000_000, "attack", "victims_captured", Fint("n", 18))
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -194,7 +199,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	tr2 := NewTracer(16)
 	tr2.Emit(0, "netsim", "block_mined", Fint("height", 1), F("miner", "AS24940"))
 	tr2.Emit(600_000_000_000, "p2p", "reorg", Fint("depth", 2), Ffloat("share", 0.3), Fbool("counterfeit", true))
-	tr2.Emit(1200_000_000_000, "attack", "victims_captured", Fuint("n", 18))
+	tr2.Emit(1200_000_000_000, "attack", "victims_captured", Fint("n", 18))
 	var buf2 bytes.Buffer
 	if err := tr2.WriteJSONL(&buf2); err != nil {
 		t.Fatal(err)
@@ -230,7 +235,7 @@ func TestObserverConstructors(t *testing.T) {
 	}
 	d := New(0)
 	d.Trace.Emit(0, "x", "y")
-	if d.Trace.Len() != 1 {
+	if len(d.Trace.Events()) != 1 {
 		t.Fatal("default-capacity tracer must accept events")
 	}
 }

@@ -105,6 +105,8 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value. A nil histogram is a no-op.
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -128,6 +130,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the number of observations (0 for a nil histogram).
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
@@ -321,11 +325,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = append(s.Histograms, p)
 	}
 	return s
-}
-
-// Empty reports whether the snapshot carries no series at all.
-func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
 }
 
 // Render formats the snapshot as sorted "kind name value" lines — the

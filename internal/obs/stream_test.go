@@ -74,9 +74,6 @@ func TestStreamEncoderFraming(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if enc.Encoded() != 3 {
-		t.Fatalf("Encoded() = %d", enc.Encoded())
-	}
 	log, err := DecodeJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)

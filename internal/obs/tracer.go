@@ -32,9 +32,6 @@ func F(k, v string) Field { return Field{K: k, V: v} }
 // Fint builds an integer field.
 func Fint(k string, v int64) Field { return Field{K: k, V: strconv.FormatInt(v, 10)} }
 
-// Fuint builds an unsigned-integer field.
-func Fuint(k string, v uint64) Field { return Field{K: k, V: strconv.FormatUint(v, 10)} }
-
 // Ffloat builds a float field rendered with %g semantics.
 func Ffloat(k string, v float64) Field {
 	return Field{K: k, V: strconv.FormatFloat(v, 'g', -1, 64)}
@@ -126,16 +123,6 @@ func (t *Tracer) Emit(tick int64, scope, typ string, fields ...Field) {
 	t.dropped++
 }
 
-// Len returns the number of events currently held (0 for a nil tracer).
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.n
-}
-
 // Dropped returns how many events were evicted from the ring (0 for a nil
 // tracer).
 func (t *Tracer) Dropped() uint64 {
@@ -223,7 +210,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 type StreamEncoder struct {
 	bw  *bufio.Writer
 	enc *json.Encoder
-	n   int
 }
 
 // NewStreamEncoder writes the stream header and returns the encoder. The
@@ -247,13 +233,9 @@ func (e *StreamEncoder) Encode(events ...Event) error {
 		if err := e.enc.Encode(ev); err != nil {
 			return err
 		}
-		e.n++
 	}
 	return e.bw.Flush()
 }
-
-// Encoded reports how many events the stream has carried.
-func (e *StreamEncoder) Encoded() int { return e.n }
 
 // TraceLog is a decoded JSONL export.
 type TraceLog struct {
@@ -264,6 +246,8 @@ type TraceLog struct {
 
 // DecodeJSONL parses a trace previously written by WriteJSONL. It rejects
 // unknown schema versions and event counts that disagree with the header.
+//
+//lint:ignore unusedexport decodes WriteJSONL traces for the replay, stream and daemon tests that ReplaySummaries and the trace format are checked with
 func DecodeJSONL(r io.Reader) (*TraceLog, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -32,7 +32,7 @@ func BenchmarkBlockFlood(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		net := benchNetwork(b, 200, Config{FailureRate: 1e-9})
-		blk := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+		blk := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 		b.StartTimer()
 		if err := net.Publish(0, blk); err != nil {
 			b.Fatal(err)
@@ -74,7 +74,7 @@ func BenchmarkSteadyStateMining(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		net := benchNetwork(b, 200, Config{})
-		parent := net.Nodes[0].Tree.Genesis()
+		parent := blockchain.Genesis()
 		b.StartTimer()
 		for h := 1; h <= 6; h++ {
 			blk := blockchain.NewBlock(parent, 0, net.Engine.Now(), nil, false)

@@ -18,7 +18,7 @@ func (dropAll) Intercept(from, to NodeID, now time.Duration) FaultVerdict {
 
 func TestFaultInjectorDropsSuppressDelivery(t *testing.T) {
 	net := newTestNetwork(t, 30, Config{FailureRate: 1e-12, Faults: dropAll{}}, 3)
-	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+	b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func (d delayOnly) Intercept(from, to NodeID, now time.Duration) FaultVerdict {
 func TestFaultInjectorDelayStillDelivers(t *testing.T) {
 	calls := 0
 	net := newTestNetwork(t, 30, Config{FailureRate: 1e-12, Faults: delayOnly{&calls}}, 3)
-	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+	b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(0, b); err != nil {
 		t.Fatal(err)
 	}

@@ -374,13 +374,9 @@ func (n *Network) AddBypassLink(a, b NodeID) {
 	n.bypass[[2]NodeID{b, a}] = true
 }
 
-// ClearBypassLinks removes all policy-exempt connections.
-func (n *Network) ClearBypassLinks() { n.bypass = nil }
-
-// Config returns the effective configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // MsgStats returns message accounting so far.
+//
+//lint:ignore unusedexport message accounting the fault-injection and determinism tests assert against
 func (n *Network) MsgStats() Stats { return n.msgStats }
 
 // RefHeight returns the height of the global reference tip.
@@ -707,24 +703,8 @@ func (lb *LagBuckets) Add(behind int) {
 }
 
 // Total returns the number of nodes counted.
+//
+//lint:ignore unusedexport pinned by the soa_* golden digest (synced/behind split)
 func (lb LagBuckets) Total() int {
 	return lb.Synced + lb.Behind1 + lb.Behind2to4 + lb.Behind5to10 + lb.Behind10plus
-}
-
-// BehindAtLeast returns how many counted nodes are at least k blocks behind,
-// for k in {1, 2, 5, 11}; other thresholds are not representable from the
-// buckets and return -1.
-func (lb LagBuckets) BehindAtLeast(k int) int {
-	switch k {
-	case 1:
-		return lb.Behind1 + lb.Behind2to4 + lb.Behind5to10 + lb.Behind10plus
-	case 2:
-		return lb.Behind2to4 + lb.Behind5to10 + lb.Behind10plus
-	case 5:
-		return lb.Behind5to10 + lb.Behind10plus
-	case 11:
-		return lb.Behind10plus
-	default:
-		return -1
-	}
 }

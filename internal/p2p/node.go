@@ -159,15 +159,6 @@ func (n *Node) OrphanWithHash(h blockchain.Hash) (*blockchain.Block, bool) {
 	return b, ok
 }
 
-// OrphanCount returns the number of stashed orphan blocks.
-func (n *Node) OrphanCount() int {
-	total := 0
-	for _, bs := range n.orphans {
-		total += len(bs)
-	}
-	return total
-}
-
 // Height returns the node's best-chain height.
 func (n *Node) Height() int { return n.Tree.Height() }
 

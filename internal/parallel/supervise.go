@@ -49,17 +49,6 @@ type Supervised[T any] struct {
 	Stopped bool
 }
 
-// Completed reports how many tasks produced a result.
-func (s *Supervised[T]) Completed() int {
-	n := 0
-	for _, ok := range s.Ran {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
 // Supervision configures a supervised trial sweep.
 type Supervision[T any] struct {
 	// Workers bounds the pool; <= 0 means DefaultWorkers().

@@ -81,7 +81,7 @@ func TestSuperviseDegradedMode(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if got := sup.Completed(); got != n-2 {
+		if got := completed(sup.Ran); got != n-2 {
 			t.Errorf("workers=%d: completed %d, want %d", workers, got, n-2)
 		}
 		if len(sup.Failures) != 2 {
@@ -243,4 +243,15 @@ func TestSuperviseDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// completed counts the tasks that produced a result.
+func completed(ran []bool) int {
+	n := 0
+	for _, ok := range ran {
+		if ok {
+			n++
+		}
+	}
+	return n
 }

@@ -337,6 +337,8 @@ func (s *Service) TraceSince(id string, cursor uint64) (events []obs.Event, next
 }
 
 // Wait blocks until the job reaches a terminal state.
+//
+//lint:ignore unusedexport test harness: the service, daemon and chaos tests block on job completion through it
 func (s *Service) Wait(id string) (View, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]

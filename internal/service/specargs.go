@@ -35,9 +35,6 @@ func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 	}
 }
 
-// Seed returns the parsed -seed value.
-func (f *SpecFlags) Seed() int64 { return *f.seed }
-
 // Spec builds the validated spec the parsed flags describe for the given
 // command.
 func (f *SpecFlags) Spec(verb, name string) (core.Spec, error) {

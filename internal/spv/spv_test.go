@@ -116,9 +116,6 @@ func TestCounterfeitExposureUnderTemporalAttack(t *testing.T) {
 	if e.OnCounterfeit == 0 {
 		t.Error("no lightweight clients inherited the counterfeit chain")
 	}
-	if f.AmplificationFactor() <= 0 {
-		t.Error("amplification factor should be positive during capture")
-	}
 }
 
 func TestFleetDeterminism(t *testing.T) {
@@ -131,7 +128,7 @@ func TestFleetDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ca, cb := a.Clients(), b.Clients()
+	ca, cb := a.clients, b.clients
 	for i := range ca {
 		if ca[i] != cb[i] {
 			t.Fatalf("client %d differs between identical seeds", i)

@@ -49,9 +49,6 @@ func (c CDF) Points() []CDFPoint {
 	return append([]CDFPoint(nil), c.points...)
 }
 
-// Len returns the number of points.
-func (c CDF) Len() int { return len(c.points) }
-
 // At returns F evaluated at x by step interpolation: the fraction covered by
 // the largest floor(x) groups. For x below the first point it returns 0.
 func (c CDF) At(x float64) float64 {
@@ -83,6 +80,8 @@ func (c CDF) RankFor(f float64) (int, error) {
 
 // Validate checks the CDF invariants: X strictly increasing and F
 // non-decreasing within [0, 1+ε]. It is used by property tests.
+//
+//lint:ignore unusedexport invariant checker the CDF, calibration and centralization tests assert against
 func (c CDF) Validate() error {
 	for i, p := range c.points {
 		if p.F < -1e-12 || p.F > 1+1e-9 {

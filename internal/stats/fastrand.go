@@ -53,14 +53,6 @@ const (
 	fastTap = 273 // rngTap in math/rand
 )
 
-// NewFast returns a generator producing the exact stream of
-// rand.New(rand.NewSource(seed)).
-func NewFast(seed int64) *Fast {
-	f := &Fast{}
-	f.Seed(seed)
-	return f
-}
-
 // Seed repositions f at the start of rand.NewSource(seed)'s stream. It is
 // the arena-reset entry point: re-seeding reuses the receiver, so pooled
 // grids pay no RNG allocation per trial.

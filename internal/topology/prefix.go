@@ -95,6 +95,8 @@ func (p Prefix) Contains(ip IP) bool {
 
 // Covers reports whether p contains the entire range of q (p is equal or
 // less specific than q and they overlap).
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (p Prefix) Covers(q Prefix) bool {
 	return p.Len <= q.Len && q.Base.Mask(p.Len) == p.Base
 }
@@ -109,9 +111,4 @@ func (p Prefix) Halves() (Prefix, Prefix, error) {
 	lo := Prefix{Base: p.Base, Len: p.Len + 1}
 	hi := Prefix{Base: p.Base | IP(1<<(31-p.Len)), Len: p.Len + 1}
 	return lo, hi, nil
-}
-
-// Size returns the number of addresses covered by the prefix.
-func (p Prefix) Size() uint64 {
-	return uint64(1) << (32 - p.Len)
 }

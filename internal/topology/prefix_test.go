@@ -45,8 +45,8 @@ func TestParsePrefix(t *testing.T) {
 	if p.String() != "203.0.113.0/24" {
 		t.Errorf("normalized = %q, want 203.0.113.0/24", p.String())
 	}
-	if p.Size() != 256 {
-		t.Errorf("Size = %d, want 256", p.Size())
+	if p.Len != 24 {
+		t.Errorf("Len = %d, want 24", p.Len)
 	}
 	for _, s := range []string{"1.2.3.4", "1.2.3.4/33", "1.2.3.4/-1", "1.2.3.4/x", "bad/8"} {
 		if _, err := ParsePrefix(s); err == nil {

@@ -82,6 +82,8 @@ func (rt *RouteTable) Resolve(ip IP) (ASN, bool) {
 }
 
 // ResolveLegit resolves ignoring hijack announcements: the legitimate owner.
+//
+//lint:ignore unusedexport the legitimate-owner oracle the hijack tests compare live routing against
 func (rt *RouteTable) ResolveLegit(ip IP) (ASN, bool) {
 	return rt.resolve(ip, false)
 }
@@ -110,17 +112,6 @@ func (rt *RouteTable) resolve(ip IP, includeHijacks bool) (ASN, bool) {
 	return rt.routes[best].Origin, true
 }
 
-// Hijacked reports whether ip is currently routed to a different AS than its
-// legitimate owner.
-func (rt *RouteTable) Hijacked(ip IP) bool {
-	now, okNow := rt.Resolve(ip)
-	legit, okLegit := rt.ResolveLegit(ip)
-	if !okNow || !okLegit {
-		return false
-	}
-	return now != legit
-}
-
 // HijackPrefix launches a sub-prefix hijack of target from attacker: the
 // attacker announces both more-specific halves of the target prefix, winning
 // longest-prefix-match for every address inside it. For /32 targets, where
@@ -146,9 +137,6 @@ func (rt *RouteTable) HijackPrefix(attacker ASN, target Prefix) error {
 	return nil
 }
 
-// Len returns the number of routes (legitimate + hijack).
-func (rt *RouteTable) Len() int { return len(rt.routes) }
-
 // HijackCount returns the number of active hijack announcements.
 func (rt *RouteTable) HijackCount() int {
 	n := 0
@@ -162,6 +150,8 @@ func (rt *RouteTable) HijackCount() int {
 
 // RoutesFor returns copies of all routes covering ip, most specific first,
 // for diagnostics.
+//
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
 func (rt *RouteTable) RoutesFor(ip IP) []Route {
 	var out []Route
 	for _, r := range rt.routes {

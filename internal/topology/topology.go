@@ -86,12 +86,6 @@ func (t *Topology) AS(n ASN) (*AS, bool) {
 	return as, ok
 }
 
-// Org returns the organization with the given name.
-func (t *Topology) Org(name string) (*Organization, bool) {
-	o, ok := t.orgs[name]
-	return o, ok
-}
-
 // ASNs returns all registered AS numbers in ascending order.
 func (t *Topology) ASNs() []ASN {
 	out := make([]ASN, 0, len(t.ases))
@@ -156,6 +150,8 @@ func (t *Topology) ASesInCountry(country string) []ASN {
 // Validate checks registry invariants: every announced legitimate route's
 // origin is a registered AS, and every org back-references only registered
 // ASes. Used by property tests.
+//
+//lint:ignore unusedexport registry invariant checker the topology and population property tests assert against
 func (t *Topology) Validate() error {
 	for _, org := range t.orgs {
 		for _, n := range org.ASNs {

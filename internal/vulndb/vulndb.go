@@ -182,9 +182,6 @@ func New() *DB {
 	}}
 }
 
-// Len returns the number of records.
-func (db *DB) Len() int { return len(db.cves) }
-
 // Lookup returns the record for an ID.
 func (db *DB) Lookup(id string) (CVE, bool) {
 	for _, c := range db.cves {
