@@ -76,19 +76,6 @@ func TestPresetRegistry(t *testing.T) {
 	}
 }
 
-func TestNewScenarioOptions(t *testing.T) {
-	churn := ChurnSpec{Fraction: 0.2, MeanUptime: 4 * time.Hour, MeanDowntime: 20 * time.Minute}
-	links := LinkSpec{DropFraction: 0.1}
-	chaos := ChaosSpec{LossProb: 0.05}
-	sc := NewScenario(WithName("lab"), WithChurn(churn), WithLinks(links), WithChaos(chaos))
-	if sc.Name != "lab" || sc.Churn != churn || sc.Links != links || sc.Chaos != chaos {
-		t.Errorf("NewScenario assembled %+v", sc)
-	}
-	if !sc.Enabled() {
-		t.Error("assembled scenario not enabled")
-	}
-}
-
 func TestValidateRejects(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -338,7 +325,7 @@ func TestGridInjectorDeterministic(t *testing.T) {
 	if !sawDown {
 		t.Error("50% churn never took a cell down in 500 steps")
 	}
-	// Zero scenario: no churn list, no down cells, Allow always true.
+	// Zero scenario: no churn list, no down cells, every link up.
 	z, err := NewGridInjector(Scenario{}, 9, cells, step, -1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -348,7 +335,7 @@ func TestGridInjectorDeterministic(t *testing.T) {
 		if countDown(z) != 0 {
 			t.Fatal("zero-scenario grid injector took a cell down")
 		}
-		if !z.Allow(0, 1, s) || z.ChaosLoss() {
+		if c, _ := z.LinkClass(0, 1); c != LinkUp || z.ChaosLoss() {
 			t.Fatal("zero-scenario grid injector interfered with a link")
 		}
 	}

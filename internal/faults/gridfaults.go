@@ -9,10 +9,13 @@ import (
 // GridInjector realizes a Scenario against the step-driven grid model
 // (gridsim): churn takes cells down and up on step boundaries, and the
 // shared pure-hash link table decides which neighbor exchanges are dead,
-// one-way, or mid-flap. Message chaos maps onto the grid's one-exchange-
-// per-step model as extra loss only — duplication and extra delay have no
-// representation when a step *is* the unit of communication, so those
-// knobs are ignored here (the event-driven Injector honors them).
+// one-way, or mid-flap. The grid's edges never change, so gridsim compiles
+// the table once per run (LinkClass per edge) and checks a contact with
+// LinkDown, never re-hashing an endpoint pair in the step loop. Message
+// chaos maps onto the grid's one-exchange-per-step model as extra loss
+// only — duplication and extra delay have no representation when a step
+// *is* the unit of communication, so those knobs are ignored here (the
+// event-driven Injector honors them).
 //
 // Scenario durations are converted to steps through the step duration the
 // caller supplies (gridsim passes BlockInterval / stepsPerBlock, the
@@ -27,6 +30,9 @@ type GridInjector struct {
 	// order-free ChaosLossAt hashes off a value that never advances.
 	chaosSeed uint64
 	linkSeed  uint64
+	// flapPeriod and flapUp are the flap cycle and its up span, the two
+	// constants of the per-contact flap check.
+	flapPeriod, flapUp time.Duration
 
 	// down[i] is cell i's current churn state; churn lists the churning
 	// cells with their private streams and next scheduled flip step.
@@ -63,6 +69,9 @@ func NewGridInjector(sc Scenario, seed int64, cells int, stepDur time.Duration, 
 		down:      make([]bool, cells),
 		m:         newMetrics(o),
 		trace:     o.Tracer(),
+	}
+	if sc.Links.FlapFraction > 0 {
+		gi.flapPeriod, gi.flapUp = sc.Links.FlapPeriod, flapUpSpan(sc.Links)
 	}
 	if gi.sc.Churn.Enabled() {
 		churnSeed := deriveStreamSeed(seed, saltGridChurn)
@@ -123,33 +132,49 @@ func (gi *GridInjector) StepChurn(step int) {
 // Down reports whether the cell is churned out at the moment.
 func (gi *GridInjector) Down(i int) bool { return gi.down[i] }
 
-// Allow consults the link table for the exchange i→j at the given step,
-// counting whatever fault it hits.
-func (gi *GridInjector) Allow(i, j, step int) bool {
-	if !gi.sc.Links.Enabled() {
-		return true
+// LinkClass classifies the directed link from→to for the compiled table:
+// its class and, for a flapping link, its phase. Without link faults every
+// link is LinkUp.
+func (gi *GridInjector) LinkClass(from, to int) (LinkClass, time.Duration) {
+	return classifyLink(gi.linkSeed, gi.sc.Links, from, to)
+}
+
+// FlapClock is the position of the given step in the flap cycle,
+// (step·stepDur) mod FlapPeriod, or zero when no link flaps. Callers
+// compute it once per step and pass it to LinkDown.
+func (gi *GridInjector) FlapClock(step int) time.Duration {
+	if gi.flapPeriod == 0 {
+		return 0
 	}
-	kind, down := linkDown(gi.linkSeed, gi.sc.Links, i, j, time.Duration(step)*gi.stepDur)
-	if !down {
-		return true
+	return time.Duration(step) * gi.stepDur % gi.flapPeriod
+}
+
+// LinkDown is the per-contact check of a compiled link: whether a link of
+// class c (not LinkUp) and the given phase is down at the step whose
+// FlapClock is clock, counting whatever fault it hits. It answers exactly as linkDown at
+// time step·stepDur: clock and phase both lie in [0, FlapPeriod), so one
+// conditional subtract reduces their sum mod FlapPeriod. It is safe from
+// gang workers: it reads only fields fixed at construction, and the metric
+// increment is atomic.
+func (gi *GridInjector) LinkDown(c LinkClass, phase, clock time.Duration) bool {
+	if c == LinkFlap {
+		pos := clock + phase
+		if pos >= gi.flapPeriod {
+			pos -= gi.flapPeriod
+		}
+		if pos < gi.flapUp {
+			return false
+		}
 	}
-	switch kind {
-	case kindLinkDrop:
-		gi.m.linkDrop.Inc()
-	case kindLinkOneWay:
-		gi.m.linkOneWay.Inc()
-	case kindLinkFlap:
-		gi.m.linkFlap.Inc()
-	}
-	return false
+	gi.m.link[c].Inc()
+	return true
 }
 
 // ChaosLoss draws one extra-loss decision from the chaos stream (in cell
-// order, which the grid's communicate loop fixes).
+// order, which the grid's communicate loop fixes). Callers gate it on a
+// positive Chaos.LossProb, which keeps it small enough to inline; at zero
+// it still draws nothing.
 func (gi *GridInjector) ChaosLoss() bool {
-	if gi.sc.Chaos.LossProb <= 0 {
-		return false
-	}
 	if gi.chaos.bernoulli(gi.sc.Chaos.LossProb) {
 		gi.m.msgLoss.Inc()
 		return true
@@ -163,11 +188,9 @@ func (gi *GridInjector) ChaosLoss() bool {
 // order — or concurrently — reach identical decisions, and the loss count
 // is invariant to shard and worker count. The metric increment is atomic
 // and commutative, so it is safe from gang workers. The legacy engine keeps
-// ChaosLoss: its goldens pin the sequential stream.
+// ChaosLoss: its goldens pin the sequential stream. Callers gate it on a
+// positive Chaos.LossProb, like ChaosLoss.
 func (gi *GridInjector) ChaosLossAt(cell, step int) bool {
-	if gi.sc.Chaos.LossProb <= 0 {
-		return false
-	}
 	h := mix64(gi.chaosSeed ^ mix64(uint64(cell)+1) ^ mix64(uint64(step)<<20))
 	if unit(h) < gi.sc.Chaos.LossProb {
 		gi.m.msgLoss.Inc()

@@ -41,15 +41,14 @@ const (
 // therefore no-ops) when observability is off. Every injection increments
 // faults.injected{kind=...}.
 type metrics struct {
-	linkDrop   *obs.Counter
-	linkOneWay *obs.Counter
-	linkFlap   *obs.Counter
-	msgLoss    *obs.Counter
-	msgDup     *obs.Counter
-	msgDelay   *obs.Counter
-	churnDown  *obs.Counter
-	churnUp    *obs.Counter
-	rewire     *obs.Counter
+	// link is indexed by LinkClass; link[LinkUp] stays nil.
+	link      [LinkFlap + 1]*obs.Counter
+	msgLoss   *obs.Counter
+	msgDup    *obs.Counter
+	msgDelay  *obs.Counter
+	churnDown *obs.Counter
+	churnUp   *obs.Counter
+	rewire    *obs.Counter
 }
 
 func newMetrics(o *obs.Observer) metrics {
@@ -61,15 +60,17 @@ func newMetrics(o *obs.Observer) metrics {
 		return reg.Counter("faults.injected", obs.L("kind", k))
 	}
 	return metrics{
-		linkDrop:   kind(kindLinkDrop),
-		linkOneWay: kind(kindLinkOneWay),
-		linkFlap:   kind(kindLinkFlap),
-		msgLoss:    kind(kindMsgLoss),
-		msgDup:     kind(kindMsgDup),
-		msgDelay:   kind(kindMsgDelay),
-		churnDown:  kind(kindChurnDown),
-		churnUp:    kind(kindChurnUp),
-		rewire:     kind(kindRewire),
+		link: [LinkFlap + 1]*obs.Counter{
+			LinkDrop:   kind(kindLinkDrop),
+			LinkOneWay: kind(kindLinkOneWay),
+			LinkFlap:   kind(kindLinkFlap),
+		},
+		msgLoss:   kind(kindMsgLoss),
+		msgDup:    kind(kindMsgDup),
+		msgDelay:  kind(kindMsgDelay),
+		churnDown: kind(kindChurnDown),
+		churnUp:   kind(kindChurnUp),
+		rewire:    kind(kindRewire),
 	}
 }
 
@@ -118,15 +119,8 @@ func NewInjector(sc Scenario, seed int64, o *obs.Observer) (*Injector, error) {
 func (inj *Injector) Intercept(from, to p2p.NodeID, now time.Duration) p2p.FaultVerdict {
 	var v p2p.FaultVerdict
 	if inj.sc.Links.Enabled() {
-		if kind, down := linkDown(inj.linkSeed, inj.sc.Links, int(from), int(to), now); down {
-			switch kind {
-			case kindLinkDrop:
-				inj.m.linkDrop.Inc()
-			case kindLinkOneWay:
-				inj.m.linkOneWay.Inc()
-			case kindLinkFlap:
-				inj.m.linkFlap.Inc()
-			}
+		if c, down := linkDown(inj.linkSeed, inj.sc.Links, int(from), int(to), now); down {
+			inj.m.link[c].Inc()
 			v.Drop = true
 			return v
 		}
@@ -158,30 +152,41 @@ func pairHash(linkSeed uint64, a, b int) uint64 {
 	return mix64(linkSeed ^ mix64(uint64(uint32(a))<<32|uint64(uint32(b))))
 }
 
-// linkDown decides whether the directed link from→to is down at the given
-// time. It is a pure function of (linkSeed, endpoints, now): no state, no
-// stream, so the answer never depends on how much traffic the link has
-// carried — the property the determinism tests pin. Both the event-driven
-// injector and the grid injector share this table.
+// LinkClass is a directed link's entry in the link table: the fault family
+// it belongs to, fixed for the life of an injector. Only a flapping link's
+// state moves with time, through the phase its classification carries.
+type LinkClass uint8
+
+// The link classes. LinkUp is the zero value, so a zeroed table is a
+// faultless one.
+const (
+	LinkUp LinkClass = iota
+	LinkDrop
+	LinkOneWay
+	LinkFlap
+)
+
+// classifyLink is the link table's one definition: a pure function of
+// (linkSeed, spec, endpoints), with no state and no stream, so the answer
+// never depends on how much traffic the link has carried — the property
+// the determinism tests pin. The event-driven injector classifies per
+// message (linkDown); the grid injector classifies every edge once and
+// gridsim keeps the result in a per-edge table.
 //
 // The undirected hash's unit draw partitions links into dead
 // [0, DropFraction), flapping [DropFraction, DropFraction+FlapFraction),
 // and candidates for a one-way blackhole; a second hash picks the flap
-// phase, a third the blackholed direction (only ever one direction, the
-// asymmetric state BGP route reconvergence leaves behind).
-func linkDown(linkSeed uint64, l LinkSpec, from, to int, now time.Duration) (string, bool) {
+// phase in [0, FlapPeriod), a third the blackholed direction (only ever one
+// direction, the asymmetric state BGP route reconvergence leaves behind).
+// The phase is zero for every class but LinkFlap.
+func classifyLink(linkSeed uint64, l LinkSpec, from, to int) (LinkClass, time.Duration) {
 	h := pairHash(linkSeed, from, to)
 	u := unit(h)
 	if u < l.DropFraction {
-		return kindLinkDrop, true
+		return LinkDrop, 0
 	}
 	if u < l.DropFraction+l.FlapFraction {
-		phase := time.Duration(mix64(h^0x5F1A) % uint64(l.FlapPeriod))
-		pos := (now + phase) % l.FlapPeriod
-		if pos >= time.Duration(float64(l.FlapPeriod)*l.FlapDuty) {
-			return kindLinkFlap, true
-		}
-		return "", false
+		return LinkFlap, time.Duration(mix64(h^0x5F1A) % uint64(l.FlapPeriod))
 	}
 	if l.OneWayFraction > 0 {
 		h2 := mix64(h ^ 0x0E1A)
@@ -192,11 +197,31 @@ func linkDown(linkSeed uint64, l LinkSpec, from, to int, now time.Duration) (str
 			}
 			deadFromLow := mix64(h2)&1 == 0
 			if (from == lo) == deadFromLow {
-				return kindLinkOneWay, true
+				return LinkOneWay, 0
 			}
 		}
 	}
-	return "", false
+	return LinkUp, 0
+}
+
+// flapUpSpan is the part of each flap period a flapping link is up.
+func flapUpSpan(l LinkSpec) time.Duration {
+	return time.Duration(float64(l.FlapPeriod) * l.FlapDuty)
+}
+
+// linkDown decides whether the directed link from→to is down at the given
+// time, returning the link's class: the classifier plus the time check.
+// A flapping link is down for the part of each period past its up span,
+// counted from its phase offset.
+func linkDown(linkSeed uint64, l LinkSpec, from, to int, now time.Duration) (LinkClass, bool) {
+	c, phase := classifyLink(linkSeed, l, from, to)
+	switch c {
+	case LinkUp:
+		return c, false
+	case LinkFlap:
+		return c, (now+phase)%l.FlapPeriod >= flapUpSpan(l)
+	}
+	return c, true
 }
 
 // StartChurn schedules the join/leave cycles of every churning node on the

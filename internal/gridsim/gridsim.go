@@ -245,6 +245,16 @@ type Grid struct {
 	// zero value — the faultless hot loop contains no fault checks at all
 	// (communicate dispatches to a separate faulty variant).
 	faults *faults.GridInjector
+	// linkCls/linkPhase are the compiled link table (DESIGN.md §10), live
+	// while faults is: they parallel nbrs, holding each directed edge's
+	// link class and flap phase, so a faulty contact's link check is one
+	// byte load (plus a time check on a flapping edge) instead of a hash.
+	// flapClock is the current step's position in the flap cycle, and
+	// chaosLoss hoists the Chaos.LossProb > 0 gate out of the contact loop.
+	linkCls   []faults.LinkClass
+	linkPhase []time.Duration
+	flapClock time.Duration
+	chaosLoss bool
 	// exhausted latches once Advance refuses to cross Config.StepBudget.
 	exhausted bool
 
@@ -307,9 +317,9 @@ func FromConfig(cfg Config) (*Grid, error) {
 
 // ResetConfig restarts the grid in place under a full new configuration.
 // Arenas are reused whenever the grid shape allows: same Size keeps the
-// neighbor cache, and all per-cell and per-fork slices recycle their
-// backing arrays. Only the fault injector (rare, off the benchmark path)
-// and observer bindings are rebuilt per reset.
+// neighbor cache, and all per-cell, per-edge and per-fork slices recycle
+// their backing arrays, the compiled link table included. Only the fault
+// injector's own state and the observer bindings are rebuilt per reset.
 func (g *Grid) ResetConfig(cfg Config) error {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -407,6 +417,8 @@ func (g *Grid) ResetConfig(cfg Config) error {
 			return fmt.Errorf("gridsim: %w", err)
 		}
 		g.faults = injector
+		g.compileLinks(n)
+		g.chaosLoss = cfg.Faults.Chaos.LossProb > 0
 	}
 
 	g.obsOn = false
@@ -432,6 +444,23 @@ func (g *Grid) ResetConfig(cfg Config) error {
 		}
 	}
 	return nil
+}
+
+// compileLinks fills the link table: the class and flap phase of every
+// directed edge, classified once per reset by the injector. The grid's
+// edges are fixed, so the step loops never classify a link again.
+func (g *Grid) compileLinks(n int) {
+	m := len(g.nbrs)
+	if cap(g.linkCls) >= m {
+		g.linkCls, g.linkPhase = g.linkCls[:m], g.linkPhase[:m]
+	} else {
+		g.linkCls, g.linkPhase = make([]faults.LinkClass, m), make([]time.Duration, m)
+	}
+	for i := 0; i < n; i++ {
+		for e := g.nbrOff[i]; e < g.nbrOff[i+1]; e++ {
+			g.linkCls[e], g.linkPhase[e] = g.faults.LinkClass(i, int(g.nbrs[e]))
+		}
+	}
 }
 
 // resizeI32 returns a slice of length n, reusing s's backing array when it
@@ -589,8 +618,7 @@ func (g *Grid) Advance(n int) {
 		g.step++
 		if g.faults != nil {
 			g.faults.StepChurn(g.step)
-		}
-		if g.faults != nil {
+			g.flapClock = g.faults.FlapClock(g.step)
 			g.communicateFaulty()
 		} else {
 			g.communicate()
@@ -727,6 +755,7 @@ func (g *Grid) communicateFaulty() {
 	}
 	boundary := g.boundaryActive()
 	thresh := g.failThresh
+	clock, lossy := g.flapClock, g.chaosLoss
 	n := len(g.fork)
 	for i := 0; i < n; i++ {
 		// A churned-out cell makes no communication attempt at all — its rng
@@ -759,8 +788,15 @@ func (g *Grid) communicateFaulty() {
 		}
 		j := int(g.nbrs[e])
 		// Fault injection: a down partner, a dead/flapping/one-way link, or
-		// chaos loss kills the exchange (DESIGN.md §10).
-		if g.faults.Down(j) || !g.faults.Allow(i, j, g.step) || g.faults.ChaosLoss() {
+		// chaos loss kills the exchange (DESIGN.md §10). The link check reads
+		// the compiled table; chaos draws only for a live link.
+		if g.faults.Down(j) {
+			continue
+		}
+		if c := g.linkCls[e]; c != faults.LinkUp && g.faults.LinkDown(c, g.linkPhase[e], clock) {
+			continue
+		}
+		if lossy && g.faults.ChaosLoss() {
 			continue
 		}
 		hi, hj := g.height[i], g.height[j]

@@ -1,6 +1,7 @@
 package gridsim
 
 import (
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/shard"
@@ -145,6 +146,7 @@ func (g *Grid) advanceSharded(n int) {
 		g.step++
 		if g.faults != nil {
 			g.faults.StepChurn(g.step)
+			g.flapClock = g.faults.FlapClock(g.step)
 		}
 		g.tickKey = shard.Mix(g.tickBase + uint64(g.step)*shard.Gamma)
 		if g.obsOn {
@@ -193,6 +195,7 @@ func (g *Grid) tickShard(s int) {
 	thresh := g.failThresh53
 	tick := g.tickKey
 	faulty := g.faults != nil
+	clock, lossy := g.flapClock, g.chaosLoss
 	obsOn := g.obsOn
 	var pd []int32
 	if obsOn {
@@ -225,8 +228,16 @@ func (g *Grid) tickShard(s int) {
 			continue
 		}
 		j := int(g.nbrs[e])
-		if faulty && (g.faults.Down(j) || !g.faults.Allow(i, j, g.step) || g.faults.ChaosLossAt(i, g.step)) {
-			continue
+		if faulty {
+			if g.faults.Down(j) {
+				continue
+			}
+			if c := g.linkCls[e]; c != faults.LinkUp && g.faults.LinkDown(c, g.linkPhase[e], clock) {
+				continue
+			}
+			if lossy && g.faults.ChaosLossAt(i, g.step) {
+				continue
+			}
 		}
 		// Pull-only longest chain: adopt the contacted neighbor's view iff
 		// it is strictly higher. The attacker's anchor never abandons its
