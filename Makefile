@@ -1,16 +1,16 @@
 # Tier-1 verification gate and performance tooling.
 #
-#   make check      — the tier-1 gate: build, vet, repolint, tests, race tests,
-#                     and the benchmark module's vet + tests
-#   make lint       — go vet + the repo's own analyzers (cmd/repolint)
-#   make ci         — the gate plus gofmt, the lint baseline, and the crash harness
+#   make check      — the tier-1 gate: build, vet, tests (the lint audit among
+#                     them), race tests, and the benchmark module's vet + tests
+#   make lint       — go vet + the root lint audit (all nine internal/lint analyzers)
+#   make ci         — the gate plus gofmt, the crash harness and the chaos proofs
 #   make crash      — kill/resume harness + fuzz smokes (DESIGN.md §11)
 #   make chaos      — exhaustive crash-point recovery proofs (DESIGN.md §15)
 #   make bench      — the benchmark: perfbench's sweep, scale and daemon
 #                     workloads (perfbench/README.md)
 GO ?= go
 
-.PHONY: all build vet lint test race perfbench check ci fmtcheck baselinecheck crash chaos bench clean clean-lintcache
+.PHONY: all build vet lint test race perfbench check ci fmtcheck crash chaos bench clean
 
 all: check
 
@@ -20,15 +20,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the determinism-and-safety analyzers from
-# internal/lint (seededrand, seedflow, maporder, detmerge, nogoroutine,
-# wallclock, checkederr, hotescape — see DESIGN.md §8). Any diagnostic
-# fails the target. unusedexport needs the whole module at once, so it runs
-# in the root audit test (seedaudit_test.go) under `make test` instead. Results are replayed from the on-disk
-# action cache in .lintcache/ when sources and analyzer versions are
-# unchanged, so repeat runs cost a fraction of the first.
+# lint runs go vet plus the root lint audit (TestLintSuite in
+# lintsuite_test.go): one load of ./..., tests included, checked by all nine
+# analyzers from internal/lint (seededrand, seedflow, maporder, detmerge,
+# nogoroutine, wallclock, checkederr, hotescape, unusedexport — see
+# DESIGN.md §8). Any finding fails the target. `go run ./cmd/repolint -fix`
+# applies the safe suggested fixes.
 lint: vet
-	$(GO) run ./cmd/repolint ./...
+	$(GO) test -count=1 -run '^TestLintSuite$$' .
 
 test:
 	$(GO) test ./...
@@ -50,8 +49,9 @@ perfbench:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
 
-# check is the tier-1 gate every PR must keep green (see README).
-check: build lint test race perfbench
+# check is the tier-1 gate every PR must keep green (see README). It takes
+# vet rather than lint because test already runs the lint audit.
+check: build vet test race perfbench
 
 # fmtcheck fails if any file is not gofmt-clean.
 fmtcheck:
@@ -75,17 +75,10 @@ crash:
 chaos:
 	CHAOS_EXHAUSTIVE=1 $(GO) test -run 'TestChaos' -count=1 ./internal/integration/
 
-# baselinecheck enforces the lint baseline discipline: no repolint finding
-# beyond the committed lint.baseline.json, and the baseline never grows
-# stale (every entry must still correspond to a live finding). Regenerate
-# a shrunken baseline with scripts/regen_baseline.sh.
-baselinecheck:
-	sh scripts/check_baseline.sh
-
 # ci is the single command a CI workflow should run: the full tier-1 gate
-# plus formatting cleanliness, the lint baseline gate, the kill/resume
-# harness, and the exhaustive chaos crash-point proofs.
-ci: check fmtcheck baselinecheck crash chaos
+# plus formatting cleanliness, the kill/resume harness, and the exhaustive
+# chaos crash-point proofs.
+ci: check fmtcheck crash chaos
 
 # bench runs the one benchmark harness, perfbench, on each of its three
 # workloads: the in-process paper sweep, the paper-scale kernels, and the
@@ -96,10 +89,5 @@ bench:
 		bash perfbench/run.sh --workload $$w --seed 1 --seconds 15 --trace 0 || exit 1; \
 	done
 
-clean: clean-lintcache
+clean:
 	$(GO) clean ./...
-
-# clean-lintcache drops the repolint action cache; the next `make lint`
-# rebuilds it from scratch.
-clean-lintcache:
-	rm -rf .lintcache

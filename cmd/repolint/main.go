@@ -1,317 +1,72 @@
-// Command repolint is the repository's multichecker: it runs every
-// determinism-and-safety analyzer in internal/lint over the packages
-// matching its arguments (default ./...) and exits non-zero on any
-// finding. It is part of the tier-1 gate via `make lint` / `make check`,
-// alongside go vet.
+// Command repolint prints the findings of the repository's lint suite and,
+// with -fix, applies their safe suggested fixes in place. It runs the same
+// gate as the root audit test (lint.Audit): the full suite over one load of
+// the whole module, tests included, so run it from the module root.
 //
 // Usage:
 //
-//	repolint [-fix] [-tests=false] [-json|-sarif] [-baseline file]
-//	         [-write-baseline file] [-cache dir] [packages]
+//	repolint [-fix]
 //
-// Findings are computed incrementally: each package's result is cached on
-// disk keyed by the analyzer suite, the package's own sources, and the
-// identity of everything in its dependency cone (in-module dependency
-// sources, export-data paths for everything else). A warm run with no
-// changes parses nothing. -cache "" disables the cache; -fix bypasses it.
-//
-// With -fix, safe suggested fixes (such as inserting the missing sort after
-// a map-keys loop) are applied to the source in place and the suite is run
-// again; the exit status reflects the findings that remain. A finding can
-// be suppressed at a specific site with a justified directive on or above
-// the offending line (a directive on its own line governs the whole
-// following declaration or statement, grouped var/const blocks included):
+// With -fix, the suggested fixes (such as inserting the missing sort after
+// a map-keys loop) are applied and the suite is run again; the exit status
+// reflects the findings that remain. A finding can be suppressed at a
+// specific site with a justified directive on or above the offending line
+// (a directive on its own line governs the whole following declaration or
+// statement, grouped var/const blocks included):
 //
 //	//lint:ignore <analyzer> <reason>
-//
-// With -baseline, findings recorded in the baseline file are tolerated
-// (matched by analyzer, file, and message, so they survive line drift) and
-// only new findings fail the run. -write-baseline records the current
-// findings and exits; scripts/regen_baseline.sh wraps it.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"sort"
 
 	"repro/internal/lint"
-	"repro/internal/lint/analysis"
-	"repro/internal/lint/load"
 )
 
 func main() {
-	fix := flag.Bool("fix", false, "apply safe suggested fixes in place, then re-lint (bypasses the cache)")
-	tests := flag.Bool("tests", true, "also lint _test.go files and external test packages")
-	jsonOut := flag.Bool("json", false, "print findings as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "print findings as a SARIF 2.1.0 log")
-	baseline := flag.String("baseline", "", "tolerate findings recorded in this baseline file; fail only on new ones")
-	writeBaseline := flag.String("write-baseline", "", "record current findings to this baseline file and exit")
-	cacheDir := flag.String("cache", ".lintcache", "action cache directory (empty disables caching)")
+	fix := flag.Bool("fix", false, "apply safe suggested fixes in place, then re-lint")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
-			"usage: repolint [-fix] [-tests=false] [-json|-sarif] [-baseline file] [-write-baseline file] [-cache dir] [packages]\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: repolint [-fix]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-12s %s\n", a.Name, a.Doc)
 		}
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
-	results, err := run(*tests, *fix, *cacheDir, patterns)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "repolint:", err)
+	if flag.NArg() > 0 {
+		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *writeBaseline != "" {
-		if err := writeBaselineFile(*writeBaseline, results); err != nil {
-			fmt.Fprintln(os.Stderr, "repolint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "repolint: wrote %d finding(s) to %s\n", len(results), *writeBaseline)
-		return
-	}
-
-	tolerated := 0
-	if *baseline != "" {
-		base, err := readBaselineFile(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "repolint:", err)
-			os.Exit(2)
-		}
-		var fresh []result
-		fresh, tolerated = diffBaseline(results, base)
-		results = fresh
-	}
-
-	switch {
-	case *jsonOut:
-		err = printJSON(os.Stdout, results)
-	case *sarifOut:
-		err = printSARIF(os.Stdout, results)
-	default:
-		for _, r := range results {
-			fmt.Println(r)
-		}
+	findings, err := lint.Audit(".")
+	if err == nil && *fix && len(findings) > 0 {
+		findings, err = fixAndRelint(findings)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "repolint:", err)
 		os.Exit(2)
 	}
-	if tolerated > 0 {
-		fmt.Fprintf(os.Stderr, "repolint: %d baselined finding(s) tolerated\n", tolerated)
+	for _, f := range findings {
+		fmt.Println(f)
 	}
-	if len(results) > 0 {
-		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", len(results))
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "repolint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
 }
 
-// run produces the sorted findings for the patterns, consulting the action
-// cache unless fixing (fixes need live token positions).
-func run(tests, fix bool, cacheDir string, patterns []string) ([]result, error) {
-	if fix {
-		findings, err := runAll(tests, patterns)
-		if err != nil {
-			return nil, err
-		}
-		if len(findings) > 0 {
-			applied, err := lint.ApplyFixes(findings)
-			if err != nil {
-				return nil, fmt.Errorf("applying fixes: %v", err)
-			}
-			if applied > 0 {
-				fmt.Fprintf(os.Stderr, "repolint: applied %d fix(es); re-linting\n", applied)
-				if findings, err = runAll(tests, patterns); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return toResults(findings), nil
-	}
-	return runCached(tests, cacheDir, patterns)
-}
-
-// runAll loads everything and applies the full suite once (the -fix path).
-func runAll(tests bool, patterns []string) ([]lint.Finding, error) {
-	pkgs, err := load.Packages(".", tests, patterns...)
+// fixAndRelint applies every suggested fix and, if any edit landed, audits
+// the module again so the result reflects the fixed sources.
+func fixAndRelint(findings []lint.Finding) ([]lint.Finding, error) {
+	applied, err := lint.ApplyFixes(findings)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("applying fixes: %v", err)
 	}
-	return lint.Run(pkgs, lint.Analyzers())
-}
-
-// runCached plans the load set, replays cache hits, and analyzes only the
-// misses (loading their dependency cones so interprocedural summaries see
-// every callee body).
-func runCached(tests bool, cacheDir string, patterns []string) ([]result, error) {
-	plan, err := load.PlanPackages(".", tests, patterns...)
-	if err != nil {
-		return nil, err
+	if applied == 0 {
+		return findings, nil
 	}
-	analyzers := lint.Analyzers()
-	var cache *actionCache
-	if cacheDir != "" {
-		cache, err = openCache(cacheDir, analyzers, tests, plan)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var results []result
-	var misses []load.Target
-	for _, t := range plan.Targets {
-		if cache != nil {
-			if rs, ok := cache.get(t); ok {
-				results = append(results, rs...)
-				continue
-			}
-		}
-		misses = append(misses, t)
-	}
-
-	if len(misses) > 0 {
-		fresh, err := analyzeMisses(plan, analyzers, misses, cache)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, fresh...)
-	}
-	sortResults(results)
-	return results, nil
-}
-
-// analyzeMisses loads the cache misses plus their in-module dependency
-// cones, runs the suite reporting only on the misses, and stores each
-// miss's findings back into the cache.
-func analyzeMisses(plan *load.Plan, analyzers []*analysis.Analyzer, misses []load.Target, cache *actionCache) ([]result, error) {
-	byPath := map[string]load.Target{}
-	for _, t := range plan.Targets {
-		byPath[t.ImportPath] = t
-	}
-
-	needed := map[string]load.Target{}
-	missSet := map[string]bool{}
-	for _, m := range misses {
-		needed[m.ImportPath] = m
-		missSet[m.ImportPath] = true
-		for _, dep := range m.Deps {
-			if _, have := needed[dep]; have {
-				continue
-			}
-			if t, ok := byPath[dep]; ok {
-				needed[dep] = t
-			} else if t, ok := plan.TargetFor(dep); ok {
-				needed[dep] = t
-			}
-		}
-	}
-	var order []string
-	for p := range needed {
-		order = append(order, p)
-	}
-	sort.Strings(order)
-
-	var pkgs []*load.Package
-	for _, p := range order {
-		pkg, err := plan.Load(needed[p])
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-
-	findings, err := lint.RunTargets(pkgs, analyzers, missSet)
-	if err != nil {
-		return nil, err
-	}
-
-	// Partition findings back onto their targets for cache writes.
-	owner := map[string]string{} // absolute file path → import path
-	for _, m := range misses {
-		for _, f := range m.Files {
-			owner[f] = m.ImportPath
-		}
-	}
-	perTarget := map[string][]result{}
-	var results []result
-	for _, f := range findings {
-		r := toResult(f)
-		results = append(results, r)
-		if imp, ok := owner[f.Position.Filename]; ok {
-			perTarget[imp] = append(perTarget[imp], r)
-		}
-	}
-	if cache != nil {
-		for _, m := range misses {
-			if err := cache.put(m, perTarget[m.ImportPath]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return results, nil
-}
-
-// result is one finding in the serializable, position-resolved form shared
-// by the cache, the baseline, and every output format. File paths are
-// working-directory-relative so baselines and caches travel.
-type result struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-func (r result) String() string {
-	return fmt.Sprintf("%s:%d:%d: %s (%s)", r.File, r.Line, r.Column, r.Message, r.Analyzer)
-}
-
-func toResult(f lint.Finding) result {
-	file := f.Position.Filename
-	if rel, err := filepath.Rel(".", file); err == nil {
-		file = rel
-	}
-	return result{
-		Analyzer: f.Analyzer,
-		File:     file,
-		Line:     f.Position.Line,
-		Column:   f.Position.Column,
-		Message:  f.Diagnostic.Message,
-	}
-}
-
-func toResults(findings []lint.Finding) []result {
-	out := make([]result, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, toResult(f))
-	}
-	sortResults(out)
-	return out
-}
-
-func sortResults(rs []result) {
-	sort.Slice(rs, func(i, j int) bool {
-		a, b := rs[i], rs[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Column != b.Column {
-			return a.Column < b.Column
-		}
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		return a.Message < b.Message
-	})
+	fmt.Fprintf(os.Stderr, "repolint: applied %d fix(es); re-linting\n", applied)
+	return lint.Audit(".")
 }

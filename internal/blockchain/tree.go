@@ -172,20 +172,6 @@ func (t *Tree) AtHeight(h int) (*Block, bool) {
 	return b, true
 }
 
-// ForkDepth returns, for a live fork, the number of blocks on the best chain
-// since the common ancestor with the given tip; 0 if other is on the best
-// chain.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
-func (t *Tree) ForkDepth(other Hash) (int, error) {
-	b, ok := t.blocks[other]
-	if !ok {
-		return 0, fmt.Errorf("%w: %v", ErrUnknownBlock, other)
-	}
-	reorg := t.reorgPath(b, t.tip)
-	return len(reorg.Adopted), nil
-}
-
 // Validate walks the whole tree checking hash links, heights, and that the
 // recomputed 64-bit MD5 link of every block matches its stored hash — the
 // paper's per-node internal error check. It is invoked by property tests

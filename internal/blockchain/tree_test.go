@@ -183,31 +183,6 @@ func TestAtHeight(t *testing.T) {
 	}
 }
 
-func TestForkDepth(t *testing.T) {
-	tree := NewTree()
-	g := Genesis()
-	a1, _ := extend(t, tree, g, 0)
-	a2, _ := extend(t, tree, a1, 0)
-	b1 := NewBlock(g, 1, 5*time.Second, nil, false)
-	if _, err := tree.Add(b1); err != nil {
-		t.Fatal(err)
-	}
-	d, err := tree.ForkDepth(b1.Hash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d != 2 {
-		t.Errorf("ForkDepth = %d, want 2", d)
-	}
-	d, err = tree.ForkDepth(a2.Hash)
-	if err != nil || d != 0 {
-		t.Errorf("ForkDepth(tip) = %d, %v; want 0, nil", d, err)
-	}
-	if _, err := tree.ForkDepth(Hash(4242)); !errors.Is(err, ErrUnknownBlock) {
-		t.Errorf("err = %v, want ErrUnknownBlock", err)
-	}
-}
-
 func TestValidateDetectsTampering(t *testing.T) {
 	tree := NewTree()
 	parent := Genesis()

@@ -46,7 +46,7 @@ type Snapshot struct {
 
 // LagBuckets folds a snapshot into the Figure 6 stacked buckets.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (s *Snapshot) LagBuckets() p2p.LagBuckets {
 	var lb p2p.LagBuckets
 	for _, n := range s.Nodes {
@@ -62,7 +62,7 @@ func (s *Snapshot) LagBuckets() p2p.LagBuckets {
 // adversarial query of §III ("identify vulnerable nodes that are 1-5 blocks
 // behind").
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (s *Snapshot) VulnerableNodes(minLag int) []int {
 	var out []int
 	for _, n := range s.Nodes {
@@ -168,7 +168,7 @@ func (c *Crawler) capture(now time.Duration) {
 // VersionCensus aggregates the snapshot's client versions — the crawl-side
 // input to the logical attack of §V-D.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (s *Snapshot) VersionCensus() map[string]int {
 	out := map[string]int{}
 	for _, n := range s.Nodes {
@@ -182,7 +182,7 @@ func (s *Snapshot) VersionCensus() map[string]int {
 // SyncedByAS aggregates synced-node counts per AS — the crawl-side input
 // to the spatio-temporal planner (Table VII).
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (s *Snapshot) SyncedByAS() map[int]int {
 	out := map[int]int{}
 	for _, n := range s.Nodes {
@@ -195,7 +195,7 @@ func (s *Snapshot) SyncedByAS() map[int]int {
 
 // CaptureNow takes an immediate snapshot outside the periodic schedule.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (c *Crawler) CaptureNow() Snapshot {
 	c.capture(c.sim.Engine.Now())
 	return c.snaps[len(c.snaps)-1]

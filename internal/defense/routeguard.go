@@ -62,18 +62,6 @@ func (g *RouteGuard) Audit() []Suspicion {
 	return found
 }
 
-// PurgeAll removes every hijack announcement from the table (valid-route
-// promotion falls out automatically: with the bogus routes gone,
-// longest-prefix match selects the registered owners again). It returns
-// the number of routes purged.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
-func (g *RouteGuard) PurgeAll() int {
-	n := g.topo.Routes().WithdrawHijacks()
-	g.Purged += n
-	return n
-}
-
 // PurgeSuspicious withdraws only the specific suspicious announcements
 // found by an audit — the reactive path when the guard cannot distinguish
 // hijacks by flag and must act on observed divergence.

@@ -8,9 +8,9 @@
 // Beyond the upstream shape, the package carries the interprocedural layer
 // of DESIGN.md §8: an Analyzer may declare Requires dependencies on other
 // analyzers (the fact-style mechanism upstream spells Requires +
-// ResultType), and a driver that loads a whole program at once exposes it
-// through Pass.Program so passes like internal/lint/dataflow can build
-// call graphs and function summaries that cross package boundaries.
+// ResultType), and the driver, which loads the whole module at once,
+// exposes it through Pass.Program so passes like internal/lint/dataflow can
+// build call graphs and function summaries that cross package boundaries.
 package analysis
 
 import (
@@ -31,10 +31,6 @@ type Analyzer struct {
 	// Doc is the help text: first line is a summary, the rest explains the
 	// invariant the analyzer encodes.
 	Doc string
-	// Version participates in the driver's action-cache key: bump it when
-	// the analyzer's behaviour changes so stale cached findings are not
-	// replayed. Empty means "v0".
-	Version string
 	// Requires lists analyzers whose results this analyzer consumes. The
 	// driver runs them on the same package first and makes their return
 	// values available in Pass.ResultOf. The graph must be acyclic.
@@ -63,9 +59,9 @@ type Pass struct {
 	// ResultOf holds the return values of the analyzers named in
 	// Analyzer.Requires, keyed by analyzer. Set by the driver.
 	ResultOf map[*Analyzer]any
-	// Program is the whole load set, for interprocedural passes. Drivers
-	// that analyze packages in isolation may leave it nil; passes that
-	// need it must degrade gracefully (or error) when it is absent.
+	// Program is the whole load set, for interprocedural passes. The
+	// single-package analysistest harness leaves it nil; passes that need
+	// it must degrade gracefully (or error) when it is absent.
 	Program *Program
 }
 

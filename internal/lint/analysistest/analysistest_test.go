@@ -33,9 +33,8 @@ func (f *fakeT) clean() bool { return len(f.errors) == 0 && len(f.fatals) == 0 }
 // message full of regexp metacharacters, and suggests renaming the call to
 // "good" — enough surface to exercise want parsing and the -fix golden path.
 var metaAnalyzer = &analysis.Analyzer{
-	Name:    "metatest",
-	Doc:     "meta-test analyzer: flags calls to bad() and fixes them to good()",
-	Version: "1",
+	Name: "metatest",
+	Doc:  "meta-test analyzer: flags calls to bad() and fixes them to good()",
 	Run: func(pass *analysis.Pass) (any, error) {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {

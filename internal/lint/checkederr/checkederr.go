@@ -27,8 +27,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "checkederr",
 	Doc: "flags discarded error results in non-test code: bare call statements, " +
 		"all-blank assignments, and deferred Close",
-	Version: "3",
-	Run:     run,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

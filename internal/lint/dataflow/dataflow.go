@@ -12,9 +12,8 @@
 // defaults chosen per client: summaries are optimistic on recursion so a
 // cycle never manufactures a finding. Every client reports diagnostics
 // only in the package under analysis, and its summaries consult only the
-// package's dependency cone — that one-way discipline is what makes the
-// driver's per-package action cache sound (a package's findings can be
-// replayed unless something in its own cone changed).
+// package's dependency cone, so a package's findings never depend on its
+// callers.
 package dataflow
 
 import (
@@ -30,8 +29,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "dataflow",
 	Doc: "interprocedural call-graph and summary index consumed by " +
 		"seedflow, detmerge, and hotescape (reports nothing itself)",
-	Version: "1",
-	Run:     run,
+	Run: run,
 }
 
 // Result is what a requiring analyzer receives: the shared program index

@@ -30,7 +30,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "detmerge",
 	Doc: "report folds of parallel trial results whose iteration order is " +
 		"not provably task order (range over map or channel into an accumulator)",
-	Version:  "1",
 	Requires: []*analysis.Analyzer{dataflow.Analyzer},
 	Run:      run,
 }

@@ -46,7 +46,6 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "flags make/append/interface boxing and map iteration inside " +
 		"functions annotated //hot:path, and calls from them that reach " +
 		"such allocations in transitively reachable callees",
-	Version:  "2",
 	Requires: []*analysis.Analyzer{dataflow.Analyzer},
 	Run:      run,
 }

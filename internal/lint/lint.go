@@ -1,7 +1,8 @@
 // Package lint runs the repository's determinism-and-safety analyzers over
 // loaded packages and filters findings through //lint:ignore suppression
-// directives. It is shared by cmd/repolint (the multichecker driver) and by
-// the tier-1 seed-audit test at the repository root.
+// directives. Audit is the one lint gate: it loads the whole module once,
+// tests included, and runs the full suite over that load. The root audit
+// test and cmd/repolint's -fix front end both call it.
 //
 // The runner resolves Requires dependencies between analyzers (DESIGN.md
 // §8): required analyzers run first on each package and their results are
@@ -28,17 +29,13 @@ import (
 	"repro/internal/lint/nogoroutine"
 	"repro/internal/lint/seededrand"
 	"repro/internal/lint/seedflow"
+	"repro/internal/lint/unusedexport"
 	"repro/internal/lint/wallclock"
 	"repro/internal/parallel"
 )
 
-// DriverVersion participates in cmd/repolint's action-cache key alongside
-// each analyzer's Version: bump it when the runner's shared semantics
-// (suppression matching, finding order) change.
-const DriverVersion = "2"
-
-// Analyzers is the suite cmd/repolint runs: every invariant DESIGN.md §8
-// documents, in stable order.
+// Analyzers is the full suite: every invariant DESIGN.md §8 documents, in
+// stable order.
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		checkederr.Analyzer,
@@ -48,8 +45,21 @@ func Analyzers() []*analysis.Analyzer {
 		nogoroutine.Analyzer,
 		seededrand.Analyzer,
 		seedflow.Analyzer,
+		unusedexport.Analyzer,
 		wallclock.Analyzer,
 	}
+}
+
+// Audit loads every package of the module rooted at dir (./..., tests
+// included) and runs the full suite over that one load. unusedexport is
+// only sound over a whole-module load, which is why Audit takes no package
+// patterns.
+func Audit(dir string) ([]Finding, error) {
+	pkgs, err := load.Packages(dir)
+	if err != nil {
+		return nil, err
+	}
+	return Run(pkgs, Analyzers())
 }
 
 // Finding is one unsuppressed diagnostic, located for printing and fixing.
@@ -103,16 +113,9 @@ func Expand(analyzers []*analysis.Analyzer) ([]*analysis.Analyzer, error) {
 
 // Run applies every analyzer to every package and returns the findings that
 // no //lint:ignore directive suppresses, sorted by position then analyzer.
+// Every package participates in the whole-program index handed to
+// interprocedural passes.
 func Run(pkgs []*load.Package, analyzers []*analysis.Analyzer) ([]Finding, error) {
-	return RunTargets(pkgs, analyzers, nil)
-}
-
-// RunTargets is Run restricted to reporting on the packages whose import
-// path is in targets (nil means all). Every package still participates in
-// the whole-program index handed to interprocedural passes — cmd/repolint
-// loads the dependency cones of its cache misses and reports only on the
-// misses themselves.
-func RunTargets(pkgs []*load.Package, analyzers []*analysis.Analyzer, targets map[string]bool) ([]Finding, error) {
 	order, err := Expand(analyzers)
 	if err != nil {
 		return nil, err
@@ -136,11 +139,7 @@ func RunTargets(pkgs []*load.Package, analyzers []*analysis.Analyzer, targets ma
 
 	perPkg, err := parallel.Map(parallel.DefaultWorkers(), len(pkgs),
 		func(i int) ([]Finding, error) {
-			pkg := pkgs[i]
-			if targets != nil && !targets[pkg.ImportPath] {
-				return nil, nil
-			}
-			return runPackage(program, pkg, order, wanted)
+			return runPackage(program, pkgs[i], order, wanted)
 		})
 	if err != nil {
 		return nil, err

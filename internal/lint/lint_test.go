@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/lint"
 	"repro/internal/lint/analysis"
+	"repro/internal/lint/analysistest"
 	"repro/internal/lint/load"
 	"repro/internal/lint/maporder"
 	"repro/internal/lint/seededrand"
@@ -80,7 +82,7 @@ func checkFile(t *testing.T, path string, deps ...string) *load.Package {
 	}
 }
 
-// TestSuppressionAndFix drives the shared runner the way cmd/repolint does:
+// TestSuppressionAndFix drives the shared runner the way repolint -fix does:
 // the unsuppressed finding is reported with a sort-insertion fix, the
 // directive swallows the second violation, and applying the fix leaves the
 // file lint-clean.
@@ -185,5 +187,125 @@ func TestSuppressionGroupsAndBlankLines(t *testing.T) {
 	want := []int{15, 24}
 	if len(lines) != len(want) || lines[0] != want[0] || lines[1] != want[1] {
 		t.Fatalf("want findings exactly on lines %v (d and g), got %v: %v", want, lines, findings)
+	}
+}
+
+// auditModule is a throwaway module with one seeded violation per analyzer
+// of the suite. Its path mirrors the repository's so the path-scoped
+// analyzers apply: internal/sim is a simulation package (wallclock) outside
+// internal/parallel (nogoroutine), and internal/parallel.Map is the harness
+// entry point whose results detmerge tracks. Each violation's line ends in
+// a "seeded: <analyzer>" comment naming the analyzer that must report it.
+var auditModule = map[string]string{
+	"go.mod": "module repro\n\ngo 1.22\n",
+	"internal/parallel/parallel.go": `package parallel
+
+// Map stands in for the worker pool: it returns task-ordered results.
+func Map(n int, fn func(task int) float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = fn(i)
+	}
+	return out
+}
+`,
+	"internal/sim/sim.go": `package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"time"
+
+	"repro/internal/parallel"
+)
+
+func Unused() {} // seeded: unusedexport
+
+func draw() int {
+	return rand.Intn(6) // seeded: seededrand
+}
+
+func stream() *rand.Rand {
+	return rand.New(rand.NewSource(42)) // seeded: seedflow
+}
+
+func emit(m map[string]int) {
+	for k := range m { // seeded: maporder
+		fmt.Println(k)
+	}
+}
+
+func spawn() {
+	go func() {}() // seeded: nogoroutine
+}
+
+func stamp() time.Time {
+	return time.Now() // seeded: wallclock
+}
+
+func remove() {
+	os.Remove("scratch") // seeded: checkederr
+}
+
+//hot:path
+func hot(n int) []int {
+	return make([]int, n) // seeded: hotescape
+}
+
+func fold(n int) float64 {
+	byID := map[int]float64{}
+	for i, v := range parallel.Map(n, func(i int) float64 { return float64(i) }) {
+		byID[i] = v
+	}
+	sum := 0.0
+	for _, v := range byID { // seeded: detmerge
+		sum += v
+	}
+	return sum
+}
+`,
+}
+
+// TestAuditCatchesEveryAnalyzer runs the gate the root audit test runs,
+// lint.Audit, over auditModule and requires every analyzer of the suite to
+// report its seeded violation: dropping any analyzer from the suite fails
+// here, not silently in tier-1.
+func TestAuditCatchesEveryAnalyzer(t *testing.T) {
+	dir := t.TempDir()
+	analysistest.WriteTree(t, dir, auditModule)
+	findings, err := lint.Audit(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reported := map[string]bool{} // "analyzer:line" in sim.go
+	for _, f := range findings {
+		if filepath.Base(f.Position.Filename) == "sim.go" {
+			reported[fmt.Sprintf("%s:%d", f.Analyzer, f.Position.Line)] = true
+		}
+	}
+
+	seeded := map[string]int{} // analyzer → line of its seeded violation
+	for i, line := range strings.Split(auditModule["internal/sim/sim.go"], "\n") {
+		if _, name, ok := strings.Cut(line, "// seeded: "); ok {
+			seeded[name] = i + 1
+		}
+	}
+	suite := []string{"checkederr", "detmerge", "hotescape", "maporder", "nogoroutine",
+		"seededrand", "seedflow", "unusedexport", "wallclock"}
+	for _, a := range lint.Analyzers() {
+		if _, ok := seeded[a.Name]; !ok {
+			t.Errorf("analyzer %s has no seeded violation in auditModule", a.Name)
+		}
+	}
+	for _, name := range suite {
+		line, ok := seeded[name]
+		if !ok {
+			t.Errorf("auditModule seeds no %s violation", name)
+			continue
+		}
+		if !reported[fmt.Sprintf("%s:%d", name, line)] {
+			t.Errorf("lint.Audit missed the seeded %s violation at sim.go:%d; findings: %v", name, line, findings)
+		}
 	}
 }

@@ -3,7 +3,8 @@
 // golang.org/x/tools/go/packages: package metadata comes from
 // `go list -json`, and imports are resolved from the compiler export data
 // that `go list -export` materialises in the build cache, so no network or
-// module download is ever needed.
+// module download is ever needed. Packages loads a whole module at once,
+// tests included: the one load the lint gate (lint.Audit) makes.
 package load
 
 import (
@@ -16,6 +17,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -45,18 +47,13 @@ type Package struct {
 type listEntry struct {
 	ImportPath   string
 	Dir          string
-	Name         string
 	ForTest      string
 	Standard     bool
 	Export       string
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Deps         []string
-	Match        []string
 	DepOnly      bool
-	Incomplete   bool
-	Module       *struct{ Path string }
 }
 
 // goList runs `go list` with the given arguments in dir and decodes the
@@ -84,205 +81,73 @@ func goList(dir string, args ...string) ([]listEntry, error) {
 	return entries, nil
 }
 
-// Packages loads every package matching patterns (resolved relative to dir,
-// which must be inside the module), type-checked against gc export data.
-// With includeTests, in-package _test.go files are merged into their
-// package and external foo_test packages are loaded as separate packages.
-func Packages(dir string, includeTests bool, patterns ...string) ([]*Package, error) {
-	plan, err := PlanPackages(dir, includeTests, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, t := range plan.Targets {
-		pkg, err := plan.Load(t)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}
-
-// Target is one analyzable package before parsing: enough metadata to
-// type-check it on demand and to key an action cache (source files plus
-// the identities of everything it depends on).
-type Target struct {
-	// ImportPath identifies the package; external test packages carry the
-	// conventional "_test" suffix.
-	ImportPath string
-	// Dir holds the source files.
-	Dir string
-	// Files are the absolute paths of the sources that make up the target
-	// (test files merged in when the plan includes tests).
-	Files []string
-	// Deps are the base import paths of every transitive dependency,
-	// sorted; test variants are folded onto their base path.
-	Deps []string
-
-	base  string // import path without the _test suffix
-	xtest bool
-}
-
-// Plan is the metadata of a load set: the targets plus the export maps
-// needed to parse and type-check any subset of them. cmd/repolint plans
-// first, consults its cache, and loads only the misses and their
-// dependency cones.
-type Plan struct {
-	// Targets are the packages matching the patterns, sorted by import path.
-	Targets []Target
-
-	includeTests bool
-	exports      map[string]string
-	testExports  map[string]string
-	entries      map[string]listEntry // non-test entries by import path
-}
-
-// PlanPackages resolves patterns to a Plan without parsing any source.
-func PlanPackages(dir string, includeTests bool, patterns ...string) (*Plan, error) {
-	listArgs := []string{"-deps", "-export", "-json"}
-	if includeTests {
-		listArgs = append(listArgs, "-test")
-	}
-	deps, err := goList(dir, append(listArgs, patterns...)...)
+// Packages loads every package under dir (the pattern ./..., so dir is
+// normally the module root), type-checked against gc export data.
+// In-package _test.go files are merged into their package and external
+// foo_test packages are loaded as separate packages. Packages come back
+// sorted by import path.
+func Packages(dir string) ([]*Package, error) {
+	deps, err := goList(dir, "-deps", "-export", "-json", "-test", "./...")
 	if err != nil {
 		return nil, err
 	}
 	// exports maps import path → export data file. testExports maps a base
 	// import path → the export data of its in-package test variant
 	// ("p [p.test]"), which is what an external p_test package compiles
-	// against. testVariants/xtestVariants keep the variant entries for
-	// dependency metadata.
-	plan := &Plan{
-		includeTests: includeTests,
-		exports:      map[string]string{},
-		testExports:  map[string]string{},
-		entries:      map[string]listEntry{},
-	}
-	testVariants := map[string]listEntry{}
-	xtestVariants := map[string]listEntry{}
+	// against.
+	exports := map[string]string{}
+	testExports := map[string]string{}
 	for _, e := range deps {
 		if e.ForTest != "" {
-			base, _, ok := strings.Cut(e.ImportPath, " [")
-			if !ok {
-				continue
-			}
-			if base == e.ForTest {
-				// "p [p.test]" is the in-package test variant of p; the
-				// external "p_test [p.test]" entry also carries ForTest=p
-				// but exports package p_test, which must not shadow p.
-				if e.Export != "" && plan.testExports[e.ForTest] == "" {
-					plan.testExports[e.ForTest] = e.Export
-				}
-				testVariants[e.ForTest] = e
-			} else if base == e.ForTest+"_test" {
-				xtestVariants[e.ForTest] = e
+			// "p [p.test]" is the in-package test variant of p; the external
+			// "p_test [p.test]" entry also carries ForTest=p but exports
+			// package p_test, which must not shadow p.
+			if base, _, _ := strings.Cut(e.ImportPath, " ["); base == e.ForTest && e.Export != "" && testExports[e.ForTest] == "" {
+				testExports[e.ForTest] = e.Export
 			}
 			continue
 		}
-		if _, dup := plan.entries[e.ImportPath]; !dup {
-			plan.entries[e.ImportPath] = e
-		}
-		if e.Export != "" && plan.exports[e.ImportPath] == "" {
-			plan.exports[e.ImportPath] = e.Export
+		if e.Export != "" && exports[e.ImportPath] == "" {
+			exports[e.ImportPath] = e.Export
 		}
 	}
 
-	targets, err := goList(dir, append([]string{"-json"}, patterns...)...)
+	targets, err := goList(dir, "-json", "./...")
 	if err != nil {
 		return nil, err
 	}
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
+	var pkgs []*Package
 	for _, t := range targets {
 		if t.Standard || t.DepOnly {
 			continue
 		}
-		files := absFiles(t.Dir, t.GoFiles)
-		depsOf := t.Deps
-		if includeTests {
-			files = append(files, absFiles(t.Dir, t.TestGoFiles)...)
-			if v, ok := testVariants[t.ImportPath]; ok {
-				depsOf = v.Deps
-			}
-		}
+		files := append(absFiles(t.Dir, t.GoFiles), absFiles(t.Dir, t.TestGoFiles)...)
 		if len(files) > 0 {
-			plan.Targets = append(plan.Targets, Target{
-				ImportPath: t.ImportPath,
-				Dir:        t.Dir,
-				Files:      files,
-				Deps:       baseDeps(depsOf, t.ImportPath),
-				base:       t.ImportPath,
-			})
-		}
-		if includeTests && len(t.XTestGoFiles) > 0 {
-			depsOf := t.Deps
-			if v, ok := xtestVariants[t.ImportPath]; ok {
-				depsOf = v.Deps
+			pkg, err := check(t.ImportPath, t.Dir, files, exports)
+			if err != nil {
+				return nil, err
 			}
-			plan.Targets = append(plan.Targets, Target{
-				ImportPath: t.ImportPath + "_test",
-				Dir:        t.Dir,
-				Files:      absFiles(t.Dir, t.XTestGoFiles),
-				Deps:       baseDeps(depsOf, t.ImportPath+"_test"),
-				base:       t.ImportPath,
-				xtest:      true,
-			})
+			pkgs = append(pkgs, pkg)
+		}
+		if len(t.XTestGoFiles) > 0 {
+			// An external test package imports the *test variant* of its
+			// package under test: remap that one path to the variant's
+			// export data.
+			exp := exports
+			if v := testExports[t.ImportPath]; v != "" {
+				exp = maps.Clone(exports)
+				exp[t.ImportPath] = v
+			}
+			pkg, err := check(t.ImportPath+"_test", t.Dir, absFiles(t.Dir, t.XTestGoFiles), exp)
+			if err != nil {
+				return nil, err
+			}
+			pkgs = append(pkgs, pkg)
 		}
 	}
-	return plan, nil
-}
-
-// Load parses and type-checks one target from the plan.
-func (p *Plan) Load(t Target) (*Package, error) {
-	exp := p.exports
-	if t.xtest {
-		// An external test package imports the *test variant* of its
-		// package under test: remap that one path to the variant's
-		// export data.
-		if v := p.testExports[t.base]; v != "" {
-			exp = overlay(p.exports, map[string]string{t.base: v})
-		}
-	}
-	return check(t.ImportPath, t.Dir, t.Files, exp)
-}
-
-// TargetFor synthesizes a target for a dependency that was not matched by
-// the plan's patterns (always its plain, non-test variant). The second
-// result is false for standard-library and unknown paths.
-func (p *Plan) TargetFor(importPath string) (Target, bool) {
-	e, ok := p.entries[importPath]
-	if !ok || e.Standard || len(e.GoFiles) == 0 {
-		return Target{}, false
-	}
-	return Target{
-		ImportPath: e.ImportPath,
-		Dir:        e.Dir,
-		Files:      absFiles(e.Dir, e.GoFiles),
-		Deps:       baseDeps(e.Deps, e.ImportPath),
-		base:       e.ImportPath,
-	}, true
-}
-
-// DepSources returns the files whose contents identify a dependency for
-// cache keying, or its export-data path when the dependency is outside the
-// module (build-cache paths encode the action identity, so they change
-// whenever the toolchain or the package does).
-func (p *Plan) DepSources(importPath string) (files []string, export string, inModule bool) {
-	e, ok := p.entries[importPath]
-	if !ok {
-		return nil, "", false
-	}
-	if e.Standard || e.Module == nil {
-		return nil, e.Export, false
-	}
-	files = absFiles(e.Dir, e.GoFiles)
-	if p.includeTests {
-		// Test variants fold onto the base path; include their sources so
-		// a test-only change invalidates dependents of the variant.
-		files = append(files, absFiles(e.Dir, e.TestGoFiles)...)
-	}
-	return files, "", true
+	return pkgs, nil
 }
 
 // absFiles joins names onto dir unless already absolute.
@@ -294,37 +159,6 @@ func absFiles(dir string, names []string) []string {
 		} else {
 			out[i] = filepath.Join(dir, n)
 		}
-	}
-	return out
-}
-
-// baseDeps folds test-variant dependency paths ("q [p.test]") onto their
-// base import path, drops self, dedupes, and sorts.
-func baseDeps(deps []string, self string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, d := range deps {
-		if base, _, ok := strings.Cut(d, " ["); ok {
-			d = base
-		}
-		if d == self || seen[d] {
-			continue
-		}
-		seen[d] = true
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// overlay copies base with the entries of over substituted on top.
-func overlay(base, over map[string]string) map[string]string {
-	out := make(map[string]string, len(base))
-	for k, v := range base {
-		out[k] = v
-	}
-	for k, v := range over {
-		out[k] = v
 	}
 	return out
 }

@@ -34,8 +34,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "maporder",
 	Doc: "flags range-over-map loops whose body appends, emits, or " +
 		"accumulates order-sensitively without a subsequent sort",
-	Version: "1",
-	Run:     run,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

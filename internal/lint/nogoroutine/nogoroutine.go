@@ -20,8 +20,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "nogoroutine",
 	Doc: "restricts go statements and raw sync.WaitGroup fan-out to " +
 		"internal/parallel, the deterministic worker pool",
-	Version: "1",
-	Run:     run,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -21,8 +21,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "seededrand",
 	Doc: "bans global math/rand calls and wall-clock seeding so every draw " +
 		"flows through an explicitly seeded *rand.Rand",
-	Version: "1",
-	Run:     run,
+	Run: run,
 }
 
 // constructors are the package-level math/rand functions that are allowed:

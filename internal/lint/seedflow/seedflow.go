@@ -39,7 +39,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "seedflow",
 	Doc: "report RNG streams whose seed is not dataflow-derived from a " +
 		"study/scenario/task seed, across call boundaries",
-	Version:  "2",
 	Requires: []*analysis.Analyzer{dataflow.Analyzer},
 	Run:      run,
 }

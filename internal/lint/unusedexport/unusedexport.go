@@ -11,9 +11,8 @@
 // errors consult dynamically: a call through the interface reaches it.
 //
 // The findings of one package depend on its importers, not just on its own
-// dependency cone, so the analyzer is only sound over a whole-module load.
-// It runs in the root audit test (load ./... once), not in cmd/repolint's
-// cached driver, whose per-package action keys would replay stale findings.
+// dependency cone, so the analyzer is only sound over a whole-module load —
+// which is the only load lint.Audit makes.
 package unusedexport
 
 import (
@@ -31,8 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "unusedexport",
 	Doc: "report exported funcs, methods and types that no non-test file " +
 		"in the load set references",
-	Version: "1",
-	Run:     run,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -39,8 +39,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "wallclock",
 	Doc: "bans time.Now/time.Since/time.Until/time.Sleep in simulation " +
 		"packages, where time must come from the event clock",
-	Version: "3",
-	Run:     run,
+	Run: run,
 }
 
 // simPackages are the import-path leaf names of the packages whose time is

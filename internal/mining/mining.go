@@ -114,7 +114,7 @@ func (s *PoolSet) ShareBehindOrg(org string) float64 {
 
 // TopByShare returns the n largest pools by hash share (stable for ties).
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (s *PoolSet) TopByShare(n int) []Pool {
 	pools := s.Pools()
 	sort.SliceStable(pools, func(i, j int) bool { return pools[i].HashShare > pools[j].HashShare })
@@ -137,26 +137,26 @@ type Producer struct {
 // NewProducer returns a producer for a hash share in (0,1]. A zero or
 // negative share never produces (NextBlockIn returns +Inf-like max duration).
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func NewProducer(share float64, rng *rand.Rand) *Producer {
 	return &Producer{share: share, rng: rng}
 }
 
 // Share returns the producer's hash share.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (p *Producer) Share() float64 { return p.share }
 
 // SetShare adjusts the hash share mid-run (e.g. when a hijack disconnects a
 // pool's stratum servers).
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (p *Producer) SetShare(share float64) { p.share = share }
 
 // NextBlockIn samples the time until this producer's next block: exponential
 // with rate share/BlockInterval.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (p *Producer) NextBlockIn() time.Duration {
 	if p.share <= 0 {
 		return time.Duration(1<<62 - 1)

@@ -239,7 +239,7 @@ func (s *Simulation) StartMining() {
 
 // StopMining halts block production after the next scheduled block fires.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (s *Simulation) StopMining() { s.miningStopped = true }
 
 func (s *Simulation) scheduleNextBlock() {
@@ -292,7 +292,7 @@ func (s *Simulation) Run(until time.Duration) { s.Engine.Run(until) }
 // sweeps journal the trial as exhausted instead of hanging or panicking.
 // Run remains the unchecked path for callers without a budget.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (s *Simulation) RunChecked(until time.Duration) error {
 	s.Engine.Run(until)
 	return s.Engine.BudgetErr()

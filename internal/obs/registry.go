@@ -106,7 +106,7 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value. A nil histogram is a no-op.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -131,7 +131,7 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of observations (0 for a nil histogram).
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0

@@ -102,7 +102,7 @@ func (p *Plan) Keys(s int) []int32 { return p.keys[p.keyOff[s]:p.keyOff[s+1]] }
 // ascending order. The slice aliases the plan's backing array and must not
 // be mutated.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (p *Plan) Halo(s int) []int32 { return p.halo[p.haloOff[s]:p.haloOff[s+1]] }
 
 // HaloCells returns the total boundary-exchange volume per tick: the sum

@@ -486,7 +486,7 @@ func (e *Engine) After(delay time.Duration, fn Handler) error {
 
 // Stop halts the run loop after the currently executing handler returns.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (e *Engine) Stop() { e.stopped = true }
 
 // SetEventBudget arms the watchdog: once n events in total have been
@@ -547,7 +547,7 @@ func (e *Engine) Run(until time.Duration) uint64 {
 // safety cap on the number of events to guard against self-sustaining event
 // storms. It returns an error if the cap is hit.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func (e *Engine) RunAll(maxEvents uint64) error {
 	e.stopped = false
 	var n uint64

@@ -30,7 +30,7 @@ func Exponential(r *rand.Rand, lambda float64) float64 {
 // Knuth's product-of-uniforms method for small means and a normal
 // approximation for large ones.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func Poisson(r *rand.Rand, mean float64) int {
 	if mean <= 0 {
 		return 0
@@ -159,7 +159,7 @@ func WeightedIndex(r *rand.Rand, weights []float64) int {
 // quantities whose paper-reported σ exceeds μ, so naive normals would go
 // negative.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func TruncNormal(r *rand.Rand, mean, std, lo float64) float64 {
 	for i := 0; i < 64; i++ {
 		x := r.NormFloat64()*std + mean

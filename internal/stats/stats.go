@@ -79,7 +79,7 @@ func Mean(xs []float64) float64 {
 // interpolation between closest ranks. It returns an error if xs is empty or
 // p is out of range.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("stats: percentile of empty slice")
@@ -160,7 +160,7 @@ func MeanCI95(xs []float64) (mean, half float64) {
 
 // Clamp bounds x to the closed interval [lo, hi].
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

@@ -93,14 +93,6 @@ func (p Prefix) Contains(ip IP) bool {
 	return ip.Mask(p.Len) == p.Base
 }
 
-// Covers reports whether p contains the entire range of q (p is equal or
-// less specific than q and they overlap).
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
-func (p Prefix) Covers(q Prefix) bool {
-	return p.Len <= q.Len && q.Base.Mask(p.Len) == p.Base
-}
-
 // Halves splits the prefix into its two more-specific children. This is the
 // classic sub-prefix hijack: announcing both halves of a victim /n as /n+1
 // wins longest-prefix-match everywhere. Splitting a /32 is impossible.

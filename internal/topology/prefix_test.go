@@ -71,24 +71,6 @@ func TestPrefixContains(t *testing.T) {
 	}
 }
 
-func TestPrefixCovers(t *testing.T) {
-	p16, _ := ParsePrefix("10.1.0.0/16")
-	p24, _ := ParsePrefix("10.1.5.0/24")
-	other, _ := ParsePrefix("10.2.0.0/24")
-	if !p16.Covers(p24) {
-		t.Error("/16 should cover its /24")
-	}
-	if p24.Covers(p16) {
-		t.Error("/24 should not cover its /16")
-	}
-	if p16.Covers(other) {
-		t.Error("unrelated /24 not covered")
-	}
-	if !p16.Covers(p16) {
-		t.Error("prefix covers itself")
-	}
-}
-
 func TestPrefixHalves(t *testing.T) {
 	p, _ := ParsePrefix("10.0.0.0/8")
 	lo, hi, err := p.Halves()

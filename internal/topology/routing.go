@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Route is one BGP announcement: a prefix originated by an AS. Hijack marks
 // announcements injected by an attacker rather than the legitimate owner.
@@ -146,24 +143,4 @@ func (rt *RouteTable) HijackCount() int {
 		}
 	}
 	return n
-}
-
-// RoutesFor returns copies of all routes covering ip, most specific first,
-// for diagnostics.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 3)
-func (rt *RouteTable) RoutesFor(ip IP) []Route {
-	var out []Route
-	for _, r := range rt.routes {
-		if r.Prefix.Contains(ip) {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prefix.Len != out[j].Prefix.Len {
-			return out[i].Prefix.Len > out[j].Prefix.Len
-		}
-		return out[i].seq < out[j].seq
-	})
-	return out
 }

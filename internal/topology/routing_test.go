@@ -160,24 +160,6 @@ func TestWithdrawSpecificRoute(t *testing.T) {
 	}
 }
 
-func TestRoutesForOrdering(t *testing.T) {
-	rt := NewRouteTable()
-	for _, s := range []string{"10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24"} {
-		if err := rt.Announce(mustPrefix(t, s), 100, false); err != nil {
-			t.Fatal(err)
-		}
-	}
-	routes := rt.RoutesFor(mustIP(t, "10.1.2.3"))
-	if len(routes) != 3 {
-		t.Fatalf("RoutesFor = %d routes, want 3", len(routes))
-	}
-	for i := 1; i < len(routes); i++ {
-		if routes[i].Prefix.Len > routes[i-1].Prefix.Len {
-			t.Error("routes not sorted most-specific first")
-		}
-	}
-}
-
 func TestTopologyRegistry(t *testing.T) {
 	topo := New()
 	err := topo.AddAS(AS{
