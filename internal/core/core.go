@@ -207,7 +207,8 @@ func New(seed int64, opts ...Option) (*Study, error) {
 }
 
 // populations memoizes the synthetic population per generation seed. The
-// build is the dominant cost of study construction and deterministic in the
+// build is nearly all of study construction (the rest is a route-table
+// fork), though no longer most of a fresh job, and deterministic in the
 // seed, so studies sharing a seed share one copy built exactly once — even
 // when constructed concurrently. The memoized copy is never mutated: the
 // only mutable part, the BGP route table the spatial attacks and defenses

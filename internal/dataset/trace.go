@@ -3,6 +3,8 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"sort"
 	"time"
 
@@ -111,14 +113,180 @@ type Trace struct {
 	Blocks int
 }
 
-// nodeState is the per-node dynamic state of the process.
-type nodeState struct {
-	// syncedTo is the height this node has fully verified.
-	syncedTo int
-	// catchupAt is when the node will jump to the current tip; zero when
-	// the node is synced (no catch-up pending).
-	catchupAt time.Duration
-	pending   bool
+// idle is the catch-up time of a node with no catch-up pending: it is past
+// every trace instant, so a synced node never passes the "catch-up due"
+// test and needs no separate flag.
+const idle = time.Duration(math.MaxInt64)
+
+// bucketOf maps blocks-behind 0..10 to its Buckets index; more than 10
+// behind is bucket 4.
+var bucketOf = [11]uint8{0, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3}
+
+// traceKernel is the lag process compiled into dense per-up-node arrays
+// (DESIGN.md §12): index i is the i-th up node in population order, which
+// is the order catch-up delays are drawn in.
+type traceKernel struct {
+	// lambda is the catch-up rate 1/MeanCatchup.Seconds().
+	lambda []float64
+	// syncedTo is the height the node has fully verified.
+	syncedTo []int32
+	// catchupAt is when the node jumps to the tip, idle if synced.
+	catchupAt []time.Duration
+	tip       int32
+	// windows are the ascending timing constraints; hist[k][j] counts the
+	// nodes at a sample that stay behind for exactly the first k windows,
+	// in threshold class j (behind 1, 2-4, >=5 blocks).
+	windows []time.Duration
+	hist    [][3]int
+	// Per-AS sync tracking (nil when untracked): slot is the node's dense
+	// AS index, slotASN its inverse, asSynced the per-slot synced count
+	// of the current sample.
+	slot     []int32
+	slotASN  []topology.ASN
+	asSynced []int32
+}
+
+// compileTrace lays out the kernel for the population's up nodes, all
+// synced at height 0.
+func (p *Population) compileTrace(cfg TraceConfig) *traceKernel {
+	up := 0
+	for i := range p.Nodes {
+		if p.Nodes[i].Up {
+			up++
+		}
+	}
+	k := &traceKernel{
+		lambda:    make([]float64, 0, up),
+		syncedTo:  make([]int32, up),
+		catchupAt: make([]time.Duration, up),
+		windows:   cfg.VulnerabilityWindows,
+		hist:      make([][3]int, len(cfg.VulnerabilityWindows)+1),
+	}
+	var slots map[topology.ASN]int32
+	if cfg.TrackSyncedByAS {
+		k.slot = make([]int32, 0, up)
+		slots = map[topology.ASN]int32{}
+	}
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if !n.Up {
+			continue
+		}
+		k.lambda = append(k.lambda, 1/n.MeanCatchup.Seconds())
+		if slots != nil {
+			s, ok := slots[n.ASN]
+			if !ok {
+				s = int32(len(k.slotASN))
+				slots[n.ASN] = s
+				k.slotASN = append(k.slotASN, n.ASN)
+			}
+			k.slot = append(k.slot, s)
+		}
+	}
+	for i := range k.catchupAt {
+		k.catchupAt[i] = idle
+	}
+	if slots != nil {
+		k.asSynced = make([]int32, len(k.slotASN))
+	}
+	return k
+}
+
+// block publishes a block at now: a due catch-up fires first (to the tip
+// before this block), then every node without a pending catch-up draws
+// one, its delay stretched by the episode factor slow.
+//
+//hot:path
+func (k *traceKernel) block(rng *rand.Rand, now time.Duration, slow float64) {
+	prev := k.tip
+	k.tip++
+	for i, c := range k.catchupAt {
+		if c <= now {
+			k.syncedTo[i] = prev
+			c = idle
+		}
+		if c == idle {
+			delay := stats.Exponential(rng, k.lambda[i])
+			delay *= slow
+			k.catchupAt[i] = now + time.Duration(delay*float64(time.Second))
+		}
+		// Nodes mid-catch-up fall further behind; their catchupAt
+		// stands (they will sync to the tip as of that moment).
+	}
+}
+
+// sample fires the catch-ups due by now and records the sample's buckets,
+// vulnerable counts (into s.Vulnerable, preallocated) and per-slot synced
+// counts.
+//
+//hot:path
+func (k *traceKernel) sample(now time.Duration, s *Sample) {
+	for j := range k.hist {
+		k.hist[j] = [3]int{}
+	}
+	tip := k.tip
+	for i, c := range k.catchupAt {
+		if c <= now {
+			k.syncedTo[i] = tip
+			k.catchupAt[i] = idle
+			c = idle
+		}
+		// A node is synced exactly when no catch-up is pending: it went
+		// pending when the first block it lacks arrived.
+		if c == idle {
+			s.Buckets[0]++
+			if k.asSynced != nil {
+				k.asSynced[k.slot[i]]++
+			}
+			continue
+		}
+		behind := tip - k.syncedTo[i]
+		b := 4
+		if behind <= 10 {
+			b = int(bucketOf[behind])
+		}
+		s.Buckets[b]++
+		// The node is vulnerable for the leading windows its remaining lag
+		// reaches.
+		remaining := c - now
+		w := 0
+		for w < len(k.windows) && remaining >= k.windows[w] {
+			w++
+		}
+		if w > 0 {
+			k.hist[w][min(b-1, 2)]++
+		}
+	}
+	s.UpNodes = len(k.catchupAt)
+	// Vulnerable[wi][ti] counts nodes reaching window wi or later in class
+	// ti or higher: a suffix sum over both axes of hist.
+	var acc [3]int
+	for wi := len(k.windows) - 1; wi >= 0; wi-- {
+		h := k.hist[wi+1]
+		acc[0] += h[0]
+		acc[1] += h[1]
+		acc[2] += h[2]
+		s.Vulnerable[wi] = [3]int{acc[0] + acc[1] + acc[2], acc[1] + acc[2], acc[2]}
+	}
+}
+
+// syncedByAS turns the sample's per-slot synced counts into the Sample map
+// and clears them for the next sample.
+func (k *traceKernel) syncedByAS() map[topology.ASN]int {
+	n := 0
+	for _, c := range k.asSynced {
+		if c > 0 {
+			n++
+		}
+	}
+	m := make(map[topology.ASN]int, n)
+	for s, c := range k.asSynced {
+		if c > 0 {
+			m[k.slotASN[s]] = int(c)
+			k.asSynced[s] = 0
+		}
+	}
+	return m
 }
 
 // RunTrace simulates the lag process over the population.
@@ -130,15 +298,21 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 	if cfg.SampleEvery > cfg.Duration {
 		return nil, fmt.Errorf("dataset: sample interval %v exceeds duration %v", cfg.SampleEvery, cfg.Duration)
 	}
+	for i, w := range cfg.VulnerabilityWindows {
+		if w <= 0 || (i > 0 && w <= cfg.VulnerabilityWindows[i-1]) {
+			return nil, fmt.Errorf("dataset: vulnerability windows %v must be positive and strictly ascending", cfg.VulnerabilityWindows)
+		}
+	}
 	rng := stats.NewRand(cfg.Seed)
-
-	states := make([]nodeState, len(p.Nodes))
-	tip := 0
+	k := p.compileTrace(cfg)
 
 	// Pre-draw episode schedule for the whole trace.
 	episodes := drawEpisodes(rng, cfg)
 
-	trace := &Trace{Config: cfg}
+	nSamples := int(cfg.Duration / cfg.SampleEvery)
+	nw := len(cfg.VulnerabilityWindows)
+	vulnerable := make([][3]int, nSamples*nw)
+	trace := &Trace{Config: cfg, Samples: make([]Sample, 0, nSamples)}
 
 	// Event loop over two interleaved clocks: Poisson block arrivals and
 	// the regular sampling grid.
@@ -148,87 +322,27 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 	for nextSample <= cfg.Duration {
 		if nextBlock <= nextSample {
 			now := nextBlock
-			tip++
 			trace.Blocks++
-			slow := episodeMultiplier(episodes, now)
-			for i := range states {
-				st := &states[i]
-				if !p.Nodes[i].Up {
-					continue
-				}
-				// Fire a due catch-up first.
-				if st.pending && st.catchupAt <= now {
-					st.syncedTo = tip - 1
-					st.pending = false
-				}
-				if !st.pending {
-					// Node was synced; it now needs to fetch the new block.
-					delay := stats.Exponential(rng, 1/p.Nodes[i].MeanCatchup.Seconds())
-					delay *= slow
-					st.catchupAt = now + time.Duration(delay*float64(time.Second))
-					st.pending = true
-				}
-				// Nodes mid-catch-up fall further behind; their catchupAt
-				// stands (they will sync to the tip as of that moment).
-			}
+			k.block(rng, now, episodeMultiplier(episodes, now))
 			nextBlock = now + time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds())*float64(time.Second))
 			continue
 		}
 
 		now := nextSample
-		s := Sample{T: now, EpisodeActive: episodeMultiplier(episodes, now) > 1}
-		s.Vulnerable = make([][3]int, len(cfg.VulnerabilityWindows))
-		if cfg.TrackSyncedByAS {
-			s.SyncedByAS = map[topology.ASN]int{}
+		row := len(trace.Samples) * nw
+		s := Sample{
+			T:             now,
+			EpisodeActive: episodeMultiplier(episodes, now) > 1,
+			Vulnerable:    vulnerable[row : row+nw : row+nw],
 		}
-		for i := range states {
-			if !p.Nodes[i].Up {
-				continue
-			}
-			st := &states[i]
-			if st.pending && st.catchupAt <= now {
-				st.syncedTo = tip
-				st.pending = false
-			}
-			s.UpNodes++
-			behind := tip - st.syncedTo
-			bucketAdd(&s.Buckets, behind)
-			if behind == 0 && cfg.TrackSyncedByAS {
-				s.SyncedByAS[p.Nodes[i].ASN]++
-			}
-			if behind > 0 && st.pending {
-				remaining := st.catchupAt - now
-				for wi, w := range cfg.VulnerabilityWindows {
-					if remaining < w {
-						break // windows are ascending
-					}
-					for ti, th := range lagThresholds {
-						if behind >= th {
-							s.Vulnerable[wi][ti]++
-						}
-					}
-				}
-			}
+		k.sample(now, &s)
+		if cfg.TrackSyncedByAS {
+			s.SyncedByAS = k.syncedByAS()
 		}
 		trace.Samples = append(trace.Samples, s)
 		nextSample += cfg.SampleEvery
 	}
 	return trace, nil
-}
-
-func bucketAdd(b *[5]int, behind int) {
-	switch {
-	case behind <= 0:
-		b[0]++
-	case behind == 1:
-		b[1]++
-	case behind <= 4:
-		b[2]++
-	case behind <= 10:
-		b[3]++
-	default:
-		b[4]++
-	}
 }
 
 // episode is one slowdown window.

@@ -24,6 +24,60 @@ func TestRunTraceValidation(t *testing.T) {
 	}
 }
 
+func TestRunTraceWindowValidation(t *testing.T) {
+	p := testPop(t)
+	m := time.Minute
+	cases := []struct {
+		name    string
+		windows []time.Duration
+		ok      bool
+	}{
+		{"default", nil, true},
+		{"single", []time.Duration{5 * m}, true},
+		{"ascending", []time.Duration{5 * m, 10 * m, 200 * m}, true},
+		{"unsorted", []time.Duration{10 * m, 5 * m, 200 * m}, false},
+		{"descending", []time.Duration{200 * m, 10 * m}, false},
+		{"duplicate", []time.Duration{5 * m, 5 * m}, false},
+		{"zero", []time.Duration{0, 5 * m}, false},
+		{"negative", []time.Duration{-m}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := p.RunTrace(TraceConfig{
+				Duration: time.Hour, SampleEvery: 10 * m, Seed: 1,
+				VulnerabilityWindows: c.windows,
+			})
+			if (err == nil) != c.ok {
+				t.Fatalf("windows %v: err = %v, want ok=%v", c.windows, err, c.ok)
+			}
+			if c.ok && len(tr.Samples[0].Vulnerable) != len(tr.Config.VulnerabilityWindows) {
+				t.Errorf("Vulnerable rows = %d, want %d", len(tr.Samples[0].Vulnerable), len(tr.Config.VulnerabilityWindows))
+			}
+		})
+	}
+}
+
+func TestTraceCustomWindowsMatchDefaultColumns(t *testing.T) {
+	// A custom ascending subset of the default windows must count exactly
+	// what the default run counts in the same columns.
+	base := TraceConfig{Duration: 12 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 4, EpisodesPerDay: 10}
+	def := runTrace(t, base)
+	all := DefaultVulnerabilityWindows()
+	pick := []int{1, 4, 8}
+	sub := base
+	for _, i := range pick {
+		sub.VulnerabilityWindows = append(sub.VulnerabilityWindows, all[i])
+	}
+	got := runTrace(t, sub)
+	for si, s := range got.Samples {
+		for ci, i := range pick {
+			if s.Vulnerable[ci] != def.Samples[si].Vulnerable[i] {
+				t.Fatalf("sample %d window %v: %v, want %v", si, all[i], s.Vulnerable[ci], def.Samples[si].Vulnerable[i])
+			}
+		}
+	}
+}
+
 func TestTraceSampleCountsAndInvariants(t *testing.T) {
 	tr := runTrace(t, TraceConfig{Duration: 6 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 2})
 	if got, want := len(tr.Samples), 36; got != want {

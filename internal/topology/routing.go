@@ -39,6 +39,19 @@ func (rt *RouteTable) Announce(p Prefix, origin ASN, hijack bool) error {
 	return nil
 }
 
+// announceNew appends the legitimate routes of an AS that AddAS is
+// registering, in order. Legitimate routes come from registered ASes (the
+// invariant Validate checks) and this AS is new, so none of its routes is
+// in the table yet; AddAS has ruled out repeats among prefixes. Announce's
+// whole-table duplicate scan would find nothing, and per prefix it makes
+// registering a population quadratic.
+func (rt *RouteTable) announceNew(origin ASN, prefixes []Prefix) {
+	for _, p := range prefixes {
+		rt.routes = append(rt.routes, Route{Prefix: p, Origin: origin, seq: rt.nextSeq})
+		rt.nextSeq++
+	}
+}
+
 // Withdraw removes all routes for the prefix from the given origin matching
 // the hijack flag. It returns the number of routes removed. This implements
 // the "bogus route purging" countermeasure of Zhang et al. cited in §VI.

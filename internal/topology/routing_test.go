@@ -235,3 +235,135 @@ func TestResolveConsistencyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestAddASRejectsRepeatedPrefix(t *testing.T) {
+	topo := New()
+	p := mustPrefix(t, "10.0.0.0/20")
+	q := mustPrefix(t, "10.0.16.0/20")
+	if err := topo.AddAS(AS{Number: 100, Org: "o", Prefixes: []Prefix{p, q, p}}); err == nil {
+		t.Fatal("AS listing a prefix twice accepted")
+	}
+	// The rejected AS left nothing behind, so a corrected retry succeeds.
+	if topo.NumASes() != 0 || topo.NumOrgs() != 0 {
+		t.Errorf("rejected AS registered: %d ASes, %d orgs", topo.NumASes(), topo.NumOrgs())
+	}
+	if _, ok := topo.Resolve(mustIP(t, "10.0.0.1")); ok {
+		t.Error("rejected AS announced a route")
+	}
+	if err := topo.AddAS(AS{Number: 100, Org: "o", Prefixes: []Prefix{p, q}}); err != nil {
+		t.Fatalf("corrected AddAS: %v", err)
+	}
+	if asn, ok := topo.Resolve(mustIP(t, "10.0.16.1")); !ok || asn != 100 {
+		t.Errorf("Resolve = AS%d, %v; want AS100", asn, ok)
+	}
+}
+
+func TestDuplicateHijackAnnounceErrors(t *testing.T) {
+	rt := NewRouteTable()
+	victim := mustPrefix(t, "203.0.113.0/24")
+	if err := rt.Announce(victim, 100, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.HijackPrefix(666, victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.HijackPrefix(666, victim); err == nil {
+		t.Error("repeated hijack accepted")
+	}
+	lo, _, err := victim.Halves()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Announce(lo, 666, true); err == nil {
+		t.Error("duplicate hijack Announce accepted")
+	}
+	// The victim's own exact prefix as a hijack is a different tuple.
+	if err := rt.Announce(victim, 100, true); err != nil {
+		t.Errorf("hijack of the victim's tuple with Hijack set: %v", err)
+	}
+	if rt.HijackCount() != 3 {
+		t.Errorf("HijackCount = %d, want 3", rt.HijackCount())
+	}
+}
+
+func TestWithdrawThenReannounce(t *testing.T) {
+	topo := New()
+	p := mustPrefix(t, "10.0.0.0/20")
+	if err := topo.AddAS(AS{Number: 100, Org: "o", Prefixes: []Prefix{p}}); err != nil {
+		t.Fatal(err)
+	}
+	rt := topo.Routes()
+	if n := rt.Withdraw(p, 100, false); n != 1 {
+		t.Fatalf("Withdraw = %d, want 1", n)
+	}
+	if err := rt.Announce(p, 100, false); err != nil {
+		t.Errorf("re-announce after Withdraw: %v", err)
+	}
+	if err := rt.HijackPrefix(666, p); err != nil {
+		t.Fatal(err)
+	}
+	if n := rt.WithdrawHijacks(); n != 2 {
+		t.Fatalf("WithdrawHijacks = %d, want 2", n)
+	}
+	if err := rt.HijackPrefix(666, p); err != nil {
+		t.Errorf("re-hijack after WithdrawHijacks: %v", err)
+	}
+	if asn, _ := topo.Resolve(mustIP(t, "10.0.0.1")); asn != 666 {
+		t.Errorf("Resolve = AS%d, want AS666", asn)
+	}
+}
+
+func TestResolveEqualLengthOlderWins(t *testing.T) {
+	// Two ASes registering the same prefix (a MOAS conflict): the AS added
+	// first announced first and wins; withdrawing and re-announcing its
+	// route makes it the younger one.
+	topo := New()
+	p := mustPrefix(t, "10.0.0.0/20")
+	ip := mustIP(t, "10.0.0.1")
+	for _, asn := range []ASN{100, 200} {
+		if err := topo.AddAS(AS{Number: asn, Org: "o", Prefixes: []Prefix{p}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if asn, _ := topo.Resolve(ip); asn != 100 {
+		t.Errorf("Resolve = AS%d, want AS100 (older)", asn)
+	}
+	// An exact-prefix hijack is younger than both.
+	if err := topo.Routes().Announce(p, 666, true); err != nil {
+		t.Fatal(err)
+	}
+	if asn, _ := topo.Resolve(ip); asn != 100 {
+		t.Errorf("Resolve after exact hijack = AS%d, want AS100", asn)
+	}
+	topo.Routes().Withdraw(p, 100, false)
+	if err := topo.Routes().Announce(p, 100, false); err != nil {
+		t.Fatal(err)
+	}
+	if asn, _ := topo.Resolve(ip); asn != 200 {
+		t.Errorf("Resolve after re-announce = AS%d, want AS200 (now older)", asn)
+	}
+}
+
+func TestForkHijacksNeverReachParent(t *testing.T) {
+	topo := New()
+	p := mustPrefix(t, "10.0.0.0/20")
+	if err := topo.AddAS(AS{Number: 100, Org: "o", Prefixes: []Prefix{p}}); err != nil {
+		t.Fatal(err)
+	}
+	ip := mustIP(t, "10.0.0.1")
+	for i := 0; i < 2; i++ {
+		fork := topo.Fork()
+		if err := fork.Routes().HijackPrefix(666, p); err != nil {
+			t.Fatalf("fork %d: %v", i, err)
+		}
+		if asn, _ := fork.Resolve(ip); asn != 666 {
+			t.Errorf("fork %d Resolve = AS%d, want AS666", i, asn)
+		}
+		if asn, _ := topo.Resolve(ip); asn != 100 {
+			t.Errorf("parent Resolve after fork %d hijack = AS%d, want AS100", i, asn)
+		}
+		if n := topo.Routes().HijackCount(); n != 0 {
+			t.Errorf("parent HijackCount = %d after fork %d hijack", n, i)
+		}
+	}
+}

@@ -58,10 +58,18 @@ var (
 )
 
 // AddAS registers an AS, creates its organization on first sight, and
-// announces all of its prefixes in the route table.
+// announces all of its prefixes in the route table. An AS listing a prefix
+// twice is rejected before anything is registered.
 func (t *Topology) AddAS(as AS) error {
 	if _, ok := t.ases[as.Number]; ok {
 		return fmt.Errorf("%w: %d", ErrDuplicateAS, as.Number)
+	}
+	seen := make(map[Prefix]struct{}, len(as.Prefixes))
+	for _, p := range as.Prefixes {
+		if _, dup := seen[p]; dup {
+			return fmt.Errorf("topology: AS%d lists prefix %v twice", as.Number, p)
+		}
+		seen[p] = struct{}{}
 	}
 	stored := as
 	stored.Prefixes = append([]Prefix(nil), as.Prefixes...)
@@ -72,11 +80,7 @@ func (t *Topology) AddAS(as AS) error {
 		t.orgs[as.Org] = org
 	}
 	org.ASNs = append(org.ASNs, as.Number)
-	for _, p := range stored.Prefixes {
-		if err := t.rt.Announce(p, as.Number, false); err != nil {
-			return fmt.Errorf("announce %v for AS%d: %w", p, as.Number, err)
-		}
-	}
+	t.rt.announceNew(as.Number, stored.Prefixes)
 	return nil
 }
 
