@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/attack"
@@ -19,9 +21,16 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run writes the walkthrough to w.
+func run(w io.Writer) error {
 	study, err := core.New(11)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// One day of 10-minute samples with per-AS sync tracking — the
@@ -33,28 +42,28 @@ func main() {
 		TrackSyncedByAS: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	moment, err := attack.FindBestMoment(tr, 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("best attack window at t=%v: %d synced vs %d behind\n",
+	fmt.Fprintf(w, "best attack window at t=%v: %d synced vs %d behind\n",
 		moment.Time, moment.Synced, moment.Behind)
-	fmt.Println("top ASes hosting the synced (green) nodes at that moment:")
+	fmt.Fprintln(w, "top ASes hosting the synced (green) nodes at that moment:")
 	for _, row := range moment.TopSyncedASes {
-		fmt.Printf("  AS%-6d %4d synced nodes (%.1f%%)\n", row.ASN, row.Nodes, row.Fraction*100)
+		fmt.Fprintf(w, "  AS%-6d %4d synced nodes (%.1f%%)\n", row.ASN, row.Nodes, row.Fraction*100)
 	}
 
-	fmt.Println("\ncapability-adjusted plans:")
+	fmt.Fprintln(w, "\ncapability-adjusted plans:")
 	for _, cap := range []attack.Capability{
 		attack.CapabilityRouting, attack.CapabilityMining, attack.CapabilityBoth,
 	} {
 		plan, err := attack.PlanSpatioTemporal(study.Pop, moment, cap, 5)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %-15v spatial: %d ASes / %d prefixes -> %d nodes; temporal: %d victims; coverage %.1f%%\n",
+		fmt.Fprintf(w, "  %-15v spatial: %d ASes / %d prefixes -> %d nodes; temporal: %d victims; coverage %.1f%%\n",
 			cap, len(plan.SpatialASes), plan.SpatialPrefixes, plan.SpatialNodes,
 			plan.TemporalVictims, plan.Coverage*100)
 	}
@@ -62,7 +71,7 @@ func main() {
 	// Execute the cloud-provider (both-capability) attack on a live sim.
 	sim, err := study.NewSimFromPopulation(160, 11)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sim.StartMining()
 	sim.Run(6 * time.Hour)
@@ -75,9 +84,10 @@ func main() {
 		HealFor:       4 * time.Hour,
 	}, spatial, temporal)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\ncombined execution: %d/%d spatially isolated; %d/%d temporally captured; %d txs reversed\n",
+	fmt.Fprintf(w, "\ncombined execution: %d/%d spatially isolated; %d/%d temporally captured; %d txs reversed\n",
 		res.SpatialIsolated, len(spatial),
 		res.Temporal.CapturedAtRelease, len(temporal), res.Temporal.ReversedTxs)
+	return nil
 }
