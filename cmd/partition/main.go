@@ -66,6 +66,8 @@ func run(args []string) (int, error) {
 		verb, noun = args[1], args[2]
 		args = args[1:]
 	}
+	// Registered names are lower case; `experiment Table1` means table1.
+	noun = strings.ToLower(noun)
 	fs := flag.NewFlagSet("partition", flag.ContinueOnError)
 	sf := service.RegisterSpecFlags(fs)
 	tracePath := fs.String("trace", "", "record the sim-time event trace and write it as JSONL to this path")

@@ -12,7 +12,8 @@
 // (core).
 //
 // Entry points: cmd/partition (experiments, attacks, defenses), cmd/crawl,
-// cmd/gridviz, and the runnable walkthroughs under examples/. The root-level
+// cmd/gridviz, and two walkthroughs under examples/ (spatialhijack,
+// spatiotemporal) that run what no verb does. The root-level
 // benchmarks (bench_test.go) regenerate each table and figure and exercise
 // the ablations called out in DESIGN.md.
 package repro

@@ -77,6 +77,36 @@ func figure6Variant(v Figure6Variant) func(*Study) (string, error) {
 	}
 }
 
+// Experiment renders one named experiment: a name of the evaluation,
+// figure6 (an alias of figure6a) or healstudy. The heal study sweeps the
+// fault presets itself, so it is not part of RunAll (whose golden output
+// must not move) and ignores the study's fault scenario.
+func (s *Study) Experiment(name string) (string, error) {
+	run := lookupExperiment(name)
+	if run == nil {
+		return "", fmt.Errorf("unknown experiment %q", name)
+	}
+	return run(s)
+}
+
+// IsExperiment reports whether Experiment renders name. Names match exactly.
+func IsExperiment(name string) bool { return lookupExperiment(name) != nil }
+
+func lookupExperiment(name string) func(*Study) (string, error) {
+	switch name {
+	case "figure6":
+		name = "figure6a"
+	case "healstudy":
+		return renderErr((*Study).HealStudy)
+	}
+	for _, e := range experiments() {
+		if e.name == name {
+			return e.run
+		}
+	}
+	return nil
+}
+
 // RunAll regenerates every table and figure of the evaluation, fanning the
 // experiments across workers (<= 0 means one per CPU; the study's
 // configured Workers bound applies inside each experiment as well). The

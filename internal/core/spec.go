@@ -108,8 +108,8 @@ func (s Spec) Options() []Option {
 
 // Validate checks the structural invariants a spec must hold before it is
 // run or fingerprinted: a known schema, a known verb, a non-empty name, and
-// non-negative scale fields. Name resolution happens at dispatch, where the
-// verb's registry owns the error text.
+// non-negative scale fields. The service checks the name against the verb's
+// table before it runs or stores anything.
 func (s Spec) Validate() error {
 	if s.Schema != SpecSchemaV1 {
 		return fmt.Errorf("%w, got %q", errSpecSchema, s.Schema)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/p2p"
 )
 
 // NodeObservation is what the crawler records about one node at one sample
@@ -42,35 +41,6 @@ type Snapshot struct {
 	TipHeight int `json:"tip_height"`
 	// Nodes are the per-node observations.
 	Nodes []NodeObservation `json:"nodes"`
-}
-
-// LagBuckets folds a snapshot into the Figure 6 stacked buckets.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (s *Snapshot) LagBuckets() p2p.LagBuckets {
-	var lb p2p.LagBuckets
-	for _, n := range s.Nodes {
-		if !n.Up {
-			continue
-		}
-		lb.Add(n.Behind)
-	}
-	return lb
-}
-
-// VulnerableNodes returns the IDs of up nodes at least minLag behind — the
-// adversarial query of §III ("identify vulnerable nodes that are 1-5 blocks
-// behind").
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (s *Snapshot) VulnerableNodes(minLag int) []int {
-	var out []int
-	for _, n := range s.Nodes {
-		if n.Up && n.Behind >= minLag {
-			out = append(out, n.ID)
-		}
-	}
-	return out
 }
 
 // Crawler samples a simulation on its virtual clock.
@@ -163,42 +133,6 @@ func (c *Crawler) capture(now time.Duration) {
 	for _, i := range flaky {
 		c.scheduleRetry(snapIdx, i, ref, 1)
 	}
-}
-
-// VersionCensus aggregates the snapshot's client versions — the crawl-side
-// input to the logical attack of §V-D.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (s *Snapshot) VersionCensus() map[string]int {
-	out := map[string]int{}
-	for _, n := range s.Nodes {
-		if n.Version != "" {
-			out[n.Version]++
-		}
-	}
-	return out
-}
-
-// SyncedByAS aggregates synced-node counts per AS — the crawl-side input
-// to the spatio-temporal planner (Table VII).
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (s *Snapshot) SyncedByAS() map[int]int {
-	out := map[int]int{}
-	for _, n := range s.Nodes {
-		if n.Up && n.Behind == 0 {
-			out[n.ASN]++
-		}
-	}
-	return out
-}
-
-// CaptureNow takes an immediate snapshot outside the periodic schedule.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (c *Crawler) CaptureNow() Snapshot {
-	c.capture(c.sim.Engine.Now())
-	return c.snaps[len(c.snaps)-1]
 }
 
 // Snapshots returns all captures so far.

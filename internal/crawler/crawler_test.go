@@ -62,29 +62,6 @@ func TestPeriodicCapture(t *testing.T) {
 	}
 }
 
-func TestLagBucketsAndVulnerable(t *testing.T) {
-	sim := testSim(t)
-	c, err := New(sim, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.StartMining()
-	sim.Run(2 * time.Hour)
-	snap := c.CaptureNow()
-	lb := snap.LagBuckets()
-	if lb.Total() != 40 {
-		t.Errorf("bucket total = %d", lb.Total())
-	}
-	all := snap.VulnerableNodes(0)
-	if len(all) != 40 {
-		t.Errorf("minLag=0 matched %d", len(all))
-	}
-	deep := snap.VulnerableNodes(10000)
-	if len(deep) != 0 {
-		t.Errorf("absurd lag matched %d", len(deep))
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	sim := testSim(t)
 	c, _ := New(sim, 10*time.Minute)
@@ -116,46 +93,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 		if got[i].Nodes[3] != snaps[i].Nodes[3] {
 			t.Fatalf("snapshot %d node mismatch", i)
 		}
-	}
-}
-
-func TestVersionCensusAndSyncedByAS(t *testing.T) {
-	// Build a sim with profiles so the crawler has something to record.
-	nodes := make([]*p2p.Node, 20)
-	for i := range nodes {
-		version := "Bitcoin Core v0.16.0"
-		if i%4 == 0 {
-			version = "Bitcoin Core v0.15.1"
-		}
-		nodes[i] = p2p.NewNode(p2p.NodeID(i), p2p.Profile{
-			ASN:     24940,
-			Version: version,
-		})
-	}
-	sim, err := netsim.FromConfig(netsim.Config{
-		Population: nodes, Seed: 1,
-		Gossip: p2p.Config{FailureRate: 1e-9},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(sim, time.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim.StartMining()
-	sim.Run(time.Hour)
-	snap := c.CaptureNow()
-	census := snap.VersionCensus()
-	if census["Bitcoin Core v0.16.0"] != 15 || census["Bitcoin Core v0.15.1"] != 5 {
-		t.Errorf("census = %v", census)
-	}
-	byAS := snap.SyncedByAS()
-	if byAS[24940] == 0 {
-		t.Error("no synced nodes recorded for the AS")
-	}
-	if byAS[24940] > 20 {
-		t.Errorf("synced count %d exceeds population", byAS[24940])
 	}
 }
 

@@ -514,3 +514,13 @@ func assemblePopulation(hdr popHeader, cols map[string]json.RawMessage) (*Popula
 	}
 	return p, nil
 }
+
+// readFrameLine reads one line without its newline; complete is false when
+// the input ended before a newline (a half-written final line never counts).
+func readFrameLine(br *bufio.Reader) (line []byte, complete bool) {
+	line, err := br.ReadBytes('\n')
+	if err != nil {
+		return line, false
+	}
+	return line[:len(line)-1], true
+}

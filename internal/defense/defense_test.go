@@ -79,7 +79,7 @@ func TestBlockAwareTriggersOnStaleness(t *testing.T) {
 	}
 	ba.Start()
 	// Stop all mining: every node goes stale and the monitor must trigger.
-	sim.StopMining()
+	sim.SetHonestShare(0)
 	sim.Run(sim.Engine.Now() + 2*time.Hour)
 	if ba.Triggers == 0 {
 		t.Error("no staleness triggers despite halted mining")

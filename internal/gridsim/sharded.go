@@ -61,7 +61,7 @@ type ShardStats struct {
 // ShardStats returns the partitioning summary; the zero value when the
 // legacy engine is running.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; it goes with the sharded engine in ROADMAP item 4(b), blocked while perfbench's ladder calls gridsim.WithShards
 func (g *Grid) ShardStats() ShardStats { return g.shardStats }
 
 // resetSharded builds the partition plan, the gang, and the double-buffer

@@ -111,10 +111,15 @@ func TestTemporalPipeline(t *testing.T) {
 	sim.Run(6 * time.Hour)
 
 	// Adversarial view from the crawl: all up nodes are candidates.
-	snap := c.CaptureNow()
-	candidates := snap.VulnerableNodes(0)
-	if len(candidates) < 50 {
-		t.Fatalf("crawler sees only %d candidates", len(candidates))
+	snaps := c.Snapshots()
+	candidates := 0
+	for _, n := range snaps[len(snaps)-1].Nodes {
+		if n.Up {
+			candidates++
+		}
+	}
+	if candidates < 50 {
+		t.Fatalf("crawler sees only %d candidates", candidates)
 	}
 	victims := attack.FindVictims(sim, 0, 12)
 

@@ -1,16 +1,15 @@
 // Package mining models Bitcoin's block-production layer: mining pools with
 // fractional hash rates, the stratum servers that aggregate their miners
-// (whose AS placement Table IV of the paper maps), and the stochastic block
-// production process (Poisson arrivals whose rate scales with the hash share
-// still connected — the mechanism that lets a 30%-hash-rate attacker sustain
-// a counterfeit branch inside an isolated partition, §V-B).
+// (whose AS placement Table IV of the paper maps), and the block interval
+// whose rate the simulators scale by the hash share still connected — the
+// mechanism that lets a 30%-hash-rate attacker sustain a counterfeit branch
+// inside an isolated partition, §V-B.
 package mining
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/stats"
@@ -60,11 +59,6 @@ func NewPoolSet(pools []Pool) (*PoolSet, error) {
 	return &PoolSet{pools: append([]Pool(nil), pools...)}, nil
 }
 
-// Pools returns a copy of the roster.
-func (s *PoolSet) Pools() []Pool {
-	return append([]Pool(nil), s.pools...)
-}
-
 // Len returns the number of pools.
 func (s *PoolSet) Len() int { return len(s.pools) }
 
@@ -110,64 +104,6 @@ func (s *PoolSet) ShareBehindOrg(org string) float64 {
 		}
 	}
 	return total
-}
-
-// TopByShare returns the n largest pools by hash share (stable for ties).
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (s *PoolSet) TopByShare(n int) []Pool {
-	pools := s.Pools()
-	sort.SliceStable(pools, func(i, j int) bool { return pools[i].HashShare > pools[j].HashShare })
-	if n > len(pools) {
-		n = len(pools)
-	}
-	return pools[:n]
-}
-
-// Producer samples block production for a (sub)network controlling a given
-// fraction of total hash rate. When a partition isolates hash power, each
-// side's Producer gets the corresponding share and block times stretch
-// proportionally — the signal the paper notes isolated nodes misattribute to
-// "network issues".
-type Producer struct {
-	share float64
-	rng   *rand.Rand
-}
-
-// NewProducer returns a producer for a hash share in (0,1]. A zero or
-// negative share never produces (NextBlockIn returns +Inf-like max duration).
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func NewProducer(share float64, rng *rand.Rand) *Producer {
-	return &Producer{share: share, rng: rng}
-}
-
-// Share returns the producer's hash share.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (p *Producer) Share() float64 { return p.share }
-
-// SetShare adjusts the hash share mid-run (e.g. when a hijack disconnects a
-// pool's stratum servers).
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (p *Producer) SetShare(share float64) { p.share = share }
-
-// NextBlockIn samples the time until this producer's next block: exponential
-// with rate share/BlockInterval.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (p *Producer) NextBlockIn() time.Duration {
-	if p.share <= 0 {
-		return time.Duration(1<<62 - 1)
-	}
-	lambda := p.share / BlockInterval.Seconds()
-	secs := stats.Exponential(p.rng, lambda)
-	d := time.Duration(secs * float64(time.Second))
-	if d < 0 {
-		d = time.Duration(1<<62 - 1)
-	}
-	return d
 }
 
 // PickWinner samples which pool in the set mines the next block, restricted

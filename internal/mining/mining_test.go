@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -83,59 +82,10 @@ func TestShareBehindOrg(t *testing.T) {
 	}
 }
 
-func TestTopByShare(t *testing.T) {
-	set := paperPools(t)
-	top2 := set.TopByShare(2)
-	if len(top2) != 2 || top2[0].Name != "BTC.com" || top2[1].Name != "Antpool" {
-		t.Errorf("TopByShare(2) = %v", top2)
-	}
-	if got := set.TopByShare(100); len(got) != set.Len() {
-		t.Errorf("TopByShare over-length = %d items", len(got))
-	}
-}
-
 func TestTotalShare(t *testing.T) {
 	set := paperPools(t)
 	if got := set.TotalShare(); math.Abs(got-0.657) > 1e-9 {
 		t.Errorf("TotalShare = %v, want 0.657", got)
-	}
-}
-
-func TestProducerMeanBlockTime(t *testing.T) {
-	tests := []struct {
-		share float64
-		want  time.Duration
-	}{
-		{1.0, 600 * time.Second},
-		{0.3, 2000 * time.Second}, // the paper's 30% attacker: 3.33x slower blocks
-	}
-	for _, tt := range tests {
-		rng := stats.NewRand(11)
-		p := NewProducer(tt.share, rng)
-		const n = 30000
-		var sum time.Duration
-		for i := 0; i < n; i++ {
-			sum += p.NextBlockIn()
-		}
-		mean := sum / n
-		ratio := float64(mean) / float64(tt.want)
-		if ratio < 0.95 || ratio > 1.05 {
-			t.Errorf("share %v: mean block time %v, want ~%v", tt.share, mean, tt.want)
-		}
-	}
-}
-
-func TestProducerZeroShareNeverMines(t *testing.T) {
-	p := NewProducer(0, stats.NewRand(1))
-	if d := p.NextBlockIn(); d < time.Duration(1<<62-1) {
-		t.Errorf("zero-share producer scheduled a block in %v", d)
-	}
-	p.SetShare(0.5)
-	if p.Share() != 0.5 {
-		t.Error("SetShare did not take effect")
-	}
-	if d := p.NextBlockIn(); d > 100*BlockInterval {
-		t.Errorf("0.5-share producer block time suspiciously long: %v", d)
 	}
 }
 

@@ -71,25 +71,6 @@ func TestZeroShareStopsMining(t *testing.T) {
 	}
 }
 
-func TestStopMining(t *testing.T) {
-	s, err := FromConfig(Config{Nodes: 10, Seed: 2, Gossip: p2p.Config{FailureRate: 1e-12}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.StartMining()
-	s.Run(2 * time.Hour)
-	n := s.BlocksProduced()
-	if n == 0 {
-		t.Fatal("no blocks in 2h")
-	}
-	s.StopMining()
-	s.Run(10 * time.Hour)
-	// At most one in-flight block fires after StopMining.
-	if s.BlocksProduced() > n+1 {
-		t.Errorf("mining continued after stop: %d -> %d", n, s.BlocksProduced())
-	}
-}
-
 func TestNewTxsMonotonic(t *testing.T) {
 	s, err := FromConfig(Config{Nodes: 5, Seed: 3})
 	if err != nil {

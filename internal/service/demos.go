@@ -3,7 +3,6 @@ package service
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/attack"
@@ -19,19 +18,12 @@ import (
 // below are simulated-time spans fed to the event engine, not wall-clock
 // reads.)
 
-func runDefense(study *core.Study, name string, w io.Writer) error {
-	switch strings.ToLower(name) {
-	case "blockaware":
-		return blockAwareDemo(study, w)
-	case "stratum":
-		return stratumDemo(w)
-	case "routeguard":
-		return routeGuardDemo(study, w)
-	case "placement":
-		return placementDemo(study, w)
-	default:
-		return fmt.Errorf("unknown defense %q", name)
-	}
+// defenses is the `defend` verb's table.
+var defenses = map[string]func(*core.Study, io.Writer) error{
+	"blockaware": blockAwareDemo,
+	"stratum":    stratumDemo,
+	"routeguard": routeGuardDemo,
+	"placement":  placementDemo,
 }
 
 func placementDemo(study *core.Study, w io.Writer) error {
@@ -81,7 +73,7 @@ func blockAwareDemo(study *core.Study, w io.Writer) error {
 	return nil
 }
 
-func stratumDemo(w io.Writer) error {
+func stratumDemo(_ *core.Study, w io.Writer) error {
 	fmt.Fprintln(w, "Stratum dispersal: attack cost to isolate 60% of hash rate")
 	pools := dataset.TableIV()
 	candidates := []topology.ASN{

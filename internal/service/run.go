@@ -11,6 +11,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/attack"
@@ -86,25 +87,19 @@ func RunSpec(spec core.Spec, opts RunOptions) (*RunResult, error) {
 	if opts.Journal != nil && (spec.Run.Verb != "experiment" || spec.Run.Name != "all") {
 		return nil, fmt.Errorf("service: checkpointing applies only to `experiment all`, not %q", spec.Run)
 	}
+	run, err := resolve(spec.Run)
+	if err != nil {
+		return nil, err
+	}
 	study, err := core.NewFromSpec(spec, opts.Extra...)
 	if err != nil {
 		return nil, err
 	}
 	var out strings.Builder
-	switch spec.Run.Verb {
-	case "experiment":
-		if spec.Run.Name == "all" && opts.Journal != nil {
-			return runAllCheckpointed(study, &out, opts)
-		}
-		err = runExperiment(study, spec.Run.Name, &out)
-	case "attack":
-		err = runAttack(study, spec.Run.Name, &out)
-	case "defend":
-		err = runDefense(study, spec.Run.Name, &out)
-	case "export":
-		err = runExport(study, spec.Run.Name, &out)
+	if opts.Journal != nil {
+		return runAllCheckpointed(study, &out, opts)
 	}
-	if err != nil {
+	if err := run(study, &out); err != nil {
 		return nil, err
 	}
 	return &RunResult{Output: out.String(), Exit: ExitClean}, nil
@@ -144,128 +139,63 @@ func runAllCheckpointed(study *core.Study, out *strings.Builder, opts RunOptions
 	return res, nil
 }
 
-// runExperiment renders one named experiment (or the full sweep) into w,
-// byte-identical to the pre-service CLI.
-func runExperiment(study *core.Study, name string, w io.Writer) error {
-	if name == "all" {
-		outputs, err := study.RunAll(study.Opts.Workers)
-		if err != nil {
-			return err
+// resolve finds the runner a command's verb dispatches its name to. Names
+// match exactly, so a spelling outside the registry is refused rather than
+// given a cache key of its own. Submit, RunSpec and the CLI's spec builder
+// all call it before anything is built or stored, so the CLI and the
+// daemon refuse a bad name with the same error.
+func resolve(cmd core.Command) (func(*core.Study, io.Writer) error, error) {
+	switch cmd.Verb {
+	case "experiment":
+		if cmd.Name == "all" {
+			return runAll, nil
 		}
-		for _, out := range outputs {
-			fmt.Fprint(w, out.Text)
-			fmt.Fprintln(w)
+		if !core.IsExperiment(cmd.Name) {
+			return nil, fmt.Errorf("unknown experiment %q", cmd.Name)
 		}
-		return nil
+		return func(study *core.Study, w io.Writer) error {
+			out, err := study.Experiment(cmd.Name)
+			if err != nil {
+				return err
+			}
+			fmt.Fprint(w, out)
+			return nil
+		}, nil
+	case "attack":
+		if !slices.Contains(attack.PlanNames(), cmd.Name) {
+			return nil, fmt.Errorf("unknown attack plan %q (%s)", cmd.Name, strings.Join(attack.PlanNames(), ", "))
+		}
+		return func(study *core.Study, w io.Writer) error { return runAttack(study, cmd.Name, w) }, nil
+	case "defend":
+		if run, ok := defenses[cmd.Name]; ok {
+			return run, nil
+		}
+		return nil, fmt.Errorf("unknown defense %q (blockaware, stratum, routeguard, placement)", cmd.Name)
+	case "export":
+		if run, ok := exports[cmd.Name]; ok {
+			return run, nil
+		}
+		return nil, fmt.Errorf("unknown export %q (figure3, figure4, figure6a/b/c, figure8, table5, table6)", cmd.Name)
 	}
-	switch strings.ToLower(name) {
-	case "table1":
-		fmt.Fprint(w, study.TableI().Render())
-	case "table2":
-		fmt.Fprint(w, study.TableII().Render())
-	case "table3":
-		r, err := study.TableIII()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "table4":
-		r, err := study.TableIV()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "table5":
-		r, err := study.TableV()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "table6":
-		r, err := study.TableVI()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "table7":
-		r, err := study.TableVII()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "table8":
-		fmt.Fprint(w, study.TableVIII().Render())
-	case "figure1":
-		out, err := study.Figure1Demo()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, out)
-	case "figure2":
-		out, err := study.Figure2Demo()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, out)
-	case "figure3":
-		r, err := study.Figure3()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "figure4":
-		r, err := study.Figure4()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "figure5":
-		_, out, err := study.Figure5Demo()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, out)
-	case "figure6a", "figure6b", "figure6c", "figure6":
-		variants := map[string]core.Figure6Variant{
-			"figure6a": core.Figure6a, "figure6b": core.Figure6b,
-			"figure6c": core.Figure6c, "figure6": core.Figure6a,
-		}
-		r, err := study.Figure6(variants[strings.ToLower(name)])
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "figure7":
-		r, err := study.Figure7()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "figure8":
-		r, err := study.Figure8()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	case "healstudy":
-		// The partition-heal study sweeps the fault presets itself, so it is
-		// not part of "all" (whose golden output must not move) and ignores
-		// the spec's fault scenario.
-		r, err := study.HealStudy()
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
+	return nil, fmt.Errorf("unknown verb %q", cmd.Verb)
+}
+
+// runAll renders the full sweep, byte-identical to the pre-service CLI.
+func runAll(study *core.Study, w io.Writer) error {
+	outputs, err := study.RunAll(study.Opts.Workers)
+	if err != nil {
+		return err
+	}
+	for _, out := range outputs {
+		fmt.Fprint(w, out.Text)
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-// runAttack dispatches from the attack package's sorted plan registry;
-// unknown names report the registry in the error.
+// runAttack runs one plan of the attack package's registry.
 func runAttack(study *core.Study, name string, w io.Writer) error {
-	plan, err := attack.NewPlan(strings.ToLower(name), attack.Env{
+	plan, err := attack.NewPlan(name, attack.Env{
 		Pop:          study.Pop,
 		NetworkNodes: study.Opts.NetworkNodes,
 		Seed:         study.Seed(),
@@ -284,26 +214,18 @@ func runAttack(study *core.Study, name string, w io.Writer) error {
 	return nil
 }
 
-// runExport writes machine-readable CSV for the data figures/tables.
-func runExport(study *core.Study, name string, w io.Writer) error {
-	switch strings.ToLower(name) {
-	case "figure3":
-		return study.ExportFigure3(w)
-	case "figure4":
-		return study.ExportFigure4(w)
-	case "figure6a":
-		return study.ExportFigure6(w, core.Figure6a)
-	case "figure6b":
-		return study.ExportFigure6(w, core.Figure6b)
-	case "figure6c":
-		return study.ExportFigure6(w, core.Figure6c)
-	case "figure8":
-		return study.ExportFigure8(w)
-	case "table5":
-		return study.ExportTableV(w)
-	case "table6":
-		return study.ExportTableVI(w)
-	default:
-		return fmt.Errorf("unknown export %q (figure3, figure4, figure6a/b/c, figure8, table5, table6)", name)
-	}
+// exports writes machine-readable CSV for the data figures and tables.
+var exports = map[string]func(*core.Study, io.Writer) error{
+	"figure3":  (*core.Study).ExportFigure3,
+	"figure4":  (*core.Study).ExportFigure4,
+	"figure6a": exportFigure6(core.Figure6a),
+	"figure6b": exportFigure6(core.Figure6b),
+	"figure6c": exportFigure6(core.Figure6c),
+	"figure8":  (*core.Study).ExportFigure8,
+	"table5":   (*core.Study).ExportTableV,
+	"table6":   (*core.Study).ExportTableVI,
+}
+
+func exportFigure6(v core.Figure6Variant) func(*core.Study, io.Writer) error {
+	return func(study *core.Study, w io.Writer) error { return study.ExportFigure6(w, v) }
 }

@@ -83,10 +83,15 @@ const (
 	SubmitRefused SubmitStatus = "refused"
 )
 
-// Submit parses, validates, fingerprints, and (if new) admits a spec.
+// Submit parses, validates, fingerprints, and (if new) admits a spec. A
+// command name its verb does not know is an error before anything is
+// fingerprinted, stored or queued.
 func (s *Service) Submit(raw []byte) (View, SubmitStatus, error) {
 	spec, err := core.ParseSpec(raw)
 	if err != nil {
+		return View{}, "", err
+	}
+	if _, err := resolve(spec.Run); err != nil {
 		return View{}, "", err
 	}
 	fp, err := spec.Fingerprint()

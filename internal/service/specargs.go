@@ -36,7 +36,7 @@ func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 }
 
 // Spec builds the validated spec the parsed flags describe for the given
-// command.
+// command. The name must be one the verb knows, spelled exactly.
 func (f *SpecFlags) Spec(verb, name string) (core.Spec, error) {
 	if *f.shardWorkers != 0 && *f.shards == 0 {
 		return core.Spec{}, fmt.Errorf("-shardworkers needs -shards >= 1")
@@ -61,6 +61,9 @@ func (f *SpecFlags) Spec(verb, name string) (core.Spec, error) {
 	spec := core.SpecFromOptions(*f.seed, opts...)
 	spec.Run = core.Command{Verb: verb, Name: name}
 	if err := spec.Validate(); err != nil {
+		return core.Spec{}, err
+	}
+	if _, err := resolve(spec.Run); err != nil {
 		return core.Spec{}, err
 	}
 	return spec, nil

@@ -10,8 +10,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"repro/internal/checkpoint"
 )
 
 // Handler is a unit of simulated work executed at its scheduled virtual time.
@@ -392,14 +390,9 @@ type Engine struct {
 	// one today), so lookup is a linear scan at schedule time.
 	sinks   []MsgSink
 	nextSeq uint64
-	stopped bool
 	// processed counts executed events, exposed for tests and for guarding
 	// against runaway simulations.
 	processed uint64
-	// budget, when non-zero, is the watchdog cap on total processed events;
-	// exhausted latches once Run refuses to cross it.
-	budget    uint64
-	exhausted bool
 }
 
 // Now returns the current virtual time.
@@ -484,47 +477,12 @@ func (e *Engine) After(delay time.Duration, fn Handler) error {
 	return e.At(e.now+delay, fn)
 }
 
-// Stop halts the run loop after the currently executing handler returns.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (e *Engine) Stop() { e.stopped = true }
-
-// SetEventBudget arms the watchdog: once n events in total have been
-// processed, Run and RunAll stop executing and BudgetErr reports it.
-// A non-terminating fault scenario is thereby cancelled at a deterministic
-// point (the budget counts events, not wall time) instead of hanging the
-// trial. n = 0 disarms the watchdog.
-func (e *Engine) SetEventBudget(n uint64) {
-	e.budget = n
-	e.exhausted = false
-}
-
-// BudgetErr returns nil, or the watchdog cancellation as an error wrapping
-// checkpoint.ErrBudget so supervised runners journal the trial as exhausted
-// rather than quarantined.
-func (e *Engine) BudgetErr() error {
-	if !e.exhausted {
-		return nil
-	}
-	return fmt.Errorf("%w: event budget %d hit at t=%v with %d pending",
-		checkpoint.ErrBudget, e.budget, e.now, e.pending())
-}
-
-// overBudget checks (and latches) the watchdog before each event.
-func (e *Engine) overBudget() bool {
-	if e.budget > 0 && e.processed >= e.budget {
-		e.exhausted = true
-	}
-	return e.exhausted
-}
-
-// Run executes events in timestamp order until the queue drains, Stop is
-// called, or the virtual clock passes until. Events scheduled exactly at
-// until still run. It returns the number of events processed by this call.
+// Run executes events in timestamp order until the queue drains or the
+// virtual clock passes until. Events scheduled exactly at until still run.
+// It returns the number of events processed by this call.
 func (e *Engine) Run(until time.Duration) uint64 {
 	start := e.processed
-	e.stopped = false
-	for e.pending() > 0 && !e.stopped && !e.overBudget() {
+	for e.pending() > 0 {
 		at := e.peek().at
 		if at > until {
 			break
@@ -535,32 +493,9 @@ func (e *Engine) Run(until time.Duration) uint64 {
 		e.dispatch(hn, p)
 	}
 	// Advance the clock to the horizon even if the queue drained early, so
-	// repeated Run calls observe monotonic time. An exhausted run stays at
-	// the cancellation point: it did not actually reach the horizon.
-	if !e.stopped && !e.exhausted && e.now < until {
+	// repeated Run calls observe monotonic time.
+	if e.now < until {
 		e.now = until
 	}
 	return e.processed - start
-}
-
-// RunAll executes events until the queue is empty or Stop is called, with a
-// safety cap on the number of events to guard against self-sustaining event
-// storms. It returns an error if the cap is hit.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func (e *Engine) RunAll(maxEvents uint64) error {
-	e.stopped = false
-	var n uint64
-	for e.pending() > 0 && !e.stopped && !e.overBudget() {
-		if n >= maxEvents {
-			return fmt.Errorf("sim: event cap %d reached at t=%v with %d pending", maxEvents, e.now, e.pending())
-		}
-		at := e.peek().at
-		hn, p := e.pop()
-		e.now = at
-		e.processed++
-		n++
-		e.dispatch(hn, p)
-	}
-	return nil
 }

@@ -124,50 +124,6 @@ func TestEngineCascade(t *testing.T) {
 	}
 }
 
-func TestEngineStop(t *testing.T) {
-	var e Engine
-	count := 0
-	for i := 1; i <= 5; i++ {
-		_ = e.At(time.Duration(i)*time.Second, func(time.Duration) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run(time.Minute)
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (stopped)", count)
-	}
-}
-
-func TestRunAllCap(t *testing.T) {
-	var e Engine
-	var storm Handler
-	storm = func(time.Duration) { _ = e.After(time.Millisecond, storm) }
-	_ = e.After(0, storm)
-	if err := e.RunAll(100); err == nil {
-		t.Error("RunAll with self-sustaining storm: want cap error")
-	}
-}
-
-func TestRunAllDrains(t *testing.T) {
-	var e Engine
-	count := 0
-	for i := 0; i < 50; i++ {
-		_ = e.At(time.Duration(i)*time.Millisecond, func(time.Duration) { count++ })
-	}
-	if err := e.RunAll(1000); err != nil {
-		t.Fatal(err)
-	}
-	if count != 50 {
-		t.Errorf("count = %d, want 50", count)
-	}
-	if e.pending() != 0 {
-		t.Errorf("Pending = %d, want 0", e.pending())
-	}
-}
-
 func TestEngineClockMonotoneProperty(t *testing.T) {
 	// Property: for any batch of scheduling offsets, handlers observe a
 	// non-decreasing clock.

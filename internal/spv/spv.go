@@ -76,6 +76,8 @@ func NewFleet(sim *netsim.Simulation, n int, rng *rand.Rand, weight func(*p2p.No
 func (f *Fleet) Size() int { return len(f.clients) }
 
 // ClientsOf returns how many clients a full node serves.
+//
+//lint:ignore unusedexport counts the wallets behind captured victims for the integration test TestTemporalPipeline
 func (f *Fleet) ClientsOf(provider p2p.NodeID) int { return f.perProvider[provider] }
 
 // Exposure summarizes the fleet's inherited view at a moment.

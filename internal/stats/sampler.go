@@ -26,35 +26,6 @@ func Exponential(r *rand.Rand, lambda float64) float64 {
 	return r.ExpFloat64() / lambda
 }
 
-// Poisson samples a Poisson random variable with the given mean using
-// Knuth's product-of-uniforms method for small means and a normal
-// approximation for large ones.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func Poisson(r *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 60 {
-		// Normal approximation with continuity correction.
-		n := int(math.Round(r.NormFloat64()*math.Sqrt(mean) + mean))
-		if n < 0 {
-			return 0
-		}
-		return n
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Bernoulli returns true with probability p.
 func Bernoulli(r *rand.Rand, p float64) bool {
 	return r.Float64() < p
@@ -152,22 +123,6 @@ func WeightedIndex(r *rand.Rand, weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// TruncNormal samples a normal with the given mean and standard deviation,
-// truncated below at lo. Link speeds and latency indices are non-negative
-// quantities whose paper-reported σ exceeds μ, so naive normals would go
-// negative.
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func TruncNormal(r *rand.Rand, mean, std, lo float64) float64 {
-	for i := 0; i < 64; i++ {
-		x := r.NormFloat64()*std + mean
-		if x >= lo {
-			return x
-		}
-	}
-	return lo
 }
 
 // LogNormalFromMoments samples a log-normal variate whose mean and standard

@@ -30,36 +30,6 @@ func TestExponentialNonPositiveRate(t *testing.T) {
 	}
 }
 
-func TestPoissonMoments(t *testing.T) {
-	tests := []struct {
-		mean float64
-	}{
-		{0.5}, {3}, {20}, {100}, // spans both Knuth and normal-approx branches
-	}
-	for _, tt := range tests {
-		r := NewRand(7)
-		const n = 100000
-		var sum float64
-		for i := 0; i < n; i++ {
-			sum += float64(Poisson(r, tt.mean))
-		}
-		got := sum / n
-		tol := 4 * math.Sqrt(tt.mean/n) * 3 // ~3 sigma of the sample mean, padded
-		if tol < 0.02 {
-			tol = 0.02
-		}
-		if math.Abs(got-tt.mean) > tol {
-			t.Errorf("Poisson(%v) sample mean = %v", tt.mean, got)
-		}
-	}
-	if Poisson(NewRand(1), 0) != 0 {
-		t.Error("Poisson(0) should be 0")
-	}
-	if Poisson(NewRand(1), -3) != 0 {
-		t.Error("Poisson(-3) should be 0")
-	}
-}
-
 func TestZipfWeights(t *testing.T) {
 	w := ZipfWeights(100, 1.2)
 	if len(w) != 100 {
@@ -183,15 +153,6 @@ func TestWeightedIndex(t *testing.T) {
 	}
 	if WeightedIndex(r, []float64{0, 0}) != -1 {
 		t.Error("all-zero weights should return -1")
-	}
-}
-
-func TestTruncNormal(t *testing.T) {
-	r := NewRand(5)
-	for i := 0; i < 10000; i++ {
-		if x := TruncNormal(r, 0.5, 2.0, 0); x < 0 {
-			t.Fatalf("TruncNormal produced %v < 0", x)
-		}
 	}
 }
 

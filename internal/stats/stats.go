@@ -79,7 +79,7 @@ func Mean(xs []float64) float64 {
 // interpolation between closest ranks. It returns an error if xs is empty or
 // p is out of range.
 //
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
+//lint:ignore unusedexport deferred: only its own unit tests reach it; ROADMAP item 2's spread quantiles may give it a study, and it goes if they do not
 func Percentile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, fmt.Errorf("stats: percentile of empty slice")
@@ -156,17 +156,4 @@ func MeanCI95(xs []float64) (mean, half float64) {
 		ss += d * d
 	}
 	return mean, 1.96 * math.Sqrt(ss/float64(n-1)) / math.Sqrt(float64(n))
-}
-
-// Clamp bounds x to the closed interval [lo, hi].
-//
-//lint:ignore unusedexport deferred: only its own unit tests reach it; they go with it in a later change (ROADMAP item 5)
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -157,15 +157,3 @@ func TestBisectMinIntProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 1); got != 1 {
-		t.Errorf("Clamp(5,0,1) = %v", got)
-	}
-	if got := Clamp(-5, 0, 1); got != 0 {
-		t.Errorf("Clamp(-5,0,1) = %v", got)
-	}
-	if got := Clamp(0.5, 0, 1); got != 0.5 {
-		t.Errorf("Clamp(0.5,0,1) = %v", got)
-	}
-}

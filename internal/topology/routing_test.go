@@ -186,8 +186,8 @@ func TestTopologyRegistry(t *testing.T) {
 	if got := len(topo.ASesOfOrg("Amazon.com, Inc")); got != 2 {
 		t.Errorf("ASesOfOrg = %d, want 2", got)
 	}
-	if topo.NumASes() != 2 || topo.NumOrgs() != 1 {
-		t.Errorf("counts: %d ASes, %d orgs", topo.NumASes(), topo.NumOrgs())
+	if len(topo.ases) != 2 || len(topo.orgs) != 1 {
+		t.Errorf("counts: %d ASes, %d orgs", len(topo.ases), len(topo.orgs))
 	}
 	asn, ok := topo.Resolve(mustIP(t, "52.1.2.3"))
 	if !ok || asn != 16509 {
@@ -244,8 +244,8 @@ func TestAddASRejectsRepeatedPrefix(t *testing.T) {
 		t.Fatal("AS listing a prefix twice accepted")
 	}
 	// The rejected AS left nothing behind, so a corrected retry succeeds.
-	if topo.NumASes() != 0 || topo.NumOrgs() != 0 {
-		t.Errorf("rejected AS registered: %d ASes, %d orgs", topo.NumASes(), topo.NumOrgs())
+	if len(topo.ases) != 0 || len(topo.orgs) != 0 {
+		t.Errorf("rejected AS registered: %d ASes, %d orgs", len(topo.ases), len(topo.orgs))
 	}
 	if _, ok := topo.Resolve(mustIP(t, "10.0.0.1")); ok {
 		t.Error("rejected AS announced a route")

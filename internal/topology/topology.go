@@ -100,12 +100,6 @@ func (t *Topology) ASNs() []ASN {
 	return out
 }
 
-// NumASes returns the number of registered ASes.
-func (t *Topology) NumASes() int { return len(t.ases) }
-
-// NumOrgs returns the number of registered organizations.
-func (t *Topology) NumOrgs() int { return len(t.orgs) }
-
 // Fork returns a topology that shares t's AS and organization registry and
 // owns a copy of its route table, so announcements and withdrawals on the
 // fork never reach t. The registry must not be modified through either.
