@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -147,5 +148,115 @@ func TestEngineClockMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// orderSink records typed events by their Key, the test's schedule id.
+type orderSink struct{ fire func(id uint64) }
+
+func (s *orderSink) HandleMsg(_ time.Duration, m MsgEvent) { s.fire(m.Key) }
+
+// TestEngineMatchesReferenceOrder checks the queue against its definition:
+// every event fires, and in the order of a plain sort by (at, seq). Each
+// seeded run mixes closure and typed events and their follow-ups: zero
+// delays, sub-250ms bursts into the bucket already draining, delays across
+// the wheel and beyond its 64s window. It also stops Run early at random
+// horizons and then schedules with At into buckets the cursor has already
+// passed.
+func TestEngineMatchesReferenceOrder(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var e Engine
+		var ats []time.Duration // schedule id -> virtual time; ids follow seq
+		var fired []uint64
+		sink := &orderSink{}
+		var schedule func(at time.Duration)
+		onFire := func(id uint64) {
+			if e.Now() != ats[id] {
+				t.Fatalf("seed %d: event %d fired at %v, scheduled for %v", seed, id, e.Now(), ats[id])
+			}
+			fired = append(fired, id)
+			if len(ats) >= 4000 {
+				return
+			}
+			for k := r.Intn(4); k > 0; k-- {
+				var d time.Duration
+				switch r.Intn(6) {
+				case 0:
+					d = 0
+				case 1, 2:
+					d = time.Duration(r.Intn(250)) * time.Millisecond
+				case 3:
+					d = time.Duration(r.Intn(3000)) * time.Millisecond
+				case 4:
+					d = time.Duration(r.Intn(70)) * time.Second
+				default:
+					d = time.Duration(r.Intn(200)) * time.Second
+				}
+				schedule(e.Now() + d)
+			}
+		}
+		sink.fire = onFire
+		schedule = func(at time.Duration) {
+			id := uint64(len(ats))
+			ats = append(ats, at)
+			var err error
+			if r.Intn(2) == 0 {
+				err = e.At(at, func(time.Duration) { onFire(id) })
+			} else {
+				err = e.AtMsg(at, sink, MsgEvent{Key: id})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 50; i++ {
+			schedule(time.Duration(r.Intn(5000)) * time.Millisecond)
+		}
+		for horizon := time.Duration(0); e.pending() > 0 && horizon < time.Hour; {
+			horizon += time.Duration(r.Intn(3000)) * time.Millisecond
+			e.Run(horizon)
+			for k := r.Intn(3); k > 0; k-- {
+				schedule(e.Now() + time.Duration(r.Intn(500))*time.Millisecond)
+			}
+		}
+		e.Run(24 * time.Hour)
+		want := make([]uint64, len(ats))
+		for i := range want {
+			want[i] = uint64(i)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return ats[want[i]] < ats[want[j]] })
+		if len(fired) != len(want) {
+			t.Fatalf("seed %d: %d of %d events fired", seed, len(fired), len(want))
+		}
+		for i := range want {
+			if fired[i] != want[i] {
+				t.Fatalf("seed %d: event %d fired %d-th, reference order has %d there", seed, fired[i], i, want[i])
+			}
+		}
+	}
+}
+
+// BenchmarkEngineBurst schedules 20,000 events at distinct instants inside
+// one 250ms bucket while that bucket is draining, then runs them: every
+// push lands in the draining bucket, the case a sorted insert made
+// quadratic.
+func BenchmarkEngineBurst(b *testing.B) {
+	const burst = 20000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var e Engine
+		if err := e.At(0, func(now time.Duration) {
+			for k := burst; k > 0; k-- {
+				if err := e.At(now+time.Duration(k)*time.Microsecond, func(time.Duration) {}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}); err != nil {
+			b.Fatal(err)
+		}
+		if n := e.Run(time.Second); n != burst+1 {
+			b.Fatalf("ran %d events, want %d", n, burst+1)
+		}
 	}
 }
