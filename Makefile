@@ -34,12 +34,13 @@ test:
 
 # race runs the race detector over the packages that actually share memory
 # across goroutines: the worker pool, the observability layer it feeds, the
-# fault engine whose injectors run inside pool workers, and the sharded
-# gridsim engine whose shard gang ticks one world concurrently. The rest of
+# fault engine whose injectors run inside pool workers, the sharded gridsim
+# engine whose shard gang ticks one world concurrently, and topology, whose
+# route tables concurrent studies of one seed fork and read. The rest of
 # the tree is single-threaded by construction (enforced by the nogoroutine
 # analyzer), so a full -race sweep only slows the gate down.
 race:
-	$(GO) test -race ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/...
+	$(GO) test -race ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/... ./internal/topology/...
 
 # perfbench vets and tests the benchmark harness. perfbench/ is a module of
 # its own (replace repro => ../), so the root ./... patterns never compile

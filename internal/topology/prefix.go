@@ -89,6 +89,8 @@ func ParsePrefix(s string) (Prefix, error) {
 }
 
 // Contains reports whether ip falls inside the prefix.
+//
+//lint:ignore unusedexport the containment rule RouteTable's index encodes; the linear-scan resolve oracle in index_test.go checks the index against it
 func (p Prefix) Contains(ip IP) bool {
 	return ip.Mask(p.Len) == p.Base
 }
