@@ -207,12 +207,12 @@ func New(seed int64, opts ...Option) (*Study, error) {
 }
 
 // populations memoizes the synthetic population per generation seed. The
-// build is nearly all of study construction (the rest is a route-table
-// fork), though no longer most of a fresh job, and deterministic in the
-// seed, so studies sharing a seed share one copy built exactly once — even
-// when constructed concurrently. The memoized copy is never mutated: the
-// only mutable part, the BGP route table the spatial attacks and defenses
-// announce into and purge, is forked per study by newStudy.
+// build is nearly all of study construction (the rest is a copy-on-write
+// route-table fork) and deterministic in the seed, so studies sharing a
+// seed share one copy built exactly once — even when constructed
+// concurrently. The memoized copy is never mutated: the only mutable part,
+// the BGP route table the spatial attacks and defenses announce into and
+// purge, is forked per study by newStudy.
 var populations sync.Map // int64 -> *popEntry
 
 type popEntry struct {
