@@ -35,12 +35,15 @@ test:
 # race runs the race detector over the packages that actually share memory
 # across goroutines: the worker pool, the observability layer it feeds, the
 # fault engine whose injectors run inside pool workers, the sharded gridsim
-# engine whose shard gang ticks one world concurrently, and topology, whose
-# route tables concurrent studies of one seed fork and read. The rest of
-# the tree is single-threaded by construction (enforced by the nogoroutine
-# analyzer), so a full -race sweep only slows the gate down.
+# engine whose shard gang ticks one world concurrently, topology, whose
+# route tables concurrent studies of one seed fork and read, and dataset,
+# whose Generate builds the topology on one goroutine while the node draws
+# run on another. The rest of the tree is single-threaded by construction
+# (enforced by the nogoroutine analyzer), so a full -race sweep only slows
+# the gate down. TestTraceGolden is skipped: its 60-day single-goroutine
+# trace would take about 36 s of the race run and shares nothing.
 race:
-	$(GO) test -race ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/... ./internal/topology/...
+	$(GO) test -race -skip '^TestTraceGolden$$' ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/... ./internal/topology/... ./internal/dataset/...
 
 # perfbench vets and tests the benchmark harness. perfbench/ is a module of
 # its own (replace repro => ../), so the root ./... patterns never compile

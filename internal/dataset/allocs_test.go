@@ -31,13 +31,14 @@ func TestRunTraceAllocsCeiling(t *testing.T) {
 }
 
 // TestGenerateAllocsCeiling holds population synthesis under its
-// allocation ceiling. A full build allocates about 19,900 times, nearly
+// allocation ceiling. A full build allocates about 18,280 times, nearly
 // all of them per AS: its Zipf weights and Multinomial split, its name
-// strings and its topology registration. The Multinomial remainder sorts
-// in place; a reflection-based sort would add about 4,000 allocations per
-// build and fail here. Under the race detector sync.Pool drops items at
-// random, so the count varies from run to run and has no bound to hold;
-// the test runs only without it.
+// strings and its topology registration. The per-AS prefixes share one
+// backing array; one slice per AS would add about 1,650. The Multinomial
+// remainder sorts in place; a reflection-based sort would add about 4,000
+// allocations per build and fail here. Under the race detector sync.Pool
+// drops items at random, so the count varies from run to run and has no
+// bound to hold; the test runs only without it.
 func TestGenerateAllocsCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")

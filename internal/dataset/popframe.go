@@ -486,14 +486,11 @@ func assemblePopulation(hdr popHeader, cols map[string]json.RawMessage) (*Popula
 		return nil, err
 	}
 
-	topo, err := buildTopology(rows)
+	topo, err := buildTopology(rows, rowPrefixes(rows))
 	if err != nil {
 		return nil, fmt.Errorf("dataset: rebuild topology: %w", err)
 	}
-	p := &Population{Topo: topo, ASRows: rows, asIndex: make(map[topology.ASN]int, len(rows))}
-	for i, r := range rows {
-		p.asIndex[r.ASN] = i
-	}
+	p := &Population{Topo: topo, ASRows: rows, asIndex: indexRows(rows)}
 	p.Nodes = make([]NodeRecord, hdr.Nodes)
 	for i := range p.Nodes {
 		p.Nodes[i] = NodeRecord{

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -70,6 +71,14 @@ type Population struct {
 
 // Generate builds the population from a seed. The same seed reproduces the
 // identical population byte for byte.
+//
+// After the AS rows, the build runs as two tasks on a parallel.Gang
+// (DESIGN.md §12). One owns the RNG and draws every node's
+// characteristics, version and class in the order a single loop would.
+// The other draws nothing: it registers the topology and places each node
+// in its AS's prefixes, both from the rows alone. The tasks write disjoint
+// fields and only read the rows; the addresses are merged into the records
+// once both are done.
 func Generate(seed int64) (*Population, error) {
 	rng := stats.NewRand(seed)
 
@@ -77,16 +86,28 @@ func Generate(seed int64) (*Population, error) {
 	if err != nil {
 		return nil, err
 	}
-	topo, err := buildTopology(rows)
-	if err != nil {
-		return nil, err
+	p := &Population{ASRows: rows}
+	var addrs []nodeAddr
+	var errs [2]error
+	parallel.NewGang(0).Run(2, func(task int) {
+		if task == 0 {
+			prefixes := rowPrefixes(rows)
+			p.asIndex = indexRows(rows)
+			if p.Topo, errs[0] = buildTopology(rows, prefixes); errs[0] == nil {
+				addrs, errs[0] = addressNodes(rows, prefixes)
+			}
+		} else {
+			p.Nodes, errs[1] = drawNodes(rng, rows)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	p := &Population{Topo: topo, ASRows: rows, asIndex: map[topology.ASN]int{}}
-	for i, r := range rows {
-		p.asIndex[r.ASN] = i
-	}
-	if err := p.populateNodes(rng); err != nil {
-		return nil, err
+	for i := range p.Nodes {
+		p.Nodes[i].Prefix = addrs[i].prefix
+		p.Nodes[i].IP = addrs[i].ip
 	}
 	return p, nil
 }
@@ -195,30 +216,48 @@ func buildASRows(rng *rand.Rand) ([]ASRow, error) {
 	return rows, nil
 }
 
-// buildTopology registers every non-Tor AS with synthetic prefixes carved
-// sequentially out of 10.0.0.0 and beyond as /20 blocks (4094 hosts each, so
-// even the most concentrated prefix of the largest AS fits its nodes).
-func buildTopology(rows []ASRow) (*topology.Topology, error) {
-	topo := topology.New()
-	nextBlock := uint32(10 << 24) // start at 10.0.0.0
+// rowPrefixes carves every non-Tor row's synthetic prefixes sequentially out
+// of 10.0.0.0 and beyond as /20 blocks (4094 hosts each, so even the most
+// concentrated prefix of the largest AS fits its nodes). out[i] holds
+// rows[i]'s prefixes, none for the Tor row; all rows share one backing
+// array, each slice capped at its own end.
+func rowPrefixes(rows []ASRow) [][]topology.Prefix {
+	total := 0
 	for _, r := range rows {
+		if r.ASN != topology.TorASN {
+			total += r.Prefixes
+		}
+	}
+	all := make([]topology.Prefix, 0, total)
+	out := make([][]topology.Prefix, len(rows))
+	nextBlock := topology.IP(10 << 24) // start at 10.0.0.0
+	for i, r := range rows {
 		if r.ASN == topology.TorASN {
 			continue
 		}
-		prefixes := make([]topology.Prefix, 0, r.Prefixes)
-		for i := 0; i < r.Prefixes; i++ {
-			p, err := topology.NewPrefix(topology.IP(nextBlock), 20)
-			if err != nil {
-				return nil, err
-			}
-			prefixes = append(prefixes, p)
+		start := len(all)
+		for k := 0; k < r.Prefixes; k++ {
+			all = append(all, topology.Prefix{Base: nextBlock, Len: 20})
 			nextBlock += 1 << 12
+		}
+		out[i] = all[start:len(all):len(all)]
+	}
+	return out
+}
+
+// buildTopology registers every non-Tor AS with its prefixes from
+// rowPrefixes.
+func buildTopology(rows []ASRow, prefixes [][]topology.Prefix) (*topology.Topology, error) {
+	topo := topology.New()
+	for i, r := range rows {
+		if r.ASN == topology.TorASN {
+			continue
 		}
 		err := topo.AddAS(topology.AS{
 			Number:   r.ASN,
 			Name:     r.Name,
 			Org:      r.Org,
-			Prefixes: prefixes,
+			Prefixes: prefixes[i],
 			Country:  r.Country,
 		})
 		if err != nil {
@@ -228,11 +267,56 @@ func buildTopology(rows []ASRow) (*topology.Topology, error) {
 	return topo, nil
 }
 
-// populateNodes creates the node records: AS placement, per-AS prefix
-// assignment (Zipf-concentrated per Figure 4), family split and Table I
-// characteristics, up/down state, software version, and behaviour class.
-func (p *Population) populateNodes(rng *rand.Rand) error {
-	p.Nodes = make([]NodeRecord, 0, TotalNodes)
+// indexRows maps each row's ASN to its position in rows.
+func indexRows(rows []ASRow) map[topology.ASN]int {
+	idx := make(map[topology.ASN]int, len(rows))
+	for i, r := range rows {
+		idx[r.ASN] = i
+	}
+	return idx
+}
+
+// nodeAddr is one node's place in its AS's address space.
+type nodeAddr struct {
+	prefix topology.Prefix
+	ip     topology.IP
+}
+
+// addressNodes fills each row's prefixes in order, each up to its quota
+// from prefixPlan, handing out host addresses from .1 upward.
+func addressNodes(rows []ASRow, prefixes [][]topology.Prefix) ([]nodeAddr, error) {
+	addrs := make([]nodeAddr, 0, TotalNodes)
+	for i, row := range rows {
+		prefixCounts, err := prefixPlan(row)
+		if err != nil {
+			return nil, err
+		}
+		prefixCursor := 0
+		inPrefix := 0
+		for k := 0; k < row.Nodes; k++ {
+			var a nodeAddr
+			// Advance to the next prefix with remaining quota.
+			for prefixCursor < len(prefixCounts) && inPrefix >= prefixCounts[prefixCursor] {
+				prefixCursor++
+				inPrefix = 0
+			}
+			if prefixCursor < len(prefixes[i]) {
+				a.prefix = prefixes[i][prefixCursor]
+				a.ip = a.prefix.Base + topology.IP(1+inPrefix)
+				inPrefix++
+			}
+			addrs = append(addrs, a)
+		}
+	}
+	return addrs, nil
+}
+
+// drawNodes creates the node records in row order, drawing everything but
+// the address: family split and Table I characteristics, up/down state,
+// software version, and behaviour class. It is the only consumer of rng
+// after buildASRows.
+func drawNodes(rng *rand.Rand, rows []ASRow) ([]NodeRecord, error) {
+	nodes := make([]NodeRecord, 0, TotalNodes)
 	id := 0
 
 	versions := buildVersionDeck(rng)
@@ -242,28 +326,12 @@ func (p *Population) populateNodes(rng *rand.Rand) error {
 	// population; IPv6 nodes are spread across ASes.
 	ipv6Left := IPv6Nodes
 
-	for _, row := range p.ASRows {
-		prefixCounts, prefixes, err := p.prefixPlan(row)
-		if err != nil {
-			return err
-		}
-		prefixCursor := 0
-		inPrefix := 0
+	for _, row := range rows {
 		for k := 0; k < row.Nodes; k++ {
 			rec := NodeRecord{ID: id, ASN: row.ASN, Org: row.Org}
 			if row.ASN == topology.TorASN {
 				rec.Family = topology.FamilyOnion
 			} else {
-				// Advance to the next prefix with remaining quota.
-				for prefixCursor < len(prefixCounts) && inPrefix >= prefixCounts[prefixCursor] {
-					prefixCursor++
-					inPrefix = 0
-				}
-				if prefixCursor < len(prefixes) {
-					rec.Prefix = prefixes[prefixCursor]
-					rec.IP = rec.Prefix.Base + topology.IP(1+inPrefix)
-					inPrefix++
-				}
 				rec.Family = topology.FamilyIPv4
 				// IPv6 share sprinkled proportionally across non-Tor nodes.
 				if ipv6Left > 0 && stats.Bernoulli(rng, float64(IPv6Nodes)/float64(TotalNodes-OnionNodes)) {
@@ -275,33 +343,29 @@ func (p *Population) populateNodes(rng *rand.Rand) error {
 			rec.Version = versions[vIdx%len(versions)]
 			vIdx++
 			assignClass(&rec, rng)
-			p.Nodes = append(p.Nodes, rec)
+			nodes = append(nodes, rec)
 			id++
 		}
 	}
-	if len(p.Nodes) != TotalNodes {
-		return fmt.Errorf("dataset: populated %d nodes, want %d", len(p.Nodes), TotalNodes)
+	if len(nodes) != TotalNodes {
+		return nil, fmt.Errorf("dataset: populated %d nodes, want %d", len(nodes), TotalNodes)
 	}
-	return nil
+	return nodes, nil
 }
 
 // prefixPlan splits an AS's node population over its prefixes with the
 // row's Zipf concentration, reproducing the per-AS hijack curves of
 // Figure 4 (15 prefixes isolate 95% of Hetzner; >140 needed for Amazon).
-func (p *Population) prefixPlan(row ASRow) ([]int, []topology.Prefix, error) {
+func prefixPlan(row ASRow) ([]int, error) {
 	if row.ASN == topology.TorASN || row.Prefixes == 0 {
-		return nil, nil, nil
-	}
-	as, ok := p.Topo.AS(row.ASN)
-	if !ok {
-		return nil, nil, fmt.Errorf("dataset: AS%d not in topology", row.ASN)
+		return nil, nil
 	}
 	weights := stats.ZipfWeights(row.Prefixes, row.Concentration)
 	counts, err := stats.Multinomial(row.Nodes, weights)
 	if err != nil {
-		return nil, nil, fmt.Errorf("dataset: prefix plan AS%d: %w", row.ASN, err)
+		return nil, fmt.Errorf("dataset: prefix plan AS%d: %w", row.ASN, err)
 	}
-	return counts, as.Prefixes, nil
+	return counts, nil
 }
 
 // fillCharacteristics samples Table I's link speed and indices plus the

@@ -2,8 +2,11 @@ package dataset
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/topology"
 )
@@ -324,6 +327,125 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Nodes[i] != b.Nodes[i] {
 			t.Fatalf("node %d differs between identical seeds", i)
 		}
+	}
+}
+
+// TestGenerateConcurrentMatchesSequential builds seeds 1 to 4 several at a
+// time, each build running its own two tasks, and compares every field of
+// each against a build at GOMAXPROCS 1, where Generate runs both tasks
+// inline one after the other.
+func TestGenerateConcurrentMatchesSequential(t *testing.T) {
+	const seeds = 4
+	prev := runtime.GOMAXPROCS(1)
+	want := make([]string, seeds)
+	for i := range want {
+		p, err := Generate(int64(i) + 1)
+		if err != nil {
+			runtime.GOMAXPROCS(prev)
+			t.Fatalf("sequential Generate(%d): %v", i+1, err)
+		}
+		want[i] = populationDigest(p)
+	}
+	runtime.GOMAXPROCS(prev)
+
+	got, err := parallel.Map(4, 2*seeds, func(task int) (string, error) {
+		p, err := Generate(int64(task%seeds) + 1)
+		if err != nil {
+			return "", err
+		}
+		return populationDigest(p), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for task, d := range got {
+		if seed := task%seeds + 1; d != want[seed-1] {
+			t.Errorf("concurrent build %d of seed %d: digest %s, sequential %s", task, seed, d, want[seed-1])
+		}
+	}
+}
+
+// TestRowPrefixesMatchTopology checks that the prefixes the node addresses
+// are drawn from are the ones the topology registered: for every row of
+// seed 1, rowPrefixes equals the AS's registered prefixes, and the Tor row
+// has neither. Each row's slice is capped at its own end so no consumer can
+// append into the next row's prefixes.
+func TestRowPrefixesMatchTopology(t *testing.T) {
+	p := testPop(t)
+	prefixes := rowPrefixes(p.ASRows)
+	tor := 0
+	for i, r := range p.ASRows {
+		if cap(prefixes[i]) != len(prefixes[i]) {
+			t.Fatalf("AS%d: prefix slice len %d cap %d", r.ASN, len(prefixes[i]), cap(prefixes[i]))
+		}
+		as, ok := p.Topo.AS(r.ASN)
+		if r.ASN == topology.TorASN {
+			tor++
+			if ok || len(prefixes[i]) != 0 {
+				t.Errorf("Tor row: registered %v, %d derived prefixes; want neither", ok, len(prefixes[i]))
+			}
+			continue
+		}
+		if !ok {
+			t.Fatalf("AS%d not in topology", r.ASN)
+		}
+		if len(prefixes[i]) != r.Prefixes || !slices.Equal(prefixes[i], as.Prefixes) {
+			t.Fatalf("AS%d: derived %d prefixes %v, topology has %v", r.ASN, len(prefixes[i]), prefixes[i], as.Prefixes)
+		}
+	}
+	if tor != 1 {
+		t.Errorf("%d Tor rows, want 1", tor)
+	}
+}
+
+// TestZeroPrefixRow covers a non-Tor row without prefixes, which generation
+// never makes but a pop.v1 archive may hold: it registers with no prefixes,
+// its nodes get no address, and the rows around it carve their blocks as
+// if it were absent.
+func TestZeroPrefixRow(t *testing.T) {
+	rows := []ASRow{
+		{ASN: 1, Name: "A", Org: "A", Nodes: 3, Prefixes: 2, Concentration: 1},
+		{ASN: 2, Name: "B", Org: "B", Nodes: 2, Prefixes: 0, Concentration: 1},
+		{ASN: topology.TorASN, Name: "TOR", Org: "TOR", Nodes: 1},
+		{ASN: 3, Name: "C", Org: "C", Nodes: 1, Prefixes: 1, Concentration: 1},
+	}
+	prefixes := rowPrefixes(rows)
+	topo, err := buildTopology(rows, prefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		as, ok := topo.AS(r.ASN)
+		if r.ASN == topology.TorASN {
+			if ok {
+				t.Error("Tor row registered")
+			}
+			continue
+		}
+		if !ok || !slices.Equal(as.Prefixes, prefixes[i]) {
+			t.Fatalf("AS%d: topology %v, derived %v", r.ASN, as, prefixes[i])
+		}
+	}
+	if len(prefixes[1]) != 0 || prefixes[3][0].Base != prefixes[0][1].Base+1<<12 {
+		t.Fatalf("derived prefixes %v: the zero-prefix row took a block", prefixes)
+	}
+	addrs, err := addressNodes(rows, prefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(addrs) != 7 {
+		t.Fatalf("%d addresses, want 7", len(addrs))
+	}
+	for _, k := range []int{3, 4, 5} { // AS2's two nodes and the onion node
+		if addrs[k] != (nodeAddr{}) {
+			t.Errorf("node %d: address %+v, want none", k, addrs[k])
+		}
+	}
+	if addrs[0].prefix != prefixes[0][0] || addrs[0].ip != prefixes[0][0].Base+1 {
+		t.Errorf("node 0: address %+v, want .1 of %v", addrs[0], prefixes[0][0])
+	}
+	if addrs[6].prefix != prefixes[3][0] || addrs[6].ip != prefixes[3][0].Base+1 {
+		t.Errorf("node 6: address %+v, want .1 of %v", addrs[6], prefixes[3][0])
 	}
 }
 

@@ -149,24 +149,44 @@ func (s *stateDir) writeResult(fp string, output []byte, meta jobMeta) error {
 }
 
 // loadResult returns the cached output and metadata of a completed job, or
-// ok=false when the fingerprint has no (complete) persisted result. A meta
-// file that exists but does not parse — or names a different fingerprint —
-// is corrupt, not absent: it is quarantined so the job re-runs and the
-// damage is visible on /v1/healthz.
+// ok=false when the fingerprint has no (complete) persisted result.
 func (s *stateDir) loadResult(fp string) (output []byte, meta jobMeta, ok bool) {
-	doc, err := s.fs.ReadFile(s.metaPath(fp))
-	if err != nil {
+	meta, ok = s.loadMeta(fp)
+	if !ok {
 		return nil, jobMeta{}, false
 	}
-	if err := json.Unmarshal(doc, &meta); err != nil || meta.Fingerprint != fp {
-		s.quarantine(s.metaPath(fp))
-		return nil, jobMeta{}, false
-	}
-	output, err = s.fs.ReadFile(s.resultPath(fp))
+	output, err := s.fs.ReadFile(s.resultPath(fp))
 	if err != nil {
 		return nil, jobMeta{}, false
 	}
 	return output, meta, true
+}
+
+// loadMeta reads a job's completion metadata. A meta file that exists but
+// does not parse — or names a different fingerprint — is corrupt, not
+// absent: it is quarantined so the job re-runs and the damage is visible on
+// /v1/healthz.
+func (s *stateDir) loadMeta(fp string) (meta jobMeta, ok bool) {
+	doc, err := s.fs.ReadFile(s.metaPath(fp))
+	if err != nil {
+		return jobMeta{}, false
+	}
+	if err := json.Unmarshal(doc, &meta); err != nil || meta.Fingerprint != fp {
+		s.quarantine(s.metaPath(fp))
+		return jobMeta{}, false
+	}
+	return meta, true
+}
+
+// completed reports whether a job has valid metadata and a result file,
+// the same test loadResult applies, but without reading the result body:
+// a start-up scan only needs to know that the job is done.
+func (s *stateDir) completed(fp string) bool {
+	if _, ok := s.loadMeta(fp); !ok {
+		return false
+	}
+	fi, err := s.fs.Stat(s.resultPath(fp))
+	return err == nil && fi.Mode().IsRegular()
 }
 
 // unfinished scans for spec sidecars without a completed result — the jobs a
@@ -184,7 +204,7 @@ func (s *stateDir) unfinished() ([]string, error) {
 		if !found {
 			continue
 		}
-		if _, _, done := s.loadResult(fp); done {
+		if s.completed(fp) {
 			continue
 		}
 		fps = append(fps, fp)

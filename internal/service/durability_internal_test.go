@@ -3,6 +3,9 @@ package service
 import (
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,6 +98,89 @@ func TestLoadResultQuarantinesCorruptMeta(t *testing.T) {
 	for _, fp := range []string{"aaaa", "bbbb"} {
 		if _, err := os.Stat(state.metaPath(fp) + ".bad"); err != nil {
 			t.Fatalf("%s meta not renamed to .bad: %v", fp, err)
+		}
+	}
+}
+
+// readCountingFS passes every call through to the real filesystem and
+// counts, per path, the calls that read a file's contents.
+type readCountingFS struct {
+	iofault.FS
+	mu    sync.Mutex
+	reads map[string]int
+}
+
+func (c *readCountingFS) count(path string) {
+	c.mu.Lock()
+	c.reads[path]++
+	c.mu.Unlock()
+}
+
+func (c *readCountingFS) ReadFile(path string) ([]byte, error) {
+	c.count(path)
+	return c.FS.ReadFile(path)
+}
+
+func (c *readCountingFS) Open(path string) (iofault.File, error) {
+	c.count(path)
+	return c.FS.Open(path)
+}
+
+func (c *readCountingFS) OpenFile(path string, flag int, perm os.FileMode) (iofault.File, error) {
+	if flag&(os.O_WRONLY|os.O_RDWR) == 0 {
+		c.count(path)
+	}
+	return c.FS.OpenFile(path, flag, perm)
+}
+
+// TestStartupReadsNoResultBodies: a restarting daemon learns which jobs are
+// done from their metadata and the presence of their result files, never
+// by reading result bodies, which are as large as the job's output. The
+// metadata is still read and validated, a job whose result file is missing
+// still counts as unfinished, and a corrupt meta file is still quarantined.
+func TestStartupReadsNoResultBodies(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fp := range []string{"aaaa", "bbbb", "cccc"} { // done
+		write(fp+".spec.json", "{}")
+		write(fp+".result", "output of "+fp)
+		write(fp+".job.json", `{"fingerprint":"`+fp+`","exit":0}`)
+	}
+	write("dddd.spec.json", "{}") // meta but no result: unfinished
+	write("dddd.job.json", `{"fingerprint":"dddd","exit":0}`)
+	write("eeee.spec.json", "{}") // corrupt meta: quarantined, unfinished
+	write("eeee.result", "output of eeee")
+	write("eeee.job.json", "{torn")
+
+	fsys := &readCountingFS{FS: iofault.OS, reads: map[string]int{}}
+	svc, resurrected, err := New(Config{StateDir: dir, Workers: 1, Queue: 1, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Drain()
+	// The unfinished jobs' sidecars do not parse as specs: resurrection
+	// quarantines them instead of running anything, which shows which
+	// jobs the scan found unfinished.
+	if len(resurrected) != 0 {
+		t.Fatalf("resurrected %v, want none", resurrected)
+	}
+	want := []string{"dddd.spec.json", "eeee.job.json", "eeee.spec.json"}
+	if q := svc.state.Quarantined(); !slices.Equal(q, want) {
+		t.Errorf("quarantined %v, want %v", q, want)
+	}
+	for path, n := range fsys.reads {
+		if strings.HasSuffix(path, ".result") {
+			t.Errorf("start-up read %s %d times", filepath.Base(path), n)
+		}
+	}
+	for _, fp := range []string{"aaaa", "bbbb", "cccc", "dddd", "eeee"} {
+		if fsys.reads[svc.state.metaPath(fp)] == 0 {
+			t.Errorf("start-up did not read %s's meta", fp)
 		}
 	}
 }
