@@ -42,8 +42,8 @@ func (r Reorg) ReversedTxs() []TxID {
 }
 
 // Tree is a block tree with longest-chain fork choice. Each simulated node
-// owns one Tree representing its local view of the blockchain; the crawler
-// compares tree tips across nodes to measure consensus lag.
+// owns one Tree representing its local view of the blockchain; comparing
+// tree tips across nodes measures each node's consensus lag.
 //
 // Ties on height are broken in favour of the earlier-seen block, matching
 // Bitcoin's first-seen rule.

@@ -141,7 +141,7 @@ func TestHeaderValidation(t *testing.T) {
 	}
 
 	// An unknown schema is a hard error, not a truncation.
-	bad, err := EncodeFrame([]byte(`{"schema":"ckpt.v999","fingerprint":"x"}`))
+	bad, err := encodeFrame([]byte(`{"schema":"ckpt.v999","fingerprint":"x"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,24 +188,24 @@ func TestAppendValidation(t *testing.T) {
 
 func TestFrameRoundtrip(t *testing.T) {
 	payload := []byte(`{"kind":"result","task":7}`)
-	line, err := EncodeFrame(payload)
+	line, err := encodeFrame(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if line[len(line)-1] != '\n' {
 		t.Fatal("frame line missing newline")
 	}
-	got, err := DecodeFrame(bytes.TrimSuffix(line, []byte("\n")))
+	got, err := decodeFrame(bytes.TrimSuffix(line, []byte("\n")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("payload changed: %q -> %q", payload, got)
 	}
-	if _, err := EncodeFrame([]byte("not json")); err == nil {
+	if _, err := encodeFrame([]byte("not json")); err == nil {
 		t.Error("non-JSON payload accepted")
 	}
-	if _, err := DecodeFrame([]byte(`{"sum":"00000000","p":{"a":1}}`)); !errors.Is(err, ErrCorrupt) {
+	if _, err := decodeFrame([]byte(`{"sum":"00000000","p":{"a":1}}`)); !errors.Is(err, ErrCorrupt) {
 		t.Error("checksum mismatch not detected")
 	}
 }

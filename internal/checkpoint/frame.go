@@ -7,10 +7,9 @@
 // re-runs only the remainder, with final output byte-identical to an
 // uninterrupted run at any worker count (DESIGN.md §11).
 //
-// The checksum frame is shared with the hardened ingestion paths: the
-// crawler's framed snapshot files (crawl.v1) wrap each snapshot in the same
-// frame, so truncated or bit-flipped files yield a typed error or a valid
-// prefix, never a silent misparse.
+// Every journal line, header included, is one checksum frame, so a
+// truncated or bit-flipped journal yields a typed error or a valid prefix,
+// never a silent misparse.
 package checkpoint
 
 import (
@@ -22,8 +21,8 @@ import (
 )
 
 // ErrCorrupt marks a frame that failed its checksum or could not be parsed
-// — the journal (or snapshot file) is damaged at that point and only the
-// prefix before it is trustworthy.
+// — the journal is damaged at that point and only the prefix before it is
+// trustworthy.
 var ErrCorrupt = errors.New("checkpoint: corrupt frame")
 
 // ErrBudget is the watchdog sentinel: a simulation exceeded its step or
@@ -47,11 +46,11 @@ func sumHex(payload []byte) string {
 	return fmt.Sprintf("%08x", crc32.Checksum(payload, castagnoli))
 }
 
-// EncodeFrame wraps a compact JSON payload in a checksum frame, returning
+// encodeFrame wraps a compact JSON payload in a checksum frame, returning
 // one complete line including the trailing newline. The payload must be the
 // exact output of json.Marshal: the checksum covers its bytes verbatim, and
-// DecodeFrame recovers exactly those bytes.
-func EncodeFrame(payload []byte) ([]byte, error) {
+// decodeFrame recovers exactly those bytes.
+func encodeFrame(payload []byte) ([]byte, error) {
 	if !json.Valid(payload) {
 		return nil, fmt.Errorf("checkpoint: frame payload is not valid JSON")
 	}
@@ -62,9 +61,9 @@ func EncodeFrame(payload []byte) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// DecodeFrame verifies one frame line (without its newline) and returns the
+// decodeFrame verifies one frame line (without its newline) and returns the
 // payload bytes. Any parse failure or checksum mismatch reports ErrCorrupt.
-func DecodeFrame(line []byte) ([]byte, error) {
+func decodeFrame(line []byte) ([]byte, error) {
 	var f frame
 	if err := json.Unmarshal(line, &f); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)

@@ -10,7 +10,7 @@ import (
 // return the exact checksummed payload or a typed error — never panic, and
 // never return a payload whose checksum does not verify.
 func FuzzDecodeFrame(f *testing.F) {
-	good, err := EncodeFrame([]byte(`{"kind":"result","task":1,"seed":42}`))
+	good, err := encodeFrame([]byte(`{"kind":"result","task":1,"seed":42}`))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -21,17 +21,17 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte(``))
 	f.Add([]byte(`not json at all`))
 	f.Fuzz(func(t *testing.T, line []byte) {
-		payload, err := DecodeFrame(line)
+		payload, err := decodeFrame(line)
 		if err != nil {
 			return
 		}
 		// Whatever decoded must re-frame to a line that decodes to the same
 		// payload: the checksum actually covered these bytes.
-		reframed, err := EncodeFrame(payload)
+		reframed, err := encodeFrame(payload)
 		if err != nil {
 			t.Fatalf("decoded payload does not re-encode: %v", err)
 		}
-		back, err := DecodeFrame(bytes.TrimSuffix(reframed, []byte("\n")))
+		back, err := decodeFrame(bytes.TrimSuffix(reframed, []byte("\n")))
 		if err != nil || !bytes.Equal(back, payload) {
 			t.Fatalf("re-framed payload diverged: %q vs %q (%v)", back, payload, err)
 		}

@@ -180,7 +180,7 @@ func (j *Journal) writeHeader() error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode header: %w", err)
 	}
-	line, err := EncodeFrame(payload)
+	line, err := encodeFrame(payload)
 	if err != nil {
 		return err
 	}
@@ -221,7 +221,7 @@ func (j *Journal) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode record: %w", err)
 	}
-	line, err := EncodeFrame(payload)
+	line, err := encodeFrame(payload)
 	if err != nil {
 		return err
 	}

@@ -77,7 +77,7 @@ func parse(data []byte, fingerprint string) (*Log, int, error) {
 	if !complete {
 		return nil, 0, fmt.Errorf("checkpoint: missing journal header: %w", ErrCorrupt)
 	}
-	payload, err := DecodeFrame(line)
+	payload, err := decodeFrame(line)
 	if err != nil {
 		return nil, 0, fmt.Errorf("checkpoint: journal header: %w", err)
 	}
@@ -122,7 +122,7 @@ func parse(data []byte, fingerprint string) (*Log, int, error) {
 
 // decodeRecord parses and validates one framed record line.
 func decodeRecord(line []byte) (Record, error) {
-	payload, err := DecodeFrame(line)
+	payload, err := decodeFrame(line)
 	if err != nil {
 		return Record{}, err
 	}

@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -247,13 +246,6 @@ func (s *Study) Seed() int64 { return s.seed }
 // Observer returns the study's attached observability layer (nil when
 // observability is off).
 func (s *Study) Observer() *obs.Observer { return s.Opts.Obs }
-
-// WritePopulation streams the study's synthetic population in the columnar
-// pop.v1 format (one checksum frame per column, DESIGN.md §12) — the
-// archival form of the Feb-28-2018 snapshot the study runs on.
-func (s *Study) WritePopulation(w io.Writer) error {
-	return dataset.WriteFramedPopulation(w, s.Pop)
-}
 
 // traceSeed derives per-experiment trace seeds from the study seed so that
 // experiments are independent but reproducible.

@@ -217,8 +217,8 @@ type Figure7Result struct {
 	Steps []int
 	// Snapshots at the panel steps.
 	Snapshots []gridsim.Snapshot
-	// Renders are the ASCII fork maps for the same steps.
-	Renders []string
+	// FinalMap is the ASCII fork map at the last panel step.
+	FinalMap string
 	// ForksEmerged and peak counterfeit share summarize the run.
 	ForksEmerged       int
 	PeakCounterfeitPct float64
@@ -268,7 +268,6 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 	prev := steps[0]
 	peak := g.CounterfeitCells()
 	res.Snapshots = append(res.Snapshots, g.Snapshot())
-	res.Renders = append(res.Renders, g.Render())
 	for _, target := range steps[1:] {
 		g.Advance(target - prev)
 		if err := g.BudgetErr(); err != nil {
@@ -276,11 +275,11 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 		}
 		prev = target
 		res.Snapshots = append(res.Snapshots, g.Snapshot())
-		res.Renders = append(res.Renders, g.Render())
 		if n := g.CounterfeitCells(); n > peak {
 			peak = n
 		}
 	}
+	res.FinalMap = g.Render()
 	res.ForksEmerged = g.ForksEmerged()
 	res.PeakCounterfeitPct = float64(peak) / float64(cells) * 100
 	return res, nil
@@ -316,7 +315,7 @@ func (r *Figure7Result) Render() string {
 	}
 	fmt.Fprintf(&b, "forks emerged: %d; peak counterfeit share: %.1f%%\n", r.ForksEmerged, r.PeakCounterfeitPct)
 	b.WriteString("final fork map:\n")
-	b.WriteString(r.Renders[len(r.Renders)-1])
+	b.WriteString(r.FinalMap)
 	return b.String()
 }
 

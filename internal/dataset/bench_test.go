@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"testing"
 	"time"
 )
@@ -12,45 +11,6 @@ func BenchmarkGenerate(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Generate(int64(i) + 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWritePopV1 measures archiving the full population in the
-// columnar pop.v1 format (21 column frames over 13,635 rows).
-func BenchmarkWritePopV1(b *testing.B) {
-	pop, err := Generate(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := WriteFramedPopulation(&buf, pop); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReadPopV1 measures loading and reassembling a pop.v1 archive,
-// derived topology included.
-func BenchmarkReadPopV1(b *testing.B) {
-	pop, err := Generate(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteFramedPopulation(&buf, pop); err != nil {
-		b.Fatal(err)
-	}
-	raw := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ReadFramedPopulation(bytes.NewReader(raw)); err != nil {
 			b.Fatal(err)
 		}
 	}

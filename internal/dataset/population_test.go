@@ -399,9 +399,10 @@ func TestRowPrefixesMatchTopology(t *testing.T) {
 }
 
 // TestZeroPrefixRow covers a non-Tor row without prefixes, which generation
-// never makes but a pop.v1 archive may hold: it registers with no prefixes,
-// its nodes get no address, and the rows around it carve their blocks as
-// if it were absent.
+// does not make today: it registers with no prefixes, its nodes get no
+// address, and the rows around it carve their blocks as if it were absent.
+// The Tor row beside it takes the same no-prefix path through rowPrefixes
+// and addressNodes.
 func TestZeroPrefixRow(t *testing.T) {
 	rows := []ASRow{
 		{ASN: 1, Name: "A", Org: "A", Nodes: 3, Prefixes: 2, Concentration: 1},

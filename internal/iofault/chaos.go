@@ -552,8 +552,8 @@ func (cf *chaosFile) Close() error {
 }
 
 // splitmix is the package's SplitMix64 stream — the same mixing function
-// internal/parallel, internal/faults, and the crawler's retry machinery
-// use. One stream per fault family keeps decisions independent.
+// internal/parallel and internal/faults use. One stream per fault family
+// keeps decisions independent.
 type splitmix struct{ state uint64 }
 
 const (

@@ -135,9 +135,8 @@ kill -TERM "$daemon"
 wait "$daemon" || {
 	echo "crash-harness: FAIL: second daemon exited non-zero"; exit 1; }
 
-echo "crash-harness: fuzz smokes (ckpt.v1 decoder, journal reader, snapshot loader)"
+echo "crash-harness: fuzz smokes (ckpt.v1 frame decoder, journal reader)"
 $GO test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
 $GO test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
-$GO test -run '^$' -fuzz '^FuzzReadFramed$' -fuzztime 5s ./internal/crawler/ > /dev/null
 
 echo "crash-harness: PASS"
