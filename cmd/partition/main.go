@@ -17,7 +17,9 @@
 // it completes, -resume replays the completed prefix of a killed run, and
 // -stepbudget arms the grid-simulation watchdog. Exit codes distinguish
 // outcomes: 0 clean, 1 hard error, 3 degraded-complete (some experiments
-// quarantined), 4 watchdog budget exhausted.
+// quarantined), 4 watchdog budget exhausted. Codes 3 and 4 come only from
+// `experiment all -checkpoint`; a single experiment whose budget runs out
+// exits 1.
 //
 // Usage:
 //
@@ -165,7 +167,7 @@ func openJournal(spec core.Spec, dir string, resume bool) (*checkpoint.Journal, 
 	}
 	path := filepath.Join(dir, fp+".ckpt")
 	if _, statErr := os.Stat(path); resume && statErr == nil {
-		j, log, err := checkpoint.Resume(path, fp)
+		j, log, err := checkpoint.ResumeJournal(path, fp, checkpoint.JournalOptions{})
 		if err != nil {
 			return nil, nil, "", err
 		}
@@ -179,7 +181,7 @@ func openJournal(spec core.Spec, dir string, resume bool) (*checkpoint.Journal, 
 	if err != nil {
 		return nil, nil, "", err
 	}
-	j, err := checkpoint.CreateWithSpec(path, fp, canonical)
+	j, err := checkpoint.CreateJournal(path, fp, checkpoint.JournalOptions{Spec: canonical})
 	if err != nil {
 		return nil, nil, "", err
 	}

@@ -78,7 +78,7 @@ func TestResumeRecoversAndContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, log, err := Resume(path, fp)
+	j, log, err := ResumeJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

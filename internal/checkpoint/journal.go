@@ -113,13 +113,6 @@ type JournalOptions struct {
 	Spec []byte
 }
 
-// CreateWithSpec is CreateJournal with default options and the canonical
-// study-spec document embedded in the header. A nil or empty spec writes
-// the plain header.
-func CreateWithSpec(path, fingerprint string, spec []byte) (*Journal, error) {
-	return CreateJournal(path, fingerprint, JournalOptions{Spec: spec})
-}
-
 // CreateJournal opens a fresh journal at path (truncating any existing
 // file) over the configured filesystem and writes — and, in Sync mode,
 // fsyncs — the ckpt.v1 header for the given run fingerprint.
@@ -137,17 +130,13 @@ func CreateJournal(path, fingerprint string, opts JournalOptions) (*Journal, err
 	return j, nil
 }
 
-// Resume opens an existing journal for resumption: it replays the valid
-// record prefix, truncates any corrupt tail (the half-written line of the
-// interrupted run), and returns the journal positioned for appending plus
-// the replay log. A fingerprint mismatch or unknown schema is a hard error
-// — the journal belongs to a different run.
-func Resume(path, fingerprint string) (*Journal, *Log, error) {
-	return ResumeJournal(path, fingerprint, JournalOptions{})
-}
-
-// ResumeJournal is Resume over the configured filesystem, with the same
-// Sync upgrade as CreateJournal for the records appended after resumption.
+// ResumeJournal opens an existing journal over the configured filesystem
+// for resumption: it replays the valid record prefix, truncates any corrupt
+// tail (the half-written line of the interrupted run), and returns the
+// journal positioned for appending plus the replay log. A fingerprint
+// mismatch or unknown schema is a hard error — the journal belongs to a
+// different run. Records appended after resumption get the same Sync
+// upgrade as CreateJournal's.
 func ResumeJournal(path, fingerprint string, opts JournalOptions) (*Journal, *Log, error) {
 	fsys := iofault.OrOS(opts.FS)
 	data, err := fsys.ReadFile(path)

@@ -13,8 +13,8 @@ import (
 type Log struct {
 	// Fingerprint is the run fingerprint the journal was written under.
 	Fingerprint string
-	// Spec is the canonical study-spec document embedded in the header by
-	// CreateWithSpec, nil for journals written without one.
+	// Spec is the canonical study-spec document embedded in the header
+	// (JournalOptions.Spec), nil for journals written without one.
 	Spec []byte
 	// Records is the valid record prefix, in file (completion) order.
 	Records []Record

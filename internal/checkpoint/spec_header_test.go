@@ -20,13 +20,14 @@ func TestStudyFingerprintStable(t *testing.T) {
 	}
 }
 
-// TestJournalHeaderEmbedsSpec: CreateWithSpec writes a self-describing
-// header, and both Load and Resume hand the spec document back.
+// TestJournalHeaderEmbedsSpec: CreateJournal with a Spec writes a
+// self-describing header, and both LoadJournal and ResumeJournal hand the
+// spec document back.
 func TestJournalHeaderEmbedsSpec(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "job.ckpt")
 	spec := []byte(`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,"faults":{}}`)
 	fp := StudyFingerprint("spec.v1", spec)
-	j, err := CreateWithSpec(path, fp, spec)
+	j, err := CreateJournal(path, fp, JournalOptions{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +44,13 @@ func TestJournalHeaderEmbedsSpec(t *testing.T) {
 	if string(log.Spec) != string(spec) {
 		t.Fatalf("Load spec = %s, want %s", log.Spec, spec)
 	}
-	j2, log2, err := Resume(path, fp)
+	j2, log2, err := ResumeJournal(path, fp, JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	if string(log2.Spec) != string(spec) {
-		t.Fatalf("Resume spec = %s", log2.Spec)
+		t.Fatalf("ResumeJournal spec = %s", log2.Spec)
 	}
 	if _, ok := log2.Result(0, 42); !ok {
 		t.Error("record lost around the spec header")

@@ -144,7 +144,7 @@ func TestCheckpointedResumeReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, log, err := checkpoint.Resume(path, s.Fingerprint())
+	j2, log, err := checkpoint.ResumeJournal(path, s.Fingerprint(), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCheckpointedDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, log, err := checkpoint.Resume(path, s.Fingerprint())
+	j2, log, err := checkpoint.ResumeJournal(path, s.Fingerprint(), checkpoint.JournalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/dataset"
 	"repro/internal/topology"
 )
@@ -249,6 +251,23 @@ func TestFigure7(t *testing.T) {
 				t.Error("render incomplete")
 			}
 		})
+	}
+}
+
+// TestHealStudyStepBudget: the heal study arms the study's watchdog on
+// every replicate, so a budget shorter than the heal horizon fails the
+// study with the budget error instead of finishing as if unbudgeted.
+func TestHealStudyStepBudget(t *testing.T) {
+	s, err := New(1, WithWindows(1, 1), WithGridSize(25), WithNetworkNodes(120), WithStepBudget(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.HealStudy()
+	if !errors.Is(err, checkpoint.ErrBudget) {
+		t.Fatalf("HealStudy = %v, want wrap of checkpoint.ErrBudget", err)
+	}
+	if res != nil {
+		t.Error("heal study result leaked alongside the budget error")
 	}
 }
 

@@ -298,6 +298,7 @@ func (s *Study) HealStudy() (*gridsim.HealStudyResult, error) {
 			gridsim.WithFailureRate(0.10),
 			gridsim.WithAttacker(0.30, gridAttackerCell, gridAttackerCell),
 			gridsim.WithBoundary(5, 0, 0),
+			gridsim.WithStepBudget(s.Opts.StepBudget),
 		)...),
 		Workers: s.Opts.Workers,
 	})

@@ -32,10 +32,10 @@ func BenchmarkAdvanceBlockInterval(b *testing.B) {
 	}
 }
 
-// BenchmarkAdvanceFaulty measures one block interval of the faulty
-// kernel (communicateFaulty) on a 50×50 grid under each fault preset:
-// churn only, flapping links plus chaos loss, and the full link-fault mix
-// plus churn.
+// BenchmarkAdvanceFaulty measures one block interval of the gossip kernel
+// with its fault checks live (communicate with a non-nil injector) on a
+// 50×50 grid under each fault preset: churn only, flapping links plus
+// chaos loss, and the full link-fault mix plus churn.
 func BenchmarkAdvanceFaulty(b *testing.B) {
 	for _, sc := range []faults.Scenario{faults.Churny(), faults.Flaky(), faults.HijackRecovery()} {
 		b.Run(sc.Name, func(b *testing.B) {

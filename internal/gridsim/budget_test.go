@@ -43,7 +43,9 @@ func TestStepBudgetDisarmed(t *testing.T) {
 
 func TestRunTrialsStepBudgetExhausted(t *testing.T) {
 	cfg := Config{Size: 10, Seed: 7}
-	res, err := RunTrials(cfg, TrialsConfig{Trials: 4, Blocks: 5, StepBudget: 20})
+	tight := cfg
+	tight.StepBudget = 20
+	res, err := RunTrials(tight, TrialsConfig{Trials: 4, Blocks: 5})
 	if !errors.Is(err, checkpoint.ErrBudget) {
 		t.Fatalf("RunTrials = %v, want wrap of checkpoint.ErrBudget", err)
 	}
@@ -51,11 +53,11 @@ func TestRunTrialsStepBudgetExhausted(t *testing.T) {
 		t.Error("partial ensemble leaked alongside the budget error")
 	}
 	// A budget above the run length never fires.
-	steps := 0
+	ample := cfg
 	if g, err := FromConfig(cfg); err == nil {
-		steps = g.StepsPerBlock()*5 + 1
+		ample.StepBudget = g.StepsPerBlock()*5 + 1
 	}
-	if _, err := RunTrials(cfg, TrialsConfig{Trials: 4, Blocks: 5, StepBudget: steps}); err != nil {
+	if _, err := RunTrials(ample, TrialsConfig{Trials: 4, Blocks: 5}); err != nil {
 		t.Errorf("ample budget tripped: %v", err)
 	}
 }

@@ -242,8 +242,7 @@ type Grid struct {
 	// float01Threshold).
 	failThresh int64
 	// faults is the step-driven injector, nil when Config.Faults is the
-	// zero value — the faultless hot loop contains no fault checks at all
-	// (communicate dispatches to a separate faulty variant).
+	// zero value; communicate skips every fault check behind its nil tests.
 	faults *faults.GridInjector
 	// linkCls/linkPhase are the compiled link table (DESIGN.md §10), live
 	// while faults is: they parallel nbrs, holding each directed edge's
@@ -619,10 +618,8 @@ func (g *Grid) Advance(n int) {
 		if g.faults != nil {
 			g.faults.StepChurn(g.step)
 			g.flapClock = g.faults.FlapClock(g.step)
-			g.communicateFaulty()
-		} else {
-			g.communicate()
 		}
+		g.communicate()
 		if g.stepsPerBlock > 0 && g.step%g.stepsPerBlock == 0 {
 			g.mineBlock()
 		}
@@ -654,11 +651,13 @@ func float01Threshold(p float64) int64 {
 	return lo
 }
 
-// communicate performs one gossip attempt per cell in index order — the
-// faultless hot loop. The per-cell draw order (failure Bernoulli, then
-// neighbor pick) and every branch predicate are identical to the faulty
-// variant minus its injector checks, which keeps a zero-value Faults
-// config byte-identical to a faultless build. Equal heights are rejected
+// communicate performs one gossip attempt per cell in index order. The
+// fault-injector checks sit behind nil tests of g.faults, so a zero-value
+// Faults config makes exactly the draws of a faultless run and stays
+// byte-identical to it. g.faults, g.flapClock and g.chaosLoss are read
+// where they are used, not hoisted into locals: a loop-invariant local
+// lives across the adopt calls, so the compiler reloads it from the stack
+// at every continue, faultless runs included. Equal heights are rejected
 // before any fork lookup: no adoption rule fires on a tie (the attacker
 // pushes and the symmetric exchange adopts only on strict inequality), and
 // in a mostly synced grid ties are the common case.
@@ -680,6 +679,11 @@ func (g *Grid) communicate() {
 	thresh := g.failThresh
 	n := len(g.fork)
 	for i := 0; i < n; i++ {
+		// A churned-out cell makes no communication attempt at all — its rng
+		// draws are skipped entirely, like a node that simply is not there.
+		if fi := g.faults; fi != nil && fi.Down(i) {
+			continue
+		}
 		// Bernoulli(p) = Float64() < p, as pure integer compares: draws in
 		// the rounds-to-1.0 band are redrawn exactly as math/rand does, and
 		// the failure test is draw < float01Threshold(p).
@@ -710,6 +714,20 @@ func (g *Grid) communicate() {
 			continue
 		}
 		j := int(g.nbrs[e])
+		// Fault injection: a down partner, a dead/flapping/one-way link, or
+		// chaos loss kills the exchange (DESIGN.md §10). The link check reads
+		// the compiled table; chaos draws only for a live link.
+		if fi := g.faults; fi != nil {
+			if fi.Down(j) {
+				continue
+			}
+			if c := g.linkCls[e]; c != faults.LinkUp && fi.LinkDown(c, g.linkPhase[e], g.flapClock) {
+				continue
+			}
+			if g.chaosLoss && fi.ChaosLoss() {
+				continue
+			}
+		}
 		hi, hj := g.height[i], g.height[j]
 		if hi == hj {
 			continue
@@ -735,89 +753,6 @@ func (g *Grid) communicate() {
 			}
 		}
 		// Symmetric exchange: the lower-height side adopts the higher.
-		if hi > hj {
-			g.adopt(j, i)
-		} else {
-			g.adopt(i, j)
-		}
-	}
-}
-
-// communicateFaulty is communicate with the fault-injector checks woven
-// back in, kept as a separate loop so the faultless path pays nothing for
-// them.
-//
-//hot:path
-func (g *Grid) communicateFaulty() {
-	attacker := -1
-	if g.cfg.AttackerShare > 0 {
-		attacker = g.attackerIdx
-	}
-	boundary := g.boundaryActive()
-	thresh := g.failThresh
-	clock, lossy := g.flapClock, g.chaosLoss
-	n := len(g.fork)
-	for i := 0; i < n; i++ {
-		// A churned-out cell makes no communication attempt at all — its rng
-		// draws are skipped entirely, like a node that simply is not there.
-		if g.faults.Down(i) {
-			continue
-		}
-		// Fused integer-threshold Bernoulli and Int31n draws — see communicate.
-		x := int64(g.rng.Uint64() &^ (1 << 63))
-		for x >= oneThresh {
-			x = int64(g.rng.Uint64() &^ (1 << 63))
-		}
-		if x < thresh {
-			continue
-		}
-		lo := g.nbrOff[i]
-		w := int32((g.rng.Uint64() &^ (1 << 63)) >> 32)
-		var k int32
-		if m := g.rejMax[i]; m < 0 {
-			k = w & (g.nbrOff[i+1] - lo - 1)
-		} else {
-			for w > m {
-				w = int32((g.rng.Uint64() &^ (1 << 63)) >> 32)
-			}
-			k = w % (g.nbrOff[i+1] - lo)
-		}
-		e := lo + k
-		if boundary && g.cross[e] != 0 {
-			continue
-		}
-		j := int(g.nbrs[e])
-		// Fault injection: a down partner, a dead/flapping/one-way link, or
-		// chaos loss kills the exchange (DESIGN.md §10). The link check reads
-		// the compiled table; chaos draws only for a live link.
-		if g.faults.Down(j) {
-			continue
-		}
-		if c := g.linkCls[e]; c != faults.LinkUp && g.faults.LinkDown(c, g.linkPhase[e], clock) {
-			continue
-		}
-		if lossy && g.faults.ChaosLoss() {
-			continue
-		}
-		hi, hj := g.height[i], g.height[j]
-		if hi == hj {
-			continue
-		}
-		if i == attacker {
-			if g.fTainted[g.fork[i]] {
-				if hi > hj {
-					g.adopt(j, i)
-				}
-				continue
-			}
-		} else if j == attacker {
-			if g.fTainted[g.fork[j]] {
-				if hj > hi {
-					g.adopt(i, j)
-				}
-				continue
-			}
-		}
 		if hi > hj {
 			g.adopt(j, i)
 		} else {

@@ -1,12 +1,9 @@
 package gridsim
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sync"
 
-	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/stats"
@@ -35,67 +32,6 @@ type TrialsConfig struct {
 	SettleSteps int
 	// Workers bounds concurrent replicates; <= 0 means one per CPU.
 	Workers int
-	// StepBudget, when positive, arms the per-replicate watchdog: a
-	// replicate that would run past this many grid steps is cancelled and
-	// its trial fails with an error wrapping checkpoint.ErrBudget
-	// (journaled as exhausted under a supervised run).
-	StepBudget int
-	// Journal, when non-nil, write-ahead journals every replicate outcome
-	// at its trial boundary (DESIGN.md §11), so a killed ensemble resumes
-	// instead of restarting. Engaging any of Journal, Resume, or Degrade
-	// switches RunTrials onto the supervised path; the plain path is
-	// otherwise byte-for-byte untouched.
-	Journal *checkpoint.Journal
-	// Resume replays completed replicates from a prior journal (matched by
-	// trial index and derived seed) instead of re-running them.
-	Resume *checkpoint.Log
-	// Degrade continues past a panicking or watchdog-cancelled replicate,
-	// quarantining it into TrialsResult.Faults, instead of failing the
-	// whole ensemble.
-	Degrade bool
-}
-
-// supervised reports whether the crash-safety path is engaged.
-func (tc TrialsConfig) supervised() bool {
-	return tc.Journal != nil || tc.Resume != nil || tc.Degrade
-}
-
-// Fingerprint identifies the ensemble for the checkpoint journal: the grid
-// configuration and every ensemble parameter that changes results. Workers
-// and the observer are excluded — results are identical across worker
-// counts and instrumentation. Sharding is normalized the same way: output
-// is byte-identical for every shard count >= 1 and worker width, so those
-// collapse to Shards=1 — while the 0-vs-1
-// engine distinction (legacy push-pull vs. sharded pull-only) is real and
-// stays in the fingerprint.
-func (tc TrialsConfig) Fingerprint(cfg Config) string {
-	tc = tc.withDefaults()
-	scrubbed := cfg
-	scrubbed.Obs = nil
-	if scrubbed.Shards >= 1 {
-		scrubbed.Shards = 1
-		scrubbed.ShardWorkers = 0
-	}
-	return checkpoint.Fingerprint(
-		"gridsim.trials",
-		fmt.Sprintf("grid=%+v", scrubbed),
-		fmt.Sprintf("trials=%d", tc.Trials),
-		fmt.Sprintf("blocks=%d", tc.Blocks),
-		fmt.Sprintf("settle=%d", tc.SettleSteps),
-		fmt.Sprintf("stepbudget=%d", tc.StepBudget),
-	)
-}
-
-// TrialFault is one failed replicate in a degraded ensemble.
-type TrialFault struct {
-	// Trial and Seed identify the replicate.
-	Trial int
-	Seed  int64
-	// Kind is how the failure was journaled: KindQuarantine for panics
-	// and plain errors, KindExhausted for watchdog cancellations.
-	Kind checkpoint.Kind
-	// Err is the underlying failure.
-	Err error
 }
 
 // Trial is the outcome of one replicate.
@@ -136,12 +72,6 @@ type TrialsResult struct {
 	// behind the best height at the end of the run, with its 95% CI
 	// half-width.
 	MeanStaleShare, MeanStaleShareCI float64
-	// Faults lists quarantined and exhausted replicates of a degraded
-	// supervised run, in trial order; empty on the plain path. The summary
-	// statistics above cover only the completed replicates.
-	Faults []TrialFault
-	// Replayed counts replicates satisfied from the resume journal.
-	Replayed int
 }
 
 func (tc TrialsConfig) withDefaults() TrialsConfig {
@@ -183,9 +113,6 @@ func RunTrials(cfg Config, tc TrialsConfig) (*TrialsResult, error) {
 	runOne := func(trial int, seed int64) (Trial, error) {
 		runCfg := cfg
 		runCfg.Seed = seed
-		if tc.StepBudget > 0 {
-			runCfg.StepBudget = tc.StepBudget
-		}
 		if trialRegs != nil {
 			o := obs.NewMetricsOnly()
 			trialRegs[trial] = o.Metrics
@@ -217,23 +144,14 @@ func RunTrials(cfg Config, tc TrialsConfig) (*TrialsResult, error) {
 		pool.Put(g)
 		return t, nil
 	}
-	res := &TrialsResult{Config: cfg, Blocks: tc.Blocks}
-	if tc.supervised() {
-		if err := runSupervised(cfg, tc, res, runOne); err != nil {
-			return nil, err
-		}
-	} else {
-		trials, err := parallel.Trials(tc.Workers, cfg.Seed, tc.Trials, runOne)
-		if err != nil {
-			return nil, err
-		}
-		res.Trials = trials
+	trials, err := parallel.Trials(tc.Workers, cfg.Seed, tc.Trials, runOne)
+	if err != nil {
+		return nil, err
 	}
+	res := &TrialsResult{Config: cfg, Blocks: tc.Blocks, Trials: trials}
 	for _, reg := range trialRegs {
 		ensembleReg.Merge(reg)
 	}
-	// Summary statistics cover the completed replicates (all of them on the
-	// plain path; the non-faulted ones under a degraded supervised run).
 	n := cfg.withDefaults().Size
 	cells := float64(n * n)
 	forks := make([]float64, len(res.Trials))
@@ -251,74 +169,4 @@ func RunTrials(cfg Config, tc TrialsConfig) (*TrialsResult, error) {
 	res.MeanCounterfeitShare, res.MeanCounterfeitShareCI = stats.MeanCI95(shares)
 	res.MeanStaleShare, res.MeanStaleShareCI = stats.MeanCI95(stale)
 	return res, nil
-}
-
-// runSupervised is the crash-safety path of RunTrials: replicates run under
-// per-task supervision, every outcome is write-ahead journaled at its trial
-// boundary, completed replicates replay from the resume log, and (with
-// Degrade) failures quarantine instead of aborting. Completed trials land
-// in res.Trials in trial order — byte-identical to the plain path when
-// nothing fails.
-func runSupervised(cfg Config, tc TrialsConfig, res *TrialsResult, runOne func(int, int64) (Trial, error)) error {
-	seedOf := func(i int) int64 { return parallel.DeriveSeed(cfg.Seed, i) }
-	sup, err := parallel.SuperviseTrials(parallel.Supervision[Trial]{
-		Workers:  tc.Workers,
-		Root:     cfg.Seed,
-		FailFast: !tc.Degrade,
-		Skip: func(i int) bool {
-			_, ok := tc.Resume.Result(i, seedOf(i))
-			return ok
-		},
-		OnOutcome: func(out parallel.Outcome[Trial]) error {
-			rec := checkpoint.Record{Task: out.Task, Seed: out.Seed}
-			switch {
-			case out.Err == nil:
-				rec.Kind = checkpoint.KindResult
-				payload, err := json.Marshal(out.Value)
-				if err != nil {
-					return fmt.Errorf("gridsim: encode trial %d: %w", out.Task, err)
-				}
-				rec.Output = payload
-			case errors.Is(out.Err, checkpoint.ErrBudget):
-				rec.Kind = checkpoint.KindExhausted
-				rec.Error = out.Err.Error()
-			default:
-				rec.Kind = checkpoint.KindQuarantine
-				rec.Input = tc.Fingerprint(cfg)
-				var pe *parallel.PanicError
-				if errors.As(out.Err, &pe) {
-					rec.Panic = fmt.Sprint(pe.Value)
-					rec.Stack = string(pe.Stack)
-				} else {
-					rec.Error = out.Err.Error()
-				}
-			}
-			return tc.Journal.Append(rec)
-		},
-	}, tc.Trials, runOne)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < tc.Trials; i++ {
-		if sup.Ran[i] {
-			res.Trials = append(res.Trials, sup.Results[i])
-			continue
-		}
-		if payload, ok := tc.Resume.Result(i, seedOf(i)); ok {
-			var t Trial
-			if err := json.Unmarshal(payload, &t); err != nil {
-				return fmt.Errorf("gridsim: replay trial %d: %w", i, err)
-			}
-			res.Trials = append(res.Trials, t)
-			res.Replayed++
-		}
-	}
-	for _, f := range sup.Failures {
-		kind := checkpoint.KindQuarantine
-		if errors.Is(f.Err, checkpoint.ErrBudget) {
-			kind = checkpoint.KindExhausted
-		}
-		res.Faults = append(res.Faults, TrialFault{Trial: f.Task, Seed: f.Seed, Kind: kind, Err: f.Err})
-	}
-	return nil
 }

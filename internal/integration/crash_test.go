@@ -128,7 +128,7 @@ func TestResumeGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			killJournal(t, path, keep)
-			j2, log, err := checkpoint.Resume(path, fp)
+			j2, log, err := checkpoint.ResumeJournal(path, fp, checkpoint.JournalOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := checkpoint.Resume(path, studyFingerprint(t)); err == nil {
+	if _, _, err := checkpoint.ResumeJournal(path, studyFingerprint(t), checkpoint.JournalOptions{}); err == nil {
 		t.Fatal("foreign journal accepted for resume")
 	}
 }

@@ -29,7 +29,7 @@ func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 		full:         fs.Bool("full", false, "paper-scale experiment windows (slow)"),
 		workers:      fs.Int("workers", 0, "parallel fan-out bound (0 = one per CPU, 1 = sequential); output is identical either way"),
 		faultsName:   fs.String("faults", "", "fault scenario every simulation runs under (stable, churny, flaky, hijack-recovery); empty = no faults"),
-		stepBudget:   fs.Int("stepbudget", 0, "grid-simulation step watchdog: cancel any replicate exceeding this many steps (0 disables)"),
+		stepBudget:   fs.Int("stepbudget", 0, "grid-simulation step watchdog: cancel any replicate exceeding this many steps (0 disables); exhaustion exits 1, or 4 from experiment all -checkpoint"),
 		shards:       fs.Int("shards", 0, "run grid simulations on the sharded engine with this many shards (0 = legacy engine); output is identical for every count >= 1"),
 		shardWorkers: fs.Int("shardworkers", 0, "goroutines ticking shards inside one sharded world (0 = one per CPU); output is identical either way"),
 	}

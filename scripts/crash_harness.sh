@@ -8,7 +8,8 @@
 #   2. graceful degradation — an injected non-terminating scenario (a tiny
 #      -stepbudget) exits with the distinct budget-exhausted code (4) in
 #      degrade mode and aborts (1) under -onfault fail, journal intact
-#      either way;
+#      either way; a lone experiment has no degraded mode, so a budget
+#      exhausted in `experiment healstudy` is a hard error (1);
 #   3. daemon drain/resume — a SIGTERM'd partitiond drains mid-`experiment
 #      all` at an experiment boundary, and a restarted daemon over the same
 #      state directory resumes the job and serves a result byte-identical
@@ -76,6 +77,18 @@ set -e
 	echo "crash-harness: FAIL: fail-fast run exited $code, want 1"; exit 1; }
 [ -s "$work"/failfast/*.ckpt ] || {
 	echo "crash-harness: FAIL: fail-fast run left no journal"; exit 1; }
+
+echo "crash-harness: budget exhaustion in a lone experiment (healstudy)"
+set +e
+"$work/partition" experiment healstudy -stepbudget 5 > /dev/null 2> "$work/heal.err"
+code=$?
+set -e
+[ "$code" -eq 1 ] || {
+	echo "crash-harness: FAIL: budget-exhausted healstudy exited $code, want 1"
+	cat "$work/heal.err"; exit 1; }
+grep -q "budget exhausted" "$work/heal.err" || {
+	echo "crash-harness: FAIL: healstudy did not name the exhausted budget"
+	cat "$work/heal.err"; exit 1; }
 
 echo "crash-harness: building partitiond"
 $GO build -o "$work/partitiond" ./cmd/partitiond
