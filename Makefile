@@ -38,10 +38,14 @@ test:
 # engine whose shard gang ticks one world concurrently, topology, whose
 # route tables concurrent studies of one seed fork and read, and dataset,
 # whose Generate builds the topology on one goroutine while the node draws
-# run on another. The rest of the tree is single-threaded by construction
-# (enforced by the nogoroutine analyzer), so a full -race sweep only slows
-# the gate down. TestTraceGolden is skipped: its 60-day single-goroutine
-# trace would take about 36 s of the race run and shares nothing.
+# run on another, and whose RunTrace runs its block and sample steps as two
+# tasks sharing batches of lag-state snapshots. The rest of the tree is
+# single-threaded by construction (enforced by the nogoroutine analyzer),
+# so a full -race sweep only slows the gate down. TestTraceGolden is
+# skipped for its cost (its 60-day trace would take about half a minute of
+# the race run); TestRunTraceMatchesSequentialOracle is the race check of
+# RunTrace's two tasks, on short traces around the phase length, at
+# GOMAXPROCS 1 and the default, and four at once.
 race:
 	$(GO) test -race -skip '^TestTraceGolden$$' ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/... ./internal/topology/... ./internal/dataset/...
 

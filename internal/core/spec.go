@@ -106,10 +106,21 @@ func (s Spec) Options() []Option {
 	}
 }
 
+// The caps on a spec's scale fields. A trace of a year at 10-minute
+// sampling is 52,704 samples; 100,000 days would ask for 3 GB of sample
+// rows, and time.Duration wraps above 106,751 days. A 1,000-wide grid is
+// the million-cell world; 10⁵ would ask for 10¹⁰ cells. The paper scale
+// (-full) is 60 days and a 100-wide grid.
+const (
+	maxSpecTraceDays = 366
+	maxSpecGridSize  = 1000
+)
+
 // Validate checks the structural invariants a spec must hold before it is
 // run or fingerprinted: a known schema, a known verb, a non-empty name, and
-// non-negative scale fields. The service checks the name against the verb's
-// table before it runs or stores anything.
+// non-negative scale fields, the trace days and the grid size within their
+// caps. The service checks the name against the verb's table before it
+// runs or stores anything.
 func (s Spec) Validate() error {
 	if s.Schema != SpecSchemaV1 {
 		return fmt.Errorf("%w, got %q", errSpecSchema, s.Schema)
@@ -125,17 +136,21 @@ func (s Spec) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int
+		max  int // 0: uncapped
 	}{
-		{"tablev_trace_days", s.TableVTraceDays},
-		{"figure6a_days", s.Figure6aDays},
-		{"grid_size", s.GridSize},
-		{"network_nodes", s.NetworkNodes},
-		{"step_budget", s.StepBudget},
-		{"shards", s.Shards},
-		{"shard_workers", s.ShardWorkers},
+		{"tablev_trace_days", s.TableVTraceDays, maxSpecTraceDays},
+		{"figure6a_days", s.Figure6aDays, maxSpecTraceDays},
+		{"grid_size", s.GridSize, maxSpecGridSize},
+		{"network_nodes", s.NetworkNodes, 0},
+		{"step_budget", s.StepBudget, 0},
+		{"shards", s.Shards, 0},
+		{"shard_workers", s.ShardWorkers, 0},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("core: spec field %s is negative (%d)", f.name, f.v)
+		}
+		if f.max > 0 && f.v > f.max {
+			return fmt.Errorf("core: spec field %s is %d, above its cap of %d", f.name, f.v, f.max)
 		}
 	}
 	if s.ShardWorkers != 0 && s.Shards == 0 {

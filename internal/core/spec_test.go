@@ -130,6 +130,18 @@ func TestSpecValidate(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
+	atCap := map[string]func(*Spec){
+		"trace days at cap":    func(s *Spec) { s.TableVTraceDays = maxSpecTraceDays },
+		"figure6a days at cap": func(s *Spec) { s.Figure6aDays = maxSpecTraceDays },
+		"grid at cap":          func(s *Spec) { s.GridSize = maxSpecGridSize },
+	}
+	for name, mutate := range atCap {
+		good := ok
+		mutate(&good)
+		if err := good.Validate(); err != nil {
+			t.Errorf("%s: valid spec rejected: %v", name, err)
+		}
+	}
 	cases := map[string]func(*Spec){
 		"schema":                 func(s *Spec) { s.Schema = "spec.v9" },
 		"verb":                   func(s *Spec) { s.Run.Verb = "banana" },
@@ -140,6 +152,9 @@ func TestSpecValidate(t *testing.T) {
 		"negative trace window":  func(s *Spec) { s.TableVTraceDays = -1 },
 		"grid without attacker":  func(s *Spec) { s.GridSize = 7 },
 		"more shards than cells": func(s *Spec) { s.GridSize = 8; s.Shards = 65 },
+		"trace days over cap":    func(s *Spec) { s.TableVTraceDays = maxSpecTraceDays + 1 },
+		"figure6a days over cap": func(s *Spec) { s.Figure6aDays = maxSpecTraceDays + 1 },
+		"grid over cap":          func(s *Spec) { s.GridSize = maxSpecGridSize + 1 },
 	}
 	for name, mutate := range cases {
 		bad := ok

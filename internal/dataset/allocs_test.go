@@ -7,10 +7,11 @@ import (
 
 // TestRunTraceAllocsCeiling holds the dense lag-trace kernel (DESIGN.md
 // §12) under its allocation ceiling: one day at 10-minute sampling,
-// untracked, so 144 samples. The kernel allocates its per-node arrays once
-// per run and every sample's Vulnerable rows from one backing array; a
-// per-sample allocation creeping back into the sample step would add 144
-// and pass the ceiling.
+// untracked, so 144 samples. The kernel allocates its per-node arrays and
+// snapshot batches once per run and every sample's Vulnerable rows from
+// one backing array; a per-sample allocation creeping back into the sample
+// step would add 144 and pass the ceiling. AllocsPerRun runs at
+// GOMAXPROCS 1, where RunTrace's gang runs its two tasks inline.
 func TestRunTraceAllocsCeiling(t *testing.T) {
 	const ceiling = 64
 	p := testPop(t)

@@ -122,17 +122,31 @@ const idle = time.Duration(math.MaxInt64)
 // behind is bucket 4.
 var bucketOf = [11]uint8{0, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3}
 
-// traceKernel is the lag process compiled into dense per-up-node arrays
-// (DESIGN.md §12): index i is the i-th up node in population order, which
-// is the order catch-up delays are drawn in.
-type traceKernel struct {
-	// lambda is the catch-up rate 1/MeanCatchup.Seconds().
-	lambda []float64
+// lagView is the lag state the sample step reads: the kernel's live
+// arrays, or a snapshot of them taken at a sample instant. Index i is the
+// i-th up node in population order, which is the order catch-up delays are
+// drawn in.
+type lagView struct {
 	// syncedTo is the height the node has fully verified.
 	syncedTo []int32
 	// catchupAt is when the node jumps to the tip, idle if synced.
 	catchupAt []time.Duration
 	tip       int32
+}
+
+// traceKernel is the block step's state, the lag process compiled into
+// dense per-up-node arrays (DESIGN.md §12). It owns the only RNG draws of
+// the trace.
+type traceKernel struct {
+	// lambda is the catch-up rate 1/MeanCatchup.Seconds().
+	lambda []float64
+	lagView
+}
+
+// traceSampler is the sample step's scratch. It only reads the lag state,
+// so it can fold snapshots on another goroutine while the block step runs
+// ahead.
+type traceSampler struct {
 	// windows are the ascending timing constraints; hist[k][j] counts the
 	// nodes at a sample that stay behind for exactly the first k windows,
 	// in threshold class j (behind 1, 2-4, >=5 blocks).
@@ -147,8 +161,8 @@ type traceKernel struct {
 }
 
 // compileTrace lays out the kernel for the population's up nodes, all
-// synced at height 0.
-func (p *Population) compileTrace(cfg TraceConfig) *traceKernel {
+// synced at height 0, and the sampler that reads it.
+func (p *Population) compileTrace(cfg TraceConfig) (*traceKernel, *traceSampler) {
 	up := 0
 	for i := range p.Nodes {
 		if p.Nodes[i].Up {
@@ -156,15 +170,19 @@ func (p *Population) compileTrace(cfg TraceConfig) *traceKernel {
 		}
 	}
 	k := &traceKernel{
-		lambda:    make([]float64, 0, up),
-		syncedTo:  make([]int32, up),
-		catchupAt: make([]time.Duration, up),
-		windows:   cfg.VulnerabilityWindows,
-		hist:      make([][3]int, len(cfg.VulnerabilityWindows)+1),
+		lambda: make([]float64, 0, up),
+		lagView: lagView{
+			syncedTo:  make([]int32, up),
+			catchupAt: make([]time.Duration, up),
+		},
+	}
+	sm := &traceSampler{
+		windows: cfg.VulnerabilityWindows,
+		hist:    make([][3]int, len(cfg.VulnerabilityWindows)+1),
 	}
 	var slots map[topology.ASN]int32
 	if cfg.TrackSyncedByAS {
-		k.slot = make([]int32, 0, up)
+		sm.slot = make([]int32, 0, up)
 		slots = map[topology.ASN]int32{}
 	}
 	for i := range p.Nodes {
@@ -176,20 +194,20 @@ func (p *Population) compileTrace(cfg TraceConfig) *traceKernel {
 		if slots != nil {
 			s, ok := slots[n.ASN]
 			if !ok {
-				s = int32(len(k.slotASN))
+				s = int32(len(sm.slotASN))
 				slots[n.ASN] = s
-				k.slotASN = append(k.slotASN, n.ASN)
+				sm.slotASN = append(sm.slotASN, n.ASN)
 			}
-			k.slot = append(k.slot, s)
+			sm.slot = append(sm.slot, s)
 		}
 	}
 	for i := range k.catchupAt {
 		k.catchupAt[i] = idle
 	}
 	if slots != nil {
-		k.asSynced = make([]int32, len(k.slotASN))
+		sm.asSynced = make([]int32, len(sm.slotASN))
 	}
-	return k
+	return k, sm
 }
 
 // block publishes a block at now: a due catch-up fires first (to the tip
@@ -215,32 +233,30 @@ func (k *traceKernel) block(rng *rand.Rand, now time.Duration, slow float64) {
 	}
 }
 
-// sample fires the catch-ups due by now and records the sample's buckets,
-// vulnerable counts (into s.Vulnerable, preallocated) and per-slot synced
-// counts.
+// sample records v at now into s: its buckets, its vulnerable counts (into
+// s.Vulnerable, preallocated) and its per-slot synced counts. It writes
+// only the sampler's scratch and s. A catch-up due by now counts as synced
+// without being fired: no block arrived since it fell due, so the next
+// block fires it with the same tip, and every sample before that block
+// sees it due as well.
 //
 //hot:path
-func (k *traceKernel) sample(now time.Duration, s *Sample) {
-	for j := range k.hist {
-		k.hist[j] = [3]int{}
+func (sm *traceSampler) sample(v *lagView, now time.Duration, s *Sample) {
+	for j := range sm.hist {
+		sm.hist[j] = [3]int{}
 	}
-	tip := k.tip
-	for i, c := range k.catchupAt {
-		if c <= now {
-			k.syncedTo[i] = tip
-			k.catchupAt[i] = idle
-			c = idle
-		}
+	tip := v.tip
+	for i, c := range v.catchupAt {
 		// A node is synced exactly when no catch-up is pending: it went
 		// pending when the first block it lacks arrived.
-		if c == idle {
+		if c <= now || c == idle {
 			s.Buckets[0]++
-			if k.asSynced != nil {
-				k.asSynced[k.slot[i]]++
+			if sm.asSynced != nil {
+				sm.asSynced[sm.slot[i]]++
 			}
 			continue
 		}
-		behind := tip - k.syncedTo[i]
+		behind := tip - v.syncedTo[i]
 		b := 4
 		if behind <= 10 {
 			b = int(bucketOf[behind])
@@ -250,19 +266,19 @@ func (k *traceKernel) sample(now time.Duration, s *Sample) {
 		// reaches.
 		remaining := c - now
 		w := 0
-		for w < len(k.windows) && remaining >= k.windows[w] {
+		for w < len(sm.windows) && remaining >= sm.windows[w] {
 			w++
 		}
 		if w > 0 {
-			k.hist[w][min(b-1, 2)]++
+			sm.hist[w][min(b-1, 2)]++
 		}
 	}
-	s.UpNodes = len(k.catchupAt)
+	s.UpNodes = len(v.catchupAt)
 	// Vulnerable[wi][ti] counts nodes reaching window wi or later in class
 	// ti or higher: a suffix sum over both axes of hist.
 	var acc [3]int
-	for wi := len(k.windows) - 1; wi >= 0; wi-- {
-		h := k.hist[wi+1]
+	for wi := len(sm.windows) - 1; wi >= 0; wi-- {
+		h := sm.hist[wi+1]
 		acc[0] += h[0]
 		acc[1] += h[1]
 		acc[2] += h[2]
@@ -272,24 +288,70 @@ func (k *traceKernel) sample(now time.Duration, s *Sample) {
 
 // syncedByAS turns the sample's per-slot synced counts into the Sample map
 // and clears them for the next sample.
-func (k *traceKernel) syncedByAS() map[topology.ASN]int {
+func (sm *traceSampler) syncedByAS() map[topology.ASN]int {
 	n := 0
-	for _, c := range k.asSynced {
+	for _, c := range sm.asSynced {
 		if c > 0 {
 			n++
 		}
 	}
 	m := make(map[topology.ASN]int, n)
-	for s, c := range k.asSynced {
+	for s, c := range sm.asSynced {
 		if c > 0 {
-			m[k.slotASN[s]] = int(c)
-			k.asSynced[s] = 0
+			m[sm.slotASN[s]] = int(c)
+			sm.asSynced[s] = 0
 		}
 	}
 	return m
 }
 
+// tracePhase is the number of samples the block task snapshots per phase
+// while the sample task folds the previous phase's. Two batches of 8
+// snapshots of the ~11,000 up nodes come to about 2.2 MB, which stays near
+// the L2 cache; 32 per phase (8.7 MB) made a full study slower.
+const tracePhase = 8
+
+// traceSnap is one sample instant as the block task left it.
+type traceSnap struct {
+	lagView
+	now     time.Duration
+	episode bool
+}
+
+// snapBatches allocates two batches of slots snapshots of up nodes each,
+// on one backing array per field.
+func snapBatches(up, slots int) [2][]traceSnap {
+	catchupAt := make([]time.Duration, 2*slots*up)
+	syncedTo := make([]int32, 2*slots*up)
+	snaps := make([]traceSnap, 2*slots)
+	for i := range snaps {
+		lo, hi := i*up, (i+1)*up
+		snaps[i].catchupAt = catchupAt[lo:hi:hi]
+		snaps[i].syncedTo = syncedTo[lo:hi:hi]
+	}
+	return [2][]traceSnap{snaps[:slots], snaps[slots:]}
+}
+
+// take copies the kernel's lag state into the snapshot.
+//
+//hot:path
+func (sn *traceSnap) take(k *traceKernel, now time.Duration, episode bool) {
+	copy(sn.catchupAt, k.catchupAt)
+	copy(sn.syncedTo, k.syncedTo)
+	sn.tip = k.tip
+	sn.now = now
+	sn.episode = episode
+}
+
 // RunTrace simulates the lag process over the population.
+//
+// It runs as a two-task pipeline on a parallel.Gang, one phase of
+// tracePhase samples at a time. Task 0 alone owns the RNG and the live
+// kernel: it advances blocks in event order and snapshots the lag state at
+// each sample instant of the phase. Task 1 folds the previous phase's
+// snapshots into their samples. The draws are those of the sequential
+// event loop, in its order, and the tasks write disjoint memory, so the
+// trace is the same at any width; at width 1 the gang runs both inline.
 func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Duration <= 0 || cfg.SampleEvery <= 0 {
@@ -304,7 +366,7 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 		}
 	}
 	rng := stats.NewRand(cfg.Seed)
-	k := p.compileTrace(cfg)
+	k, sm := p.compileTrace(cfg)
 
 	// Pre-draw episode schedule for the whole trace.
 	episodes := drawEpisodes(rng, cfg)
@@ -312,36 +374,60 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 	nSamples := int(cfg.Duration / cfg.SampleEvery)
 	nw := len(cfg.VulnerabilityWindows)
 	vulnerable := make([][3]int, nSamples*nw)
-	trace := &Trace{Config: cfg, Samples: make([]Sample, 0, nSamples)}
+	trace := &Trace{Config: cfg, Samples: make([]Sample, nSamples)}
+	batches := snapBatches(len(k.lambda), min(tracePhase, nSamples))
+	nPhases := (nSamples + tracePhase - 1) / tracePhase
 
-	// Event loop over two interleaved clocks: Poisson block arrivals and
-	// the regular sampling grid.
+	// batch returns the snapshot slots of phase ph.
+	batch := func(ph int) []traceSnap {
+		return batches[ph%2][:min(tracePhase, nSamples-ph*tracePhase)]
+	}
+
+	// Task 0's event loop over two interleaved clocks: Poisson block
+	// arrivals and the regular sampling grid.
 	nextBlock := time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
 	nextSample := cfg.SampleEvery
-
-	for nextSample <= cfg.Duration {
-		if nextBlock <= nextSample {
-			now := nextBlock
-			trace.Blocks++
-			k.block(rng, now, episodeMultiplier(episodes, now))
-			nextBlock = now + time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds())*float64(time.Second))
-			continue
+	blocks := 0
+	advance := func(snaps []traceSnap) {
+		for i := range snaps {
+			for nextBlock <= nextSample {
+				now := nextBlock
+				blocks++
+				k.block(rng, now, episodeMultiplier(episodes, now))
+				nextBlock = now + time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds())*float64(time.Second))
+			}
+			snaps[i].take(k, nextSample, episodeMultiplier(episodes, nextSample) > 1)
+			nextSample += cfg.SampleEvery
 		}
-
-		now := nextSample
-		row := len(trace.Samples) * nw
-		s := Sample{
-			T:             now,
-			EpisodeActive: episodeMultiplier(episodes, now) > 1,
-			Vulnerable:    vulnerable[row : row+nw : row+nw],
-		}
-		k.sample(now, &s)
-		if cfg.TrackSyncedByAS {
-			s.SyncedByAS = k.syncedByAS()
-		}
-		trace.Samples = append(trace.Samples, s)
-		nextSample += cfg.SampleEvery
 	}
+	// Task 1's fold of a phase's snapshots into samples first, first+1, ...
+	fold := func(snaps []traceSnap, first int) {
+		for i := range snaps {
+			sn := &snaps[i]
+			row := (first + i) * nw
+			s := &trace.Samples[first+i]
+			*s = Sample{T: sn.now, EpisodeActive: sn.episode, Vulnerable: vulnerable[row : row+nw : row+nw]}
+			sm.sample(&sn.lagView, sn.now, s)
+			if cfg.TrackSyncedByAS {
+				s.SyncedByAS = sm.syncedByAS()
+			}
+		}
+	}
+
+	gang := parallel.NewGang(0)
+	var ph int
+	step := func(task int) {
+		switch {
+		case task == 0 && ph < nPhases:
+			advance(batch(ph))
+		case task == 1 && ph > 0:
+			fold(batch(ph-1), (ph-1)*tracePhase)
+		}
+	}
+	for ph = 0; ph <= nPhases; ph++ {
+		gang.Run(2, step)
+	}
+	trace.Blocks = blocks
 	return trace, nil
 }
 

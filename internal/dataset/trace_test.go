@@ -1,8 +1,12 @@
 package dataset
 
 import (
+	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/parallel"
+	"repro/internal/stats"
 )
 
 func runTrace(t *testing.T, cfg TraceConfig) *Trace {
@@ -261,5 +265,100 @@ func TestTraceDeterminism(t *testing.T) {
 		if a.Samples[i].Buckets != b.Samples[i].Buckets {
 			t.Fatalf("sample %d differs between identical seeds", i)
 		}
+	}
+}
+
+// traceOracle is RunTrace's sequential event loop from before the pipeline:
+// one goroutine advancing blocks and sampling the live arrays in time
+// order.
+func traceOracle(p *Population, cfg TraceConfig) *Trace {
+	cfg = cfg.withDefaults()
+	rng := stats.NewRand(cfg.Seed)
+	k, sm := p.compileTrace(cfg)
+	episodes := drawEpisodes(rng, cfg)
+	nw := len(cfg.VulnerabilityWindows)
+	tr := &Trace{Config: cfg}
+	nextBlock := time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
+	for nextSample := cfg.SampleEvery; nextSample <= cfg.Duration; {
+		if nextBlock <= nextSample {
+			tr.Blocks++
+			k.block(rng, nextBlock, episodeMultiplier(episodes, nextBlock))
+			nextBlock += time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
+			continue
+		}
+		s := Sample{T: nextSample, EpisodeActive: episodeMultiplier(episodes, nextSample) > 1, Vulnerable: make([][3]int, nw)}
+		sm.sample(&k.lagView, nextSample, &s)
+		if cfg.TrackSyncedByAS {
+			s.SyncedByAS = sm.syncedByAS()
+		}
+		tr.Samples = append(tr.Samples, s)
+		nextSample += cfg.SampleEvery
+	}
+	return tr
+}
+
+// TestRunTraceMatchesSequentialOracle compares the two-task RunTrace with
+// the sequential loop it replaced: sample counts around the phase length
+// (1, 7, 8, 9, 17), tracked and untracked, and an episode-heavy trace;
+// each at GOMAXPROCS 1, where the gang runs both tasks inline, at the
+// default width, and four traces at once through parallel.Map as RunAll
+// runs them. It is the pipeline's concurrency check under the race
+// detector.
+func TestRunTraceMatchesSequentialOracle(t *testing.T) {
+	p := testPop(t)
+	m := 10 * time.Minute
+	var cfgs []TraceConfig
+	for i, n := range []int{1, 7, 8, 9, 17} {
+		cfgs = append(cfgs, TraceConfig{Duration: time.Duration(n)*m + m/2, SampleEvery: m, Seed: int64(i + 1)})
+	}
+	cfgs = append(cfgs,
+		TraceConfig{Duration: 9 * m, SampleEvery: m, Seed: 6, TrackSyncedByAS: true},
+		TraceConfig{Duration: 17 * m, SampleEvery: m, Seed: 7, TrackSyncedByAS: true},
+		TraceConfig{Duration: 17 * 3 * m, SampleEvery: 3 * m, Seed: 8, EpisodesPerDay: 20, TrackSyncedByAS: true},
+	)
+	want := make([]string, len(cfgs))
+	episode := false
+	for i, cfg := range cfgs {
+		tr := traceOracle(p, cfg)
+		want[i] = traceDigest(tr)
+		for _, s := range tr.Samples {
+			episode = episode || s.EpisodeActive
+		}
+	}
+	if !episode {
+		t.Fatal("no config samples an active episode")
+	}
+	digest := func(i int) (string, error) {
+		tr, err := p.RunTrace(cfgs[i])
+		if err != nil {
+			return "", err
+		}
+		return traceDigest(tr), nil
+	}
+	check := func(how string, i int, got string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Errorf("%s, config %d: %v", how, i, err)
+		} else if got != want[i] {
+			t.Errorf("%s, config %d (%v samples of %v): digest %s, oracle %s",
+				how, i, int(cfgs[i].Duration/cfgs[i].SampleEvery), cfgs[i].SampleEvery, got, want[i])
+		}
+	}
+	prev := runtime.GOMAXPROCS(1)
+	for i := range cfgs {
+		got, err := digest(i)
+		check("GOMAXPROCS 1", i, got, err)
+	}
+	runtime.GOMAXPROCS(prev)
+	for i := range cfgs {
+		got, err := digest(i)
+		check("default width", i, got, err)
+	}
+	got, err := parallel.Map(4, len(cfgs), digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range got {
+		check("four at once", i, d, nil)
 	}
 }

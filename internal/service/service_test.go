@@ -3,9 +3,11 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -291,6 +293,48 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 		if code, _ := postSpec(t, ts.URL, []byte(doc)); code != http.StatusBadRequest {
 			t.Fatalf("submit %q: code %d, want 400", doc, code)
 		}
+	}
+}
+
+// TestSubmitRejectsSpecOverCap refuses a spec whose trace days or grid
+// size is one past its cap with a 400 naming the field and the cap, before
+// any sidecar is written or job tracked: a job that size would allocate
+// gigabytes at start-up, and a sidecar would re-admit it at every restart.
+func TestSubmitRejectsSpecOverCap(t *testing.T) {
+	dir := t.TempDir()
+	svc, _ := newService(t, dir, 1, 1)
+	ts := httptest.NewServer(service.Handler(svc))
+	defer ts.Close()
+	for _, c := range []struct {
+		field string
+		cap   int
+	}{
+		{"tablev_trace_days", 366},
+		{"figure6a_days", 366},
+		{"grid_size", 1000},
+	} {
+		doc := fmt.Sprintf(`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,%q:%d,"faults":{}}`, c.field, c.cap+1)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(doc))
+		if err != nil {
+			t.Fatalf("POST /v1/jobs: %v", err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		_ = resp.Body.Close() // the read error is checked below
+		if err != nil {
+			t.Fatalf("read submit reply: %v", err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s over cap: code %d, want 400", c.field, resp.StatusCode)
+		}
+		if want := fmt.Sprintf("cap of %d", c.cap); !strings.Contains(string(body), c.field) || !strings.Contains(string(body), want) {
+			t.Errorf("%s over cap: reply %s does not name the field and %q", c.field, body, want)
+		}
+	}
+	if sidecars, _ := filepath.Glob(filepath.Join(dir, "*.spec.json")); len(sidecars) != 0 {
+		t.Fatalf("refused specs wrote sidecars %v", sidecars)
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused specs left %d jobs", len(jobs))
 	}
 }
 
