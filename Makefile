@@ -45,9 +45,13 @@ test:
 # skipped for its cost (its 60-day trace would take about half a minute of
 # the race run); TestRunTraceMatchesSequentialOracle is the race check of
 # RunTrace's two tasks, on short traces around the phase length, at
-# GOMAXPROCS 1 and the default, and four at once.
+# GOMAXPROCS 1 and the default, and four at once. In internal/core only the
+# evaluation sweep's tests run (TestCheckpointed*): the sweep's tasks append
+# to one journal, bump its counters and emit its trace events concurrently,
+# under one lock, and those tests drive that at four workers.
 race:
 	$(GO) test -race -skip '^TestTraceGolden$$' ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/... ./internal/topology/... ./internal/dataset/...
+	$(GO) test -race -run '^TestCheckpointed' ./internal/core/
 
 # perfbench vets and tests the benchmark harness. perfbench/ is a module of
 # its own (replace repro => ../), so the root ./... patterns never compile

@@ -91,6 +91,11 @@ func run(args []string) (int, error) {
 	if *resume && *ckptDir == "" {
 		return service.ExitHardError, fmt.Errorf("-resume needs -checkpoint DIR")
 	}
+	onFaultSet := false
+	fs.Visit(func(f *flag.Flag) { onFaultSet = onFaultSet || f.Name == "onfault" })
+	if onFaultSet && *ckptDir == "" {
+		return service.ExitHardError, fmt.Errorf("-onfault needs -checkpoint DIR")
+	}
 	spec, err := sf.Spec(verb, noun)
 	if err != nil {
 		if verb != "experiment" && verb != "attack" && verb != "defend" && verb != "export" {
@@ -130,7 +135,7 @@ func run(args []string) (int, error) {
 				fmt.Fprintln(os.Stderr, "partition: close journal:", cerr)
 			}
 		}()
-		opts.Journal, opts.Resume, opts.FailFast = journal, log, *onFault == "fail"
+		opts.Journal, opts.Resume, opts.Degrade = journal, log, *onFault == "degrade"
 	}
 	res, err := service.RunSpec(spec, opts)
 	if err != nil {

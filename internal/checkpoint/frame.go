@@ -25,10 +25,10 @@ import (
 // trustworthy.
 var ErrCorrupt = errors.New("checkpoint: corrupt frame")
 
-// ErrBudget is the watchdog sentinel: a simulation exceeded its step or
-// event budget and was cancelled. Supervised runners classify task errors
-// wrapping ErrBudget as "exhausted" rather than "quarantined", and the CLI
-// maps them to the budget-exhausted exit code.
+// ErrBudget is the watchdog sentinel: a grid simulation exceeded its step
+// budget and was cancelled. The evaluation sweep classifies experiment
+// errors wrapping ErrBudget as "exhausted" rather than "quarantined", and
+// the CLI maps them to the budget-exhausted exit code.
 var ErrBudget = errors.New("checkpoint: simulation budget exhausted")
 
 // castagnoli is the CRC-32C polynomial table used by every frame.

@@ -34,8 +34,8 @@ const (
 	// in degraded mode and the record preserves the evidence (panic value,
 	// stack, input fingerprint). Quarantined tasks are re-run on resume.
 	KindQuarantine Kind = "quarantine"
-	// KindExhausted is a task cancelled by the watchdog: its simulation
-	// exceeded the configured step/event budget (ErrBudget). Exhausted
+	// KindExhausted is a task cancelled by the watchdog: its grid
+	// simulation exceeded the configured step budget (ErrBudget). Exhausted
 	// tasks are re-run on resume (presumably under a larger budget).
 	KindExhausted Kind = "exhausted"
 )

@@ -3,17 +3,21 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
-// This file wires the crash-safety layer (DESIGN.md §11) into the study's
-// evaluation sweep: RunAllDrainable is RunAll with a write-ahead journal
-// at every experiment boundary, keyed resume, and per-task supervision that
+// This file is the study's evaluation sweep and the crash-safety layer
+// (DESIGN.md §11) wired into it: one parallel.Map over the experiments
+// that, when asked, replays from a resume log, write-ahead journals every
+// experiment at its boundary, stops at a boundary for a graceful drain, and
 // quarantines a panicking experiment or a watchdog-cancelled one instead of
-// losing the whole run.
+// losing the whole run. RunAll is its journal-less, fail-fast call.
 
 // Fault is one failed experiment in a degraded checkpointed run.
 type Fault struct {
@@ -21,15 +25,16 @@ type Fault struct {
 	Task int
 	Name string
 	Seed int64
-	// Kind is how the failure was journaled: KindQuarantine for panics and
-	// plain errors, KindExhausted for watchdog budget cancellations.
+	// Kind classifies the failure, as the journal records it:
+	// KindQuarantine for panics and plain errors, KindExhausted for
+	// watchdog budget cancellations.
 	Kind checkpoint.Kind
 	// Err is the underlying failure (a *parallel.PanicError preserves the
 	// panic value and stack).
 	Err error
 }
 
-// CheckpointedRun is the outcome of a supervised evaluation sweep.
+// CheckpointedRun is the outcome of an evaluation sweep.
 type CheckpointedRun struct {
 	// Outputs has one slot per experiment in presentation order; consult
 	// Ran — a faulted experiment's slot is zero.
@@ -42,9 +47,10 @@ type CheckpointedRun struct {
 	Replayed int
 	// Faults lists the quarantined and exhausted experiments, task order.
 	Faults []Fault
-	// Stopped reports that the sweep quit at an experiment boundary before
-	// completing — a graceful drain. The journal holds the completed
-	// prefix; a resumed run finishes the rest byte-identically.
+	// Stopped reports that the sweep quit at an experiment boundary and
+	// left at least one experiment unrun — a graceful drain. The journal
+	// holds the completed experiments; a resumed run finishes the rest
+	// byte-identically.
 	Stopped bool
 }
 
@@ -93,112 +99,156 @@ func (s *Study) Fingerprint() string {
 // RunAllDrainable regenerates the evaluation like RunAll, but journals
 // every experiment outcome through j as it completes (nil j disables
 // journaling), replays completed experiments from resume (nil resume replays
-// nothing), and — unless failFast — continues in degraded mode past a
-// panicking or watchdog-cancelled experiment, quarantining it in the report.
-// The completed outputs are byte-identical to RunAll's for any worker count.
-// quit is polled between experiments: when it returns true the sweep stops
-// at the next experiment boundary with the journal ending on a completed
-// record and the report's Stopped flag set — the graceful-drain path of the
-// partitiond daemon (DESIGN.md §14). A nil quit never stops.
-func (s *Study) RunAllDrainable(workers int, j *checkpoint.Journal, resume *checkpoint.Log, failFast bool, quit func() bool) (*CheckpointedRun, error) {
-	return s.runCheckpointed(experiments(), workers, j, resume, failFast, quit)
+// nothing), and — when degrade is set — continues past a panicking or
+// watchdog-cancelled experiment, quarantining it in the report; otherwise
+// the first failure aborts the sweep with the lowest-index failing
+// experiment's error. The completed outputs are byte-identical to RunAll's
+// for any worker count. quit is polled before each experiment runs: once it
+// returns true no further experiment starts, in-flight ones finish and are
+// journaled, and the report's Stopped flag is set if any was left unrun —
+// the graceful-drain path of the partitiond daemon (DESIGN.md §14). A nil
+// quit never stops.
+func (s *Study) RunAllDrainable(workers int, j *checkpoint.Journal, resume *checkpoint.Log, degrade bool, quit func() bool) (*CheckpointedRun, error) {
+	return s.runCheckpointed(experiments(), workers, j, resume, degrade, quit)
+}
+
+// sweepSlot is one experiment's part of a sweep's report.
+type sweepSlot struct {
+	out      ExperimentOutput
+	ran      bool
+	replayed bool
+	fault    *Fault
 }
 
 // runCheckpointed is the seam under RunAllDrainable: tests inject a
 // doctored experiment list (a panicking or non-terminating entry) to prove
-// degraded-mode behavior without touching the real evaluation.
-func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Journal, resume *checkpoint.Log, failFast bool, quit func() bool) (*CheckpointedRun, error) {
-	reg := s.Opts.Obs.Registry()
+// degraded-mode behavior without touching the real evaluation. Task i runs
+// under the seed DeriveSeed(study seed, i), the key its journal record
+// replays by.
+func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Journal, resume *checkpoint.Log, degrade bool, quit func() bool) (*CheckpointedRun, error) {
 	trace := s.Opts.Obs.Tracer()
-	cReplayed := reg.Counter("checkpoint.replayed")
-	cResult := reg.Counter("checkpoint.journaled", obs.L("kind", string(checkpoint.KindResult)))
-	cQuarantine := reg.Counter("checkpoint.journaled", obs.L("kind", string(checkpoint.KindQuarantine)))
-	cExhausted := reg.Counter("checkpoint.journaled", obs.L("kind", string(checkpoint.KindExhausted)))
-	fp := s.Fingerprint()
-	seedOf := func(task int) int64 { return parallel.DeriveSeed(s.seed, task) }
-	replayable := func(task int) bool {
-		_, ok := resume.Result(task, seedOf(task))
-		return ok
-	}
-	sup, err := parallel.SuperviseTrials(parallel.Supervision[ExperimentOutput]{
-		Workers:  workers,
-		Root:     s.seed,
-		FailFast: failFast,
-		Skip:     replayable,
-		Quit:     quit,
-		OnOutcome: func(out parallel.Outcome[ExperimentOutput]) error {
-			rec := checkpoint.Record{Task: out.Task, Seed: out.Seed, Name: exps[out.Task].name}
-			switch {
-			case out.Err == nil:
-				rec.Kind = checkpoint.KindResult
-				rec.Output = []byte(out.Value.Text)
-				cResult.Inc()
-			case errors.Is(out.Err, checkpoint.ErrBudget):
-				rec.Kind = checkpoint.KindExhausted
-				rec.Error = out.Err.Error()
-				cExhausted.Inc()
-			default:
-				rec.Kind = checkpoint.KindQuarantine
-				rec.Input = fp
-				var pe *parallel.PanicError
-				if errors.As(out.Err, &pe) {
-					rec.Panic = fmt.Sprint(pe.Value)
-					rec.Stack = string(pe.Stack)
-				} else {
-					rec.Error = out.Err.Error()
-				}
-				cQuarantine.Inc()
-			}
-			trace.Emit(int64(out.Task), "checkpoint", "journaled",
-				obs.F("name", rec.Name),
-				obs.F("kind", string(rec.Kind)))
-			return j.Append(rec)
-		},
-	}, len(exps), func(task int, _ int64) (ExperimentOutput, error) {
-		e := exps[task]
-		text, err := e.run(s)
-		if err != nil {
-			return ExperimentOutput{}, fmt.Errorf("%s: %w", e.name, err)
+	var (
+		fp        string
+		cReplayed *obs.Counter
+		journaled map[checkpoint.Kind]*obs.Counter
+	)
+	if j != nil {
+		fp = s.Fingerprint()
+		reg := s.Opts.Obs.Registry()
+		cReplayed = reg.Counter("checkpoint.replayed")
+		journaled = map[checkpoint.Kind]*obs.Counter{}
+		for _, k := range []checkpoint.Kind{checkpoint.KindResult, checkpoint.KindQuarantine, checkpoint.KindExhausted} {
+			journaled[k] = reg.Counter("checkpoint.journaled", obs.L("kind", string(k)))
 		}
-		return ExperimentOutput{Name: e.name, Text: text}, nil
+	}
+	// mu serializes the journal, its counters and its trace events;
+	// journalErr, once set, keeps every later record out of a journal that
+	// failed to record one.
+	var (
+		mu         sync.Mutex
+		journalErr error
+		stopped    atomic.Bool
+	)
+	record := func(rec checkpoint.Record) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if journalErr != nil {
+			return journalErr
+		}
+		if err := j.Append(rec); err != nil {
+			journalErr = fmt.Errorf("core: journal %s: %w", rec.Name, err)
+			return journalErr
+		}
+		journaled[rec.Kind].Inc()
+		trace.Emit(int64(rec.Task), "checkpoint", "journaled",
+			obs.F("name", rec.Name),
+			obs.F("kind", string(rec.Kind)))
+		return nil
+	}
+	slots, err := parallel.Map(workers, len(exps), func(task int) (sweepSlot, error) {
+		e := exps[task]
+		seed := parallel.DeriveSeed(s.seed, task)
+		if text, ok := resume.Result(task, seed); ok {
+			return sweepSlot{out: ExperimentOutput{Name: e.name, Text: string(text)}, ran: true, replayed: true}, nil
+		}
+		if stopped.Load() || (quit != nil && quit()) {
+			stopped.Store(true)
+			return sweepSlot{}, nil
+		}
+		text, runErr := s.runExperiment(e, task, seed)
+		kind := faultKind(runErr)
+		if j != nil {
+			rec := checkpoint.Record{Task: task, Seed: seed, Name: e.name, Kind: kind}
+			var pe *parallel.PanicError
+			switch {
+			case kind == checkpoint.KindResult:
+				rec.Output = []byte(text)
+			case kind == checkpoint.KindExhausted:
+				rec.Error = runErr.Error()
+			case errors.As(runErr, &pe):
+				rec.Input, rec.Panic, rec.Stack = fp, fmt.Sprint(pe.Value), string(pe.Stack)
+			default:
+				rec.Input, rec.Error = fp, runErr.Error()
+			}
+			if err := record(rec); err != nil {
+				return sweepSlot{}, err
+			}
+		}
+		switch {
+		case runErr == nil:
+			return sweepSlot{out: ExperimentOutput{Name: e.name, Text: text}, ran: true}, nil
+		case degrade:
+			return sweepSlot{fault: &Fault{Task: task, Name: e.name, Seed: seed, Kind: kind, Err: runErr}}, nil
+		}
+		return sweepSlot{}, runErr
 	})
 	if err != nil {
 		return nil, err
 	}
-	run := &CheckpointedRun{Outputs: sup.Results, Ran: sup.Ran, Stopped: sup.Stopped}
-	if run.Outputs == nil {
-		// Zero experiments: keep the report's slices non-nil-consistent.
-		run.Outputs, run.Ran = []ExperimentOutput{}, []bool{}
+	run := &CheckpointedRun{
+		Outputs: make([]ExperimentOutput, len(exps)),
+		Ran:     make([]bool, len(exps)),
+		Stopped: stopped.Load(),
 	}
-	// Fill the replayed slots from the journal — the experiments the
-	// supervisor skipped.
-	for task := range exps {
-		if run.Ran[task] {
-			continue
+	for task, slot := range slots {
+		run.Outputs[task], run.Ran[task] = slot.out, slot.ran
+		if slot.fault != nil {
+			run.Faults = append(run.Faults, *slot.fault)
 		}
-		out, ok := resume.Result(task, seedOf(task))
-		if !ok {
-			continue
+		if slot.replayed {
+			run.Replayed++
+			cReplayed.Inc()
+			trace.Emit(int64(task), "checkpoint", "replayed",
+				obs.F("name", slot.out.Name))
 		}
-		run.Outputs[task] = ExperimentOutput{Name: exps[task].name, Text: string(out)}
-		run.Ran[task] = true
-		run.Replayed++
-		cReplayed.Inc()
-		trace.Emit(int64(task), "checkpoint", "replayed",
-			obs.F("name", exps[task].name))
-	}
-	for _, f := range sup.Failures {
-		kind := checkpoint.KindQuarantine
-		if errors.Is(f.Err, checkpoint.ErrBudget) {
-			kind = checkpoint.KindExhausted
-		}
-		run.Faults = append(run.Faults, Fault{
-			Task: f.Task,
-			Name: exps[f.Task].name,
-			Seed: f.Seed,
-			Kind: kind,
-			Err:  f.Err,
-		})
 	}
 	return run, nil
+}
+
+// runExperiment renders one experiment of a sweep, converting a panic into
+// a *parallel.PanicError attributed with the task and its seed, so the
+// failing experiment can be quarantined and reproduced.
+func (s *Study) runExperiment(e experiment, task int, seed int64) (text string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &parallel.PanicError{Task: task, Seed: seed, Seeded: true, Value: r, Stack: debug.Stack()}
+		}
+	}()
+	text, err = e.run(s)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", e.name, err)
+	}
+	return text, nil
+}
+
+// faultKind classifies an experiment's outcome as its journal record does:
+// a result, a watchdog budget exhaustion, or a quarantined failure.
+func faultKind(err error) checkpoint.Kind {
+	switch {
+	case err == nil:
+		return checkpoint.KindResult
+	case errors.Is(err, checkpoint.ErrBudget):
+		return checkpoint.KindExhausted
+	}
+	return checkpoint.KindQuarantine
 }

@@ -48,7 +48,7 @@ func TestCheckpointedDegradedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		run, err := s.runCheckpointed(fakeExps(), workers, j, nil, false, nil)
+		run, err := s.runCheckpointed(fakeExps(), workers, j, nil, true, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -67,6 +67,9 @@ func TestCheckpointedDegradedRun(t *testing.T) {
 		var pe *parallel.PanicError
 		if !errors.As(run.Faults[0].Err, &pe) || pe.Value != "injected crash" {
 			t.Errorf("workers=%d: panic evidence lost: %v", workers, run.Faults[0].Err)
+		}
+		if seed := parallel.DeriveSeed(1, 1); pe == nil || !pe.Seeded || pe.Seed != seed || run.Faults[0].Seed != seed {
+			t.Errorf("workers=%d: panic not attributed to seed %d: %+v", workers, seed, run.Faults[0])
 		}
 		if run.Faults[1].Name != "budget" || run.Faults[1].Kind != checkpoint.KindExhausted {
 			t.Errorf("workers=%d: fault 1 = %+v", workers, run.Faults[1])
@@ -111,16 +114,45 @@ func TestCheckpointedDegradedRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointedFailFast keeps the Map contract when degradation is off.
+// TestCheckpointedFailFast keeps the Map contract when degradation is off:
+// nil report, the lowest-index failure (with its seed), and, at one worker,
+// no experiment started after it.
 func TestCheckpointedFailFast(t *testing.T) {
 	s := newTestStudy(t)
-	run, err := s.runCheckpointed(fakeExps(), 1, nil, nil, true, nil)
+	exps := fakeExps()
+	exps[3].run = func(*Study) (string, error) { t.Error("experiment after the failure ran"); return "", nil }
+	run, err := s.runCheckpointed(exps, 1, nil, nil, false, nil)
 	if run != nil || err == nil {
 		t.Fatalf("fail-fast run = %+v, %v", run, err)
 	}
 	var pe *parallel.PanicError
-	if !errors.As(err, &pe) || pe.Task != 1 {
-		t.Errorf("fail-fast error = %v, want the task-1 panic", err)
+	if !errors.As(err, &pe) || pe.Task != 1 || !pe.Seeded || pe.Seed != parallel.DeriveSeed(1, 1) {
+		t.Errorf("fail-fast error = %v, want the task-1 panic with its seed", err)
+	}
+}
+
+// TestCheckpointedJournalFailureAborts: a journal that cannot record an
+// outcome (here, a closed one) aborts the sweep, even in degrade mode, with
+// an error wrapping the append failure, and no later experiment runs.
+func TestCheckpointedJournalFailureAborts(t *testing.T) {
+	s := newTestStudy(t)
+	j, err := checkpoint.CreateJournal(filepath.Join(t.TempDir(), "run.ckpt"), s.Fingerprint(), checkpoint.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	exps := fakeExps()
+	for i := 1; i < len(exps); i++ {
+		exps[i].run = func(*Study) (string, error) { t.Error("experiment after the journal failure ran"); return "", nil }
+	}
+	run, err := s.runCheckpointed(exps, 1, j, nil, true, nil)
+	if run != nil || err == nil {
+		t.Fatalf("run over a closed journal = %+v, %v", run, err)
+	}
+	if inner := errors.Unwrap(err); inner == nil || inner.Error() != "checkpoint: append to closed journal" {
+		t.Errorf("error %q does not wrap the append failure", err)
 	}
 }
 
@@ -137,7 +169,7 @@ func TestCheckpointedResumeReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.runCheckpointed(exps, 2, j, nil, false, nil); err != nil {
+	if _, err := s.runCheckpointed(exps, 2, j, nil, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -153,7 +185,7 @@ func TestCheckpointedResumeReplays(t *testing.T) {
 		{"a", func(*Study) (string, error) { t.Error("experiment a re-ran"); return "", nil }},
 		{"b", func(*Study) (string, error) { t.Error("experiment b re-ran"); return "", nil }},
 	}
-	run, err := s.runCheckpointed(poisoned, 2, j2, log, false, nil)
+	run, err := s.runCheckpointed(poisoned, 2, j2, log, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +223,7 @@ func TestCheckpointedDrain(t *testing.T) {
 			return out, err
 		}}
 	}
-	run, err := s.runCheckpointed(counted, 1, j, nil, false, quit)
+	run, err := s.runCheckpointed(counted, 1, j, nil, true, quit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +241,7 @@ func TestCheckpointedDrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := s.runCheckpointed(exps, 1, j2, log, false, nil)
+	resumed, err := s.runCheckpointed(exps, 1, j2, log, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

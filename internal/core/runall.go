@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/parallel"
-)
+import "fmt"
 
 // The tables and figures of the paper's evaluation are mutually independent
 // read-only computations over the study's population, so regenerating the
@@ -111,14 +107,14 @@ func lookupExperiment(name string) func(*Study) (string, error) {
 // experiments across workers (<= 0 means one per CPU; the study's
 // configured Workers bound applies inside each experiment as well). The
 // outputs come back in presentation order and are identical for any worker
-// count.
+// count. It is RunAllDrainable without a journal, resume log or drain hook,
+// failing fast on the first failing experiment.
+//
+//lint:ignore unusedexport used by the perfbench module, which ./... does not load
 func (s *Study) RunAll(workers int) ([]ExperimentOutput, error) {
-	return parallel.Sweep(workers, experiments(),
-		func(_ int, e experiment) (ExperimentOutput, error) {
-			text, err := e.run(s)
-			if err != nil {
-				return ExperimentOutput{}, fmt.Errorf("%s: %w", e.name, err)
-			}
-			return ExperimentOutput{Name: e.name, Text: text}, nil
-		})
+	run, err := s.RunAllDrainable(workers, nil, nil, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return run.Outputs, nil
 }

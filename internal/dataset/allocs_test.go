@@ -1,6 +1,8 @@
 package dataset
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -28,6 +30,43 @@ func TestRunTraceAllocsCeiling(t *testing.T) {
 	t.Logf("%.0f allocs/op (ceiling %d)", allocs, ceiling)
 	if allocs > ceiling {
 		t.Errorf("RunTrace: %.0f allocs/op, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestRunTraceAllocsCeilingTwoCPUs holds the path TestRunTraceAllocsCeiling
+// cannot reach: at GOMAXPROCS 2 RunTrace's gang runs its block and sample
+// tasks on two goroutines, and each of the 19 phase joins allocates the
+// gang's closures, WaitGroup and panic slots, about 141 allocations per
+// 1-day trace in all. AllocsPerRun forces GOMAXPROCS 1, so this test reads
+// the process's malloc count around one trace after a warm-up run, taking
+// the least of three so a stray runtime allocation does not count. A
+// per-sample allocation would add 144 and fail the ceiling. Under the race
+// detector the counts vary, so the test runs only without it.
+func TestRunTraceAllocsCeilingTwoCPUs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const ceiling = 220
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	p := testPop(t)
+	cfg := TraceConfig{Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 1}
+	if _, err := p.RunTrace(cfg); err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := p.RunTrace(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	t.Logf("%d allocs/op at GOMAXPROCS 2 (ceiling %d)", least, ceiling)
+	if least > ceiling {
+		t.Errorf("RunTrace at GOMAXPROCS 2: %d allocs/op, ceiling %d", least, ceiling)
 	}
 }
 

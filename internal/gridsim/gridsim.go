@@ -542,8 +542,8 @@ func (g *Grid) adopt(dst, src int) {
 func (g *Grid) StepsPerBlock() int { return g.stepsPerBlock }
 
 // BudgetErr returns nil, or the watchdog cancellation as an error wrapping
-// checkpoint.ErrBudget so supervised runners journal the trial as exhausted
-// rather than quarantined.
+// checkpoint.ErrBudget so the evaluation sweep journals the experiment as
+// exhausted rather than quarantined.
 func (g *Grid) BudgetErr() error {
 	if !g.exhausted {
 		return nil

@@ -18,7 +18,7 @@ import (
 // real SIGKILL leaves) and re-running with a resume log.
 
 // renderCheckpointed reproduces `partition experiment all -seed 1
-// -checkpoint ...` byte for byte: the supervised sweep journaling into j,
+// -checkpoint ...` byte for byte: the fail-fast sweep journaling into j,
 // replaying from resume.
 func renderCheckpointed(t *testing.T, workers int, j *checkpoint.Journal, resume *checkpoint.Log) ([]byte, *core.CheckpointedRun) {
 	t.Helper()
@@ -26,7 +26,7 @@ func renderCheckpointed(t *testing.T, workers int, j *checkpoint.Journal, resume
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := study.RunAllDrainable(workers, j, resume, true, nil)
+	run, err := study.RunAllDrainable(workers, j, resume, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package detmerge defines an interprocedural analyzer guarding the
 // merge-order half of the determinism contract (DESIGN.md §2): results of
-// parallel execution must be reduced in task order. parallel.Map, Trials,
-// and SuperviseTrials all return task-ordered slices precisely so callers
+// parallel execution must be reduced in task order. parallel.Map, Sweep
+// and Trials all return task-ordered slices precisely so callers
 // can fold them deterministically; the bug this analyzer catches is
 // laundering those results through an unordered container — a map keyed by
 // trial ID, a completion channel — and folding from there, which makes the
@@ -37,10 +37,9 @@ var Analyzer = &analysis.Analyzer{
 // parallelResults are the harness entry points whose return values are the
 // taint roots.
 var parallelResults = map[string]bool{
-	"repro/internal/parallel.Map":             true,
-	"repro/internal/parallel.Sweep":           true,
-	"repro/internal/parallel.Trials":          true,
-	"repro/internal/parallel.SuperviseTrials": true,
+	"repro/internal/parallel.Map":    true,
+	"repro/internal/parallel.Sweep":  true,
+	"repro/internal/parallel.Trials": true,
 }
 
 // accumNames are method names that fold state into their receiver.

@@ -13,7 +13,10 @@
 //  2. Results are written into a slot indexed by task and returned as an
 //     ordered slice, so collection order is the submission order.
 //  3. Errors are reported deterministically: the error of the lowest-index
-//     failing task wins, whatever finished first.
+//     failing task wins, whatever finished first. Once a task fails no new
+//     task is claimed; tasks are claimed in index order, so every task
+//     below the failing one has already been claimed and the winning error
+//     is the one a full run would report.
 //
 // Panics inside a task are captured and attributed (task index + stack)
 // rather than tearing down the process from an anonymous goroutine.
@@ -37,8 +40,10 @@ type PanicError struct {
 	// Task is the index of the task that panicked.
 	Task int
 	// Seed is the task's derived seed, when the entry point derives one
-	// (Trials, SuperviseTrials). Seeded reports whether it is meaningful:
-	// Map and Sweep tasks carry no seed, and 0 is a valid derived seed.
+	// (Trials, or a caller that derives it with DeriveSeed and recovers its
+	// own panics, as core's evaluation sweep does). Seeded reports whether
+	// it is meaningful: Map and Sweep tasks carry no seed, and 0 is a valid
+	// derived seed.
 	Seed   int64
 	Seeded bool
 	// Value is the value passed to panic.
@@ -59,19 +64,20 @@ func (e *PanicError) Error() string {
 // Map runs fn(0), fn(1), …, fn(n-1) across at most workers goroutines and
 // returns the n results in task order. workers <= 0 means DefaultWorkers().
 // A panicking task is converted to a *PanicError. If any task fails, Map
-// returns a nil slice with the error of the lowest-index failing task —
-// never a partial result set, so a failed sweep can't silently feed
-// zero-valued rows into a table or figure downstream.
+// claims no further task and returns a nil slice with the error of the
+// lowest-index failing task — never a partial result set, so a failed sweep
+// can't silently feed zero-valued rows into a table or figure downstream.
 func Map[T any](workers, n int, fn func(task int) (T, error)) ([]T, error) {
 	return mapSeeded(workers, n, nil, func(i int, _ int64) (T, error) {
 		return fn(i)
 	})
 }
 
-// mapSeeded is the shared pool under Map, Sweep, Trials, and the supervised
-// runner. seedOf derives the per-task seed (nil when the entry point carries
-// none); recovered panics are attributed with the task index and, when
-// seeded, the seed that reproduces the failure.
+// mapSeeded is the shared pool under Map, Sweep and Trials. seedOf derives
+// the per-task seed (nil when the entry point carries none); recovered
+// panics are attributed with the task index and, when seeded, the seed that
+// reproduces the failure. The first failure stops the claiming of new
+// tasks; tasks already claimed run to completion.
 func mapSeeded[T any](workers, n int, seedOf func(int) int64, fn func(task int, seed int64) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -84,6 +90,7 @@ func mapSeeded[T any](workers, n int, seedOf func(int) int64, fn func(task int, 
 	}
 	results := make([]T, n)
 	errs := make([]error, n)
+	var failed atomic.Bool
 	run := func(i int) {
 		var seed int64
 		if seedOf != nil {
@@ -93,13 +100,16 @@ func mapSeeded[T any](workers, n int, seedOf func(int) int64, fn func(task int, 
 			if r := recover(); r != nil {
 				errs[i] = &PanicError{Task: i, Seed: seed, Seeded: seedOf != nil, Value: r, Stack: debug.Stack()}
 			}
+			if errs[i] != nil {
+				failed.Store(true)
+			}
 		}()
 		results[i], errs[i] = fn(i, seed)
 	}
 	if workers == 1 {
 		// Run inline: same semantics, no goroutine overhead, and stack
 		// traces that point at the caller.
-		for i := 0; i < n; i++ {
+		for i := 0; i < n && !failed.Load(); i++ {
 			run(i)
 		}
 	} else {
@@ -109,7 +119,7 @@ func mapSeeded[T any](workers, n int, seedOf func(int) int64, fn func(task int, 
 		for w := 0; w < workers; w++ {
 			go func() {
 				defer wg.Done()
-				for {
+				for !failed.Load() {
 					i := int(next.Add(1)) - 1
 					if i >= n {
 						return

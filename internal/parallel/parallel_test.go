@@ -116,6 +116,81 @@ func TestMapPanicCapture(t *testing.T) {
 	}
 }
 
+// TestMapStopsClaimingAfterFailure pins the stop-after-failure contract at
+// one worker, where claiming is strictly sequential: no task after the
+// failing one starts, and the error is the one a full run would report.
+func TestMapStopsClaimingAfterFailure(t *testing.T) {
+	var started []int
+	_, err := Map(1, 10, func(i int) (int, error) {
+		started = append(started, i)
+		if i == 4 {
+			return 0, fmt.Errorf("task %d failed", i)
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "task 4 failed" {
+		t.Errorf("err = %v, want task 4", err)
+	}
+	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(started, want) {
+		t.Errorf("started %v, want %v", started, want)
+	}
+}
+
+// TestTrialsPanicSeedAttribution pins the satellite fix: a panic inside a
+// seeded trial must carry both the task index and the derived seed, so the
+// failing replicate can be reproduced standalone.
+func TestTrialsPanicSeedAttribution(t *testing.T) {
+	const root = int64(42)
+	for _, workers := range []int{1, 4} {
+		_, err := Trials(workers, root, 10, func(trial int, seed int64) (int, error) {
+			if trial == 6 {
+				panic("seeded kaboom")
+			}
+			return trial, nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+		}
+		want := DeriveSeed(root, 6)
+		if pe.Task != 6 || !pe.Seeded || pe.Seed != want {
+			t.Errorf("workers=%d: attribution task=%d seeded=%v seed=%d, want task 6 seed %d",
+				workers, pe.Task, pe.Seeded, pe.Seed, want)
+		}
+		msg := fmt.Sprintf("task 6 (seed %d) panicked: seeded kaboom", want)
+		if !strings.Contains(pe.Error(), msg) {
+			t.Errorf("workers=%d: message %q missing %q", workers, pe.Error(), msg)
+		}
+	}
+}
+
+// TestSweepTrialsNilResultsOnError extends the Map no-partial-results
+// regression to the other two entry points: Sweep and Trials must also
+// withhold the result slice when any task fails.
+func TestSweepTrialsNilResultsOnError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		params := make([]int, 20)
+		got, err := Sweep(workers, params, func(i, _ int) (int, error) {
+			if i == 13 {
+				return 0, fmt.Errorf("param %d failed", i)
+			}
+			return i + 1, nil
+		})
+		if err == nil || got != nil {
+			t.Errorf("Sweep workers=%d: results=%v err=%v, want nil results with error", workers, got, err)
+		}
+		got, err = Trials(workers, 7, 20, func(trial int, seed int64) (int, error) {
+			if trial == 13 {
+				return 0, fmt.Errorf("trial %d failed", trial)
+			}
+			return trial + 1, nil
+		})
+		if err == nil || got != nil {
+			t.Errorf("Trials workers=%d: results=%v err=%v, want nil results with error", workers, got, err)
+		}
+	}
+}
+
 func TestSweep(t *testing.T) {
 	params := []string{"a", "bb", "ccc"}
 	got, err := Sweep(2, params, func(i int, p string) (int, error) { return len(p), nil })

@@ -60,6 +60,7 @@ func TestNameCaseIsExact(t *testing.T) {
 		t.Run(tc.verb+"_"+tc.name, func(t *testing.T) { submitRefusesName(t, tc.verb, tc.name) })
 	}
 	svc, _ := newService(t, t.TempDir(), 1, 1)
+	defer svc.Drain()
 	view, status, err := svc.Submit(canonical(t, buildSpec(t, "experiment", "table1", 7)))
 	if err != nil || status != service.SubmitAccepted {
 		t.Fatalf("Submit(experiment table1) = %q, %v; want accepted", status, err)

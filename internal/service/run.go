@@ -46,10 +46,12 @@ type RunOptions struct {
 	// Resume replays the completed prefix of a previous journal (nil
 	// replays nothing).
 	Resume *checkpoint.Log
-	// FailFast aborts the checkpointed sweep on the first fault instead of
-	// quarantining it (the CLI's -onfault fail).
-	FailFast bool
-	// Quit, polled between experiments of a checkpointed sweep, requests a
+	// Degrade quarantines a failing experiment of `experiment all` and
+	// carries on instead of aborting the sweep on the first failure (the
+	// daemon, and the CLI's -checkpoint with -onfault degrade). The zero
+	// value fails fast.
+	Degrade bool
+	// Quit, polled between experiments of `experiment all`, requests a
 	// graceful drain: the sweep stops at the next boundary with the journal
 	// ending on a completed record. Nil never quits.
 	Quit func() bool
@@ -64,12 +66,12 @@ type RunResult struct {
 	// ExitExhausted). Hard errors surface as RunSpec's error instead.
 	Exit int
 	// Faults lists quarantined/exhausted experiments of a degraded
-	// checkpointed sweep.
+	// `experiment all`.
 	Faults []core.Fault
 	// Replayed counts experiments satisfied from the resume journal.
 	Replayed int
-	// Completed and Total count the checkpointed sweep's experiments (both
-	// zero for plain runs, where completion is all-or-error).
+	// Completed and Total count the experiments of `experiment all` (both
+	// zero for every other command).
 	Completed int
 	Total     int
 	// Stopped reports a graceful drain: the run is incomplete, its journal
@@ -84,7 +86,14 @@ func RunSpec(spec core.Spec, opts RunOptions) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.Journal != nil && (spec.Run.Verb != "experiment" || spec.Run.Name != "all") {
+	if spec.Run == allCommand {
+		study, err := core.NewFromSpec(spec, opts.Extra...)
+		if err != nil {
+			return nil, err
+		}
+		return runAll(study, opts)
+	}
+	if opts.Journal != nil {
 		return nil, fmt.Errorf("service: checkpointing applies only to `experiment all`, not %q", spec.Run)
 	}
 	run, err := resolve(spec.Run)
@@ -96,24 +105,25 @@ func RunSpec(spec core.Spec, opts RunOptions) (*RunResult, error) {
 		return nil, err
 	}
 	var out strings.Builder
-	if opts.Journal != nil {
-		return runAllCheckpointed(study, &out, opts)
-	}
 	if err := run(study, &out); err != nil {
 		return nil, err
 	}
 	return &RunResult{Output: out.String(), Exit: ExitClean}, nil
 }
 
-// runAllCheckpointed is `experiment all` under the crash-safety layer,
-// drainable via opts.Quit. The completed outputs are rendered exactly like
-// the plain sweep; degradation is reported through the result, not the
-// output text.
-func runAllCheckpointed(study *core.Study, out *strings.Builder, opts RunOptions) (*RunResult, error) {
-	run, err := study.RunAllDrainable(study.Opts.Workers, opts.Journal, opts.Resume, opts.FailFast, opts.Quit)
+// allCommand is `experiment all`, the whole evaluation in one sweep.
+var allCommand = core.Command{Verb: "experiment", Name: "all"}
+
+// runAll is `experiment all`: the study's one evaluation sweep, journaled
+// when opts.Journal is set and drainable via opts.Quit. The completed
+// outputs are rendered in presentation order; degradation is reported
+// through the result, not the output text.
+func runAll(study *core.Study, opts RunOptions) (*RunResult, error) {
+	run, err := study.RunAllDrainable(study.Opts.Workers, opts.Journal, opts.Resume, opts.Degrade, opts.Quit)
 	if err != nil {
 		return nil, err
 	}
+	var out strings.Builder
 	for task, o := range run.Outputs {
 		if !run.Ran[task] {
 			continue
@@ -139,17 +149,24 @@ func runAllCheckpointed(study *core.Study, out *strings.Builder, opts RunOptions
 	return res, nil
 }
 
-// resolve finds the runner a command's verb dispatches its name to. Names
-// match exactly, so a spelling outside the registry is refused rather than
-// given a cache key of its own. Submit, RunSpec and the CLI's spec builder
-// all call it before anything is built or stored, so the CLI and the
-// daemon refuse a bad name with the same error.
+// checkCommand refuses a command RunSpec cannot run. Submit and the CLI's
+// spec builder call it before anything is built or stored, so the CLI and
+// the daemon refuse a bad name with the same error RunSpec would give.
+func checkCommand(cmd core.Command) error {
+	if cmd == allCommand {
+		return nil
+	}
+	_, err := resolve(cmd)
+	return err
+}
+
+// resolve finds the runner a command's verb dispatches its name to; every
+// command but `experiment all`, which RunSpec runs as one sweep, has one.
+// Names match exactly, so a spelling outside the registry is refused rather
+// than given a cache key of its own.
 func resolve(cmd core.Command) (func(*core.Study, io.Writer) error, error) {
 	switch cmd.Verb {
 	case "experiment":
-		if cmd.Name == "all" {
-			return runAll, nil
-		}
 		if !core.IsExperiment(cmd.Name) {
 			return nil, fmt.Errorf("unknown experiment %q", cmd.Name)
 		}
@@ -178,19 +195,6 @@ func resolve(cmd core.Command) (func(*core.Study, io.Writer) error, error) {
 		return nil, fmt.Errorf("unknown export %q (figure3, figure4, figure6a/b/c, figure8, table5, table6)", cmd.Name)
 	}
 	return nil, fmt.Errorf("unknown verb %q", cmd.Verb)
-}
-
-// runAll renders the full sweep, byte-identical to the pre-service CLI.
-func runAll(study *core.Study, w io.Writer) error {
-	outputs, err := study.RunAll(study.Opts.Workers)
-	if err != nil {
-		return err
-	}
-	for _, out := range outputs {
-		fmt.Fprint(w, out.Text)
-		fmt.Fprintln(w)
-	}
-	return nil
 }
 
 // runAttack runs one plan of the attack package's registry.

@@ -91,7 +91,7 @@ func (s *Service) Submit(raw []byte) (View, SubmitStatus, error) {
 	if err != nil {
 		return View{}, "", err
 	}
-	if _, err := resolve(spec.Run); err != nil {
+	if err := checkCommand(spec.Run); err != nil {
 		return View{}, "", err
 	}
 	fp, err := spec.Fingerprint()
@@ -183,8 +183,9 @@ func (s *Service) runJob(j *job) {
 	}()
 	j.setRunning()
 	opts := RunOptions{
-		Extra: []core.Option{core.WithObserver(j.observer)},
-		Quit:  s.pool.Draining,
+		Extra:   []core.Option{core.WithObserver(j.observer)},
+		Degrade: true,
+		Quit:    s.pool.Draining,
 	}
 	// `experiment all` jobs run checkpointed: the journal is what makes the
 	// drain/restart cycle lossless. The daemon always journals in Sync mode

@@ -100,6 +100,9 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 // the identical spec coalesces while a differing spec is a fresh job.
 func TestDaemonEndToEnd(t *testing.T) {
 	svc, resurrected := newService(t, t.TempDir(), 2, 4)
+	// The seed-2 job below is never waited for: draining lets it finish
+	// before the state directory's cleanup removes it.
+	defer svc.Drain()
 	if len(resurrected) != 0 {
 		t.Fatalf("fresh state dir resurrected %v", resurrected)
 	}

@@ -63,7 +63,7 @@ func (f *SpecFlags) Spec(verb, name string) (core.Spec, error) {
 	if err := spec.Validate(); err != nil {
 		return core.Spec{}, err
 	}
-	if _, err := resolve(spec.Run); err != nil {
+	if err := checkCommand(spec.Run); err != nil {
 		return core.Spec{}, err
 	}
 	return spec, nil
