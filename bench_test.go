@@ -37,12 +37,9 @@ var (
 )
 
 func benchOptions(workers int) []core.Option {
-	return []core.Option{
-		core.WithWindows(1, 1),
-		core.WithGridSize(25),
-		core.WithNetworkNodes(150),
-		core.WithWorkers(workers),
-	}
+	return []core.Option{func(s *core.Study) {
+		s.Opts = core.Options{TableVTraceDays: 1, Figure6aDays: 1, GridSize: 25, NetworkNodes: 150, Workers: workers}
+	}}
 }
 
 func initStudies() {

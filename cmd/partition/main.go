@@ -26,7 +26,8 @@
 //	partition experiment <table1..table8|figure1..figure8|figure6a..figure6c|healstudy|all> [-seed N] [-full] [-faults SCENARIO]
 //	partition experiment all [-checkpoint DIR] [-resume] [-onfault degrade|fail] [-stepbudget N]
 //	partition attack <spatial|temporal|spatiotemporal|logical|doublespend|majority51|cascade> [-seed N] [-faults SCENARIO]
-//	partition defend <blockaware|stratum|routeguard> [-seed N]
+//	partition defend <blockaware|stratum|routeguard|placement> [-seed N]
+//	partition export <figure3|figure4|figure6a..figure6c|figure8|table5|table6> [-seed N]   CSV to stdout
 //	partition spec <verb> <name> [flags]   print the spec JSON without running
 package main
 

@@ -25,6 +25,7 @@ func TestRunRefusesFlagMisuse(t *testing.T) {
 		{"unknown onfault", []string{"experiment", "all", "-checkpoint", dir, "-onfault", "retry"}, `unknown -onfault policy "retry"`},
 		{"onfault on a single experiment", []string{"experiment", "table1", "-onfault", "fail"}, "-onfault needs -checkpoint DIR"},
 		{"onfault without checkpoint", []string{"experiment", "all", "-onfault", "degrade", "-stepbudget", "5"}, "-onfault needs -checkpoint DIR"},
+		{"grid engine selector", []string{"experiment", "all", "-shards", "4"}, "flag provided but not defined: -shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

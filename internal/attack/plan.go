@@ -21,14 +21,11 @@ import (
 type Plan interface {
 	// Name is the registry key (the CLI's attack noun).
 	Name() string
-	// Run executes the scenario. A nil sim lets the plan build its own
-	// canonical simulation(s) from its Env — the CLI path. Plans whose
-	// scenario runs on exactly one live simulation (temporal, doublespend,
-	// majority51) accept a caller-provided warmed-up sim instead; the
-	// multi-simulation scenarios ignore the argument. Headline metrics are
-	// merged into reg (nil disables that), and the summary is emitted to
-	// the Env's tracer so recorded traces replay it (ReplaySummaries).
-	Run(sim *netsim.Simulation, reg *obs.Registry) (Result, error)
+	// Run executes the scenario on the simulation(s) it builds from its
+	// Env. Headline metrics are merged into the Env's observer registry,
+	// and the summary is emitted to its tracer so recorded traces replay
+	// it (ReplaySummaries).
+	Run() (Result, error)
 }
 
 // Result is a completed plan's outcome.
@@ -66,14 +63,11 @@ type planResult struct {
 func (r planResult) Summary() string       { return r.summary }
 func (r planResult) Metrics() obs.Snapshot { return r.metrics }
 
-// finish seals a plan run: headline metrics merge into the caller's
-// registry and the Env's observer, and the summary goes into the trace as
-// an "attack"/"summary" event so a recorded JSONL stream replays it.
-func (e Env) finish(name, summary string, reg, local *obs.Registry, tick int64) Result {
-	reg.Merge(local)
-	if env := e.Obs.Registry(); env != reg {
-		env.Merge(local)
-	}
+// finish seals a plan run: headline metrics merge into the Env's observer,
+// and the summary goes into the trace as an "attack"/"summary" event so a
+// recorded JSONL stream replays it.
+func (e Env) finish(name, summary string, local *obs.Registry, tick int64) Result {
+	e.Obs.Registry().Merge(local)
 	e.Obs.Tracer().Emit(tick, "attack", "summary",
 		obs.F("plan", name), obs.F("text", summary))
 	return planResult{name: name, summary: summary, metrics: local.Snapshot()}

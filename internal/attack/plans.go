@@ -28,17 +28,14 @@ type temporalPlan struct{ env Env }
 
 func (p *temporalPlan) Name() string { return "temporal" }
 
-func (p *temporalPlan) Run(sim *netsim.Simulation, reg *obs.Registry) (Result, error) {
+func (p *temporalPlan) Run() (Result, error) {
 	env := p.env
-	if sim == nil {
-		var err error
-		sim, err = env.NewSim(env.NetworkNodes, env.Seed)
-		if err != nil {
-			return nil, err
-		}
-		sim.StartMining()
-		sim.Run(6 * time.Hour)
+	sim, err := env.NewSim(env.NetworkNodes, env.Seed)
+	if err != nil {
+		return nil, err
 	}
+	sim.StartMining()
+	sim.Run(6 * time.Hour)
 	n := len(sim.Network.Nodes)
 	victims := FindVictims(sim, 0, n/8)
 	res, err := ExecuteTemporal(sim, TemporalConfig{
@@ -61,7 +58,7 @@ func (p *temporalPlan) Run(sim *netsim.Simulation, reg *obs.Registry) (Result, e
 	local.Counter("plan.temporal.captured_at_release").Add(uint64(res.CapturedAtRelease))
 	local.Counter("plan.temporal.max_fork_depth").Add(uint64(res.MaxForkDepth))
 	local.Counter("plan.temporal.reversed_txs").Add(uint64(res.ReversedTxs))
-	return env.finish("temporal", b.String(), reg, local, int64(sim.Engine.Now())), nil
+	return env.finish("temporal", b.String(), local, int64(sim.Engine.Now())), nil
 }
 
 // --- doublespend ------------------------------------------------------------
@@ -73,17 +70,14 @@ type doubleSpendPlan struct{ env Env }
 
 func (p *doubleSpendPlan) Name() string { return "doublespend" }
 
-func (p *doubleSpendPlan) Run(sim *netsim.Simulation, reg *obs.Registry) (Result, error) {
+func (p *doubleSpendPlan) Run() (Result, error) {
 	env := p.env
-	if sim == nil {
-		var err error
-		sim, err = env.NewSim(env.NetworkNodes, env.Seed+5)
-		if err != nil {
-			return nil, err
-		}
-		sim.StartMining()
-		sim.Run(6 * time.Hour)
+	sim, err := env.NewSim(env.NetworkNodes, env.Seed+5)
+	if err != nil {
+		return nil, err
 	}
+	sim.StartMining()
+	sim.Run(6 * time.Hour)
 	n := len(sim.Network.Nodes)
 	victims := FindVictims(sim, 0, n/10)
 	res, err := ExecuteTemporalOn(sim, TemporalConfig{
@@ -108,7 +102,7 @@ func (p *doubleSpendPlan) Run(sim *netsim.Simulation, reg *obs.Registry) (Result
 	if res.PaymentReversed {
 		local.Counter("plan.doublespend.payment_reversed").Inc()
 	}
-	return env.finish("doublespend", b.String(), reg, local, int64(sim.Engine.Now())), nil
+	return env.finish("doublespend", b.String(), local, int64(sim.Engine.Now())), nil
 }
 
 func outcome(ok bool) string {
@@ -126,17 +120,14 @@ type majorityPlan struct{ env Env }
 
 func (p *majorityPlan) Name() string { return "majority51" }
 
-func (p *majorityPlan) Run(sim *netsim.Simulation, reg *obs.Registry) (Result, error) {
+func (p *majorityPlan) Run() (Result, error) {
 	env := p.env
-	if sim == nil {
-		var err error
-		sim, err = env.NewSim(env.NetworkNodes, env.Seed+6)
-		if err != nil {
-			return nil, err
-		}
-		sim.StartMining()
-		sim.Run(6 * time.Hour)
+	sim, err := env.NewSim(env.NetworkNodes, env.Seed+6)
+	if err != nil {
+		return nil, err
 	}
+	sim.StartMining()
+	sim.Run(6 * time.Hour)
 	res, err := ExecuteMajority51(sim, MajorityConfig{
 		AttackerShare: 0.30,
 		IsolatedShare: 0.657, // the three hijacked ASes of Table IV
@@ -160,20 +151,19 @@ func (p *majorityPlan) Run(sim *netsim.Simulation, reg *obs.Registry) (Result, e
 	if res.AttackerWins {
 		local.Counter("plan.majority51.attacker_wins").Inc()
 	}
-	return env.finish("majority51", b.String(), reg, local, int64(sim.Engine.Now())), nil
+	return env.finish("majority51", b.String(), local, int64(sim.Engine.Now())), nil
 }
 
 // --- cascade ----------------------------------------------------------------
 
 // cascadePlan cuts increasing fractions of a victim AS (border nodes
 // first) and measures how far the surviving interior falls behind. It
-// builds its own clustered-topology simulations; the sim argument is
-// ignored.
+// builds its own clustered-topology simulations.
 type cascadePlan struct{ env Env }
 
 func (p *cascadePlan) Name() string { return "cascade" }
 
-func (p *cascadePlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Result, error) {
+func (p *cascadePlan) Run() (Result, error) {
 	env := p.env
 	// The cascade precondition (§V-A implications): within the victim AS,
 	// interior nodes peer only among themselves and with a few border
@@ -252,20 +242,19 @@ func (p *cascadePlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Result, erro
 		tick = int64(sim.Engine.Now())
 	}
 	b.WriteString("  isolating the border subset eclipses the entire AS, as §V-A predicts\n")
-	return env.finish("cascade", b.String(), reg, local, tick), nil
+	return env.finish("cascade", b.String(), local, tick), nil
 }
 
 // --- spatial ----------------------------------------------------------------
 
 // spatialPlan runs the §V-A BGP scenarios on the population's route table:
 // the AS24940 sub-prefix hijack, the Table IV mining isolation, and the
-// nation-state cut. It needs no live simulation; the sim argument is
-// ignored.
+// nation-state cut. It needs no live simulation.
 type spatialPlan struct{ env Env }
 
 func (p *spatialPlan) Name() string { return "spatial" }
 
-func (p *spatialPlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Result, error) {
+func (p *spatialPlan) Run() (Result, error) {
 	env := p.env
 	sp, err := NewSpatial(env.Pop)
 	if err != nil {
@@ -310,19 +299,19 @@ func (p *spatialPlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Result, erro
 	local.Counter("plan.spatial.announcements").Add(uint64(res.Announcements))
 	local.Gauge("plan.spatial.mining_share_isolated").Set(share)
 	local.Gauge("plan.spatial.cn_hash_share").Set(cnShare)
-	return env.finish("spatial", b.String(), reg, local, 0), nil
+	return env.finish("spatial", b.String(), local, 0), nil
 }
 
 // --- spatiotemporal ---------------------------------------------------------
 
 // spatioTemporalPlan finds the weakest moment in a per-AS-tracked lag trace
 // and sizes the combined attack for each adversary capability. It plans on
-// the population trace; the sim argument is ignored.
+// the population trace.
 type spatioTemporalPlan struct{ env Env }
 
 func (p *spatioTemporalPlan) Name() string { return "spatiotemporal" }
 
-func (p *spatioTemporalPlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Result, error) {
+func (p *spatioTemporalPlan) Run() (Result, error) {
 	env := p.env
 	tr, err := env.Pop.RunTrace(dataset.TraceConfig{
 		Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute,
@@ -350,20 +339,19 @@ func (p *spatioTemporalPlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Resul
 			cap, len(plan.SpatialASes), plan.SpatialPrefixes, plan.TemporalVictims, plan.Coverage*100)
 		local.Gauge("plan.spatiotemporal.coverage", obs.L("capability", cap.String())).Set(plan.Coverage)
 	}
-	return env.finish("spatiotemporal", b.String(), reg, local, int64(moment.Time)), nil
+	return env.finish("spatiotemporal", b.String(), local, int64(moment.Time)), nil
 }
 
 // --- logical ----------------------------------------------------------------
 
 // logicalPlan runs the §V-D software-partition analyses (capture targets,
 // crash exploit, diversity) and the live relay-silence executions at
-// increasing capture shares. It builds its own simulations; the sim
-// argument is ignored.
+// increasing capture shares. It builds its own simulations.
 type logicalPlan struct{ env Env }
 
 func (p *logicalPlan) Name() string { return "logical" }
 
-func (p *logicalPlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Result, error) {
+func (p *logicalPlan) Run() (Result, error) {
 	env := p.env
 	db := vulndb.New()
 	var b strings.Builder
@@ -418,5 +406,5 @@ func (p *logicalPlan) Run(_ *netsim.Simulation, reg *obs.Registry) (Result, erro
 	}
 	b.WriteString("  eight-peer gossip redundancy resists relay silence until capture is near-total —\n")
 	b.WriteString("  which is why §V-D frames logical control as an optimizer for the other attacks\n")
-	return env.finish("logical", b.String(), reg, local, tick), nil
+	return env.finish("logical", b.String(), local, tick), nil
 }

@@ -120,13 +120,20 @@ type sweepSlot struct {
 	fault    *Fault
 }
 
+// sweepEvent is the checkpoint trace event a sweep task emits: "replayed",
+// "journaled", or none (an empty typ).
+type sweepEvent struct {
+	typ    string
+	fields []obs.Field
+}
+
 // runCheckpointed is the seam under RunAllDrainable: tests inject a
 // doctored experiment list (a panicking or non-terminating entry) to prove
 // degraded-mode behavior without touching the real evaluation. Task i runs
 // under the seed DeriveSeed(study seed, i), the key its journal record
 // replays by.
 func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Journal, resume *checkpoint.Log, degrade bool, quit func() bool) (*CheckpointedRun, error) {
-	trace := s.Opts.Obs.Tracer()
+	trace := s.obs.Tracer()
 	var (
 		fp        string
 		cReplayed *obs.Counter
@@ -134,20 +141,24 @@ func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Jo
 	)
 	if j != nil {
 		fp = s.Fingerprint()
-		reg := s.Opts.Obs.Registry()
+		reg := s.obs.Registry()
 		cReplayed = reg.Counter("checkpoint.replayed")
 		journaled = map[checkpoint.Kind]*obs.Counter{}
 		for _, k := range []checkpoint.Kind{checkpoint.KindResult, checkpoint.KindQuarantine, checkpoint.KindExhausted} {
 			journaled[k] = reg.Counter("checkpoint.journaled", obs.L("kind", string(k)))
 		}
 	}
-	// mu serializes the journal, its counters and its trace events;
-	// journalErr, once set, keeps every later record out of a journal that
-	// failed to record one.
+	// mu serializes the journal and its counters; journalErr, once set,
+	// keeps every later record out of a journal that failed to record
+	// one. events holds each task's checkpoint trace event, emitted in
+	// task order once the sweep is over: emitted as tasks finish, they
+	// would interleave run to run with the simulation events of the
+	// experiments still running.
 	var (
 		mu         sync.Mutex
 		journalErr error
 		stopped    atomic.Bool
+		events     = make([]sweepEvent, len(exps))
 	)
 	record := func(rec checkpoint.Record) error {
 		mu.Lock()
@@ -160,15 +171,17 @@ func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Jo
 			return journalErr
 		}
 		journaled[rec.Kind].Inc()
-		trace.Emit(int64(rec.Task), "checkpoint", "journaled",
+		events[rec.Task] = sweepEvent{typ: "journaled", fields: []obs.Field{
 			obs.F("name", rec.Name),
-			obs.F("kind", string(rec.Kind)))
+			obs.F("kind", string(rec.Kind)),
+		}}
 		return nil
 	}
 	slots, err := parallel.Map(workers, len(exps), func(task int) (sweepSlot, error) {
 		e := exps[task]
 		seed := parallel.DeriveSeed(s.seed, task)
 		if text, ok := resume.Result(task, seed); ok {
+			events[task] = sweepEvent{typ: "replayed", fields: []obs.Field{obs.F("name", e.name)}}
 			return sweepSlot{out: ExperimentOutput{Name: e.name, Text: string(text)}, ran: true, replayed: true}, nil
 		}
 		if stopped.Load() || (quit != nil && quit()) {
@@ -202,6 +215,11 @@ func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Jo
 		}
 		return sweepSlot{}, runErr
 	})
+	for task, ev := range events {
+		if ev.typ != "" {
+			trace.Emit(int64(task), "checkpoint", ev.typ, ev.fields...)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +236,6 @@ func (s *Study) runCheckpointed(exps []experiment, workers int, j *checkpoint.Jo
 		if slot.replayed {
 			run.Replayed++
 			cReplayed.Inc()
-			trace.Emit(int64(task), "checkpoint", "replayed",
-				obs.F("name", slot.out.Name))
 		}
 	}
 	return run, nil

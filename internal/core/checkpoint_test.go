@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
@@ -111,6 +113,46 @@ func TestCheckpointedDegradedRun(t *testing.T) {
 	}
 	if found != 8 {
 		t.Errorf("checkpoint.journaled counters sum to %d, want 8", found)
+	}
+}
+
+// TestCheckpointedTraceInTaskOrder: the checkpoint trace events come in
+// task order even when the tasks finish out of order. Task 0 finishes only
+// once task 1's record is in the journal, so a sweep that emits each event
+// as its task is journaled records task 1 first.
+func TestCheckpointedTraceInTaskOrder(t *testing.T) {
+	observer := obs.New(64)
+	s := newTestStudy(t, WithObserver(observer))
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	j, err := checkpoint.CreateJournal(path, s.Fingerprint(), checkpoint.JournalOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exps := []experiment{
+		{"first", func(*Study) (string, error) {
+			for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if log, err := checkpoint.LoadJournal(path, s.Fingerprint(), checkpoint.JournalOptions{}); err == nil && len(log.Records) > 0 {
+					return "one\n", nil
+				}
+			}
+			return "", errors.New("task 1 was never journaled")
+		}},
+		{"second", func(*Study) (string, error) { return "two\n", nil }},
+	}
+	if _, err := s.runCheckpointed(exps, 2, j, nil, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, ev := range observer.Tracer().Events() {
+		if ev.Scope == "checkpoint" {
+			got = append(got, fmt.Sprintf("%d:%s", ev.Tick, ev.Type))
+		}
+	}
+	if want := []string{"0:journaled", "1:journaled"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("checkpoint events %v, want task order %v", got, want)
 	}
 }
 
@@ -269,7 +311,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if got := newTestStudy(t, WithObserver(obs.NewMetricsOnly())).Fingerprint(); got != base {
 		t.Error("observer changed the fingerprint")
 	}
-	if got := newTestStudy(t, WithGridSize(30)).Fingerprint(); got == base {
+	if got := newTestStudy(t, func(s *Study) { s.Opts.GridSize = 30 }).Fingerprint(); got == base {
 		t.Error("grid size did not change the fingerprint")
 	}
 	if got := newTestStudy(t, WithStepBudget(10)).Fingerprint(); got == base {

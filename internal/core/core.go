@@ -13,54 +13,45 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
-	"repro/internal/gridsim"
 	"repro/internal/obs"
 )
 
-// Options tune the expensive experiments. The zero value reproduces the
-// paper's parameters at a scale that runs in seconds; Full() matches the
-// paper's windows.
+// Options are the study's settings. They are also the body of a Spec: a
+// Spec embeds them, encoding/json promotes their fields in declaration
+// order, and the tags below are the spec's wire names. A setting is
+// declared here once; Spec.Validate checks it, and service.SpecFlags sets
+// the ones the CLI exposes. The zero value reproduces the paper's
+// parameters at a scale that runs in seconds; Full() matches the paper's
+// windows.
 type Options struct {
 	// TableVTraceDays is the trace length behind Table V's optimization.
 	// The paper uses a two-month crawl; the lag process is stationary, so
 	// a few days give the same maxima. Default 3.
-	TableVTraceDays int
+	TableVTraceDays int `json:"tablev_trace_days,omitempty"`
 	// Figure6aDays is the "general trend" window. Default 3 (paper: ~60).
-	Figure6aDays int
+	Figure6aDays int `json:"figure6a_days,omitempty"`
 	// GridSize is the Figure 7 lattice side. Default 25 (as shown in the
 	// paper's figure; the paper's full runs use 100).
-	GridSize int
+	GridSize int `json:"grid_size,omitempty"`
 	// NetworkNodes is the live-simulation population for the attack demos.
 	// Default 150.
-	NetworkNodes int
+	NetworkNodes int `json:"network_nodes,omitempty"`
 	// Workers bounds the study's intra-experiment fan-out (the Figure 4
 	// per-AS sweep, the Figure 6 panel set, the Table V window scan, and
 	// RunAll). 0 means one worker per CPU; 1 forces sequential execution.
 	// Every experiment's output is bit-identical for any worker count.
-	Workers int
-	// Obs attaches the observability layer (DESIGN.md §9) to every
-	// simulation the study builds. Nil — the default — disables
-	// instrumentation; experiment output is byte-identical either way.
-	Obs *obs.Observer
-	// Faults selects the fault scenario (DESIGN.md §10) every simulation
-	// the study builds runs under — node churn, link faults, message
-	// chaos. The zero value — the default — injects nothing and keeps
-	// every experiment byte-identical to a faultless build.
-	Faults faults.Scenario
+	Workers int `json:"workers,omitempty"`
 	// StepBudget, when positive, arms the watchdog (DESIGN.md §11) on the
 	// study's grid simulations: a trial that would run past this many grid
 	// steps is cancelled with an error wrapping checkpoint.ErrBudget
 	// instead of spinning forever under a pathological fault scenario.
 	// Zero — the default — disarms the watchdog.
-	StepBudget int
-	// Shards, when >= 1, runs every grid simulation the study builds on
-	// the sharded engine (DESIGN.md §13) with that many shards. Study
-	// output is byte-identical for every shard count >= 1; zero — the
-	// default — keeps the legacy sequential engine. ShardWorkers bounds
-	// the goroutines ticking shards inside one world (0 = one per CPU)
-	// and, like Workers, never changes results.
-	Shards       int
-	ShardWorkers int
+	StepBudget int `json:"step_budget,omitempty"`
+	// Faults selects the fault scenario (DESIGN.md §10) every simulation
+	// the study builds runs under — node churn, link faults, message
+	// chaos. The zero value — the default — injects nothing and keeps
+	// every experiment byte-identical to a faultless build.
+	Faults faults.Scenario `json:"faults"`
 }
 
 func (o Options) withDefaults() Options {
@@ -95,53 +86,46 @@ type Study struct {
 	Pop  *dataset.Population
 	Opts Options
 	seed int64
+	// obs is the observability layer (DESIGN.md §9) attached to every
+	// simulation the study builds. Nil — the default — disables
+	// instrumentation; experiment output is byte-identical either way, so
+	// it is no setting and never reaches a Spec.
+	obs *obs.Observer
 }
 
 // Option configures a Study at construction time (see New).
-type Option func(*Options)
+type Option func(*Study)
 
 // WithFull selects the paper's experiment windows and scales (minutes of
 // CPU rather than seconds) — the functional-options form of Full().
 func WithFull() Option {
-	return func(o *Options) {
+	return func(s *Study) {
 		full := Full()
-		o.TableVTraceDays = full.TableVTraceDays
-		o.Figure6aDays = full.Figure6aDays
-		o.GridSize = full.GridSize
-		o.NetworkNodes = full.NetworkNodes
+		s.Opts.TableVTraceDays = full.TableVTraceDays
+		s.Opts.Figure6aDays = full.Figure6aDays
+		s.Opts.GridSize = full.GridSize
+		s.Opts.NetworkNodes = full.NetworkNodes
 	}
 }
 
 // WithWorkers bounds the study's intra-experiment fan-out (0 = one worker
 // per CPU, 1 = sequential). Output is bit-identical for any worker count.
 func WithWorkers(n int) Option {
-	return func(o *Options) { o.Workers = n }
+	return func(s *Study) { s.Opts.Workers = n }
 }
 
 // WithObserver attaches the observability layer to every simulation the
 // study builds. Snapshot() reads back its metrics.
 func WithObserver(observer *obs.Observer) Option {
-	return func(o *Options) { o.Obs = observer }
-}
-
-// WithWindows overrides the Table V trace length and the Figure 6a trend
-// window, both in days (0 keeps the respective default).
-func WithWindows(tableVTraceDays, figure6aDays int) Option {
-	return func(o *Options) {
-		o.TableVTraceDays = tableVTraceDays
-		o.Figure6aDays = figure6aDays
-	}
-}
-
-// WithGridSize overrides the Figure 7 lattice side.
-func WithGridSize(n int) Option {
-	return func(o *Options) { o.GridSize = n }
+	return func(s *Study) { s.obs = observer }
 }
 
 // WithNetworkNodes overrides the live-simulation population size used by
 // the attack demos.
+//
+//lint:ignore unusedexport used by the perfbench module, which ./... does not load
 func WithNetworkNodes(n int) Option {
-	return func(o *Options) { o.NetworkNodes = n }
+	return func(s *Study) { s.Opts.NetworkNodes = n }
 }
 
 // WithFaults runs every simulation the study builds under the given fault
@@ -149,60 +133,26 @@ func WithNetworkNodes(n int) Option {
 //
 //	study, err := core.New(1, core.WithFaults(faults.Churny()))
 func WithFaults(sc faults.Scenario) Option {
-	return func(o *Options) { o.Faults = sc }
+	return func(s *Study) { s.Opts.Faults = sc }
 }
 
 // WithStepBudget arms the watchdog (DESIGN.md §11) on the study's grid
 // simulations: trials running past n grid steps are cancelled with an error
 // wrapping checkpoint.ErrBudget.
 func WithStepBudget(n int) Option {
-	return func(o *Options) { o.StepBudget = n }
-}
-
-// WithShards runs every grid simulation the study builds on the sharded
-// engine with k shards (DESIGN.md §13):
-//
-//	study, err := core.New(1, core.WithShards(16))
-//
-// Study output is byte-identical for every k >= 1; 0 keeps the legacy
-// engine.
-func WithShards(k int) Option {
-	return func(o *Options) { o.Shards = k }
-}
-
-// WithShardWorkers bounds the goroutines ticking shards inside one sharded
-// world (0 = one per CPU). Never changes results.
-func WithShardWorkers(w int) Option {
-	return func(o *Options) { o.ShardWorkers = w }
+	return func(s *Study) { s.Opts.StepBudget = n }
 }
 
 // gridAttackerCell is the row and column of the attacker's cell in the
 // Figure 7 and heal-study grids.
 const gridAttackerCell = 7
 
-// gridOptions prepends the study-wide grid settings — lattice side and the
-// sharding mode — to an experiment's own options, so every grid world a
-// study builds shares one engine selection.
-func (s *Study) gridOptions(opts ...gridsim.Option) []gridsim.Option {
-	base := []gridsim.Option{gridsim.WithSize(s.Opts.GridSize)}
-	if s.Opts.Shards >= 1 {
-		base = append(base,
-			gridsim.WithShards(s.Opts.Shards),
-			gridsim.WithShardWorkers(s.Opts.ShardWorkers))
-	}
-	return append(base, opts...)
-}
-
 // New generates (or reuses, per seed) the synthetic population and wraps
 // it in a Study configured by the given options:
 //
 //	study, err := core.New(1, core.WithFull(), core.WithWorkers(8))
 func New(seed int64, opts ...Option) (*Study, error) {
-	var o Options
-	for _, apply := range opts {
-		apply(&o)
-	}
-	return newStudy(seed, o)
+	return newStudy(seed, Options{}, opts)
 }
 
 // populations memoizes the synthetic population per generation seed. The
@@ -227,17 +177,24 @@ func generatePopulation(seed int64) (*dataset.Population, error) {
 	return e.pop, e.err
 }
 
-// newStudy wraps a (memoized) population in a Study, reusing a cached
-// population when one was already built for the seed. The study gets its
-// own route table so its hijacks never reach another study of the seed.
-func newStudy(seed int64, opts Options) (*Study, error) {
+// newStudy wraps a (memoized) population in a Study with the given
+// settings and options, reusing a cached population when one was already
+// built for the seed. The study gets its own route table so its hijacks
+// never reach another study of the seed.
+func newStudy(seed int64, settings Options, opts []Option) (*Study, error) {
+	s := &Study{Opts: settings, seed: seed}
+	for _, apply := range opts {
+		apply(s)
+	}
+	s.Opts = s.Opts.withDefaults()
 	pop, err := generatePopulation(seed)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	own := *pop
 	own.Topo = pop.Topo.Fork()
-	return &Study{Pop: &own, Opts: opts.withDefaults(), seed: seed}, nil
+	s.Pop = &own
+	return s, nil
 }
 
 // Seed returns the study's generation seed.
@@ -245,7 +202,7 @@ func (s *Study) Seed() int64 { return s.seed }
 
 // Observer returns the study's attached observability layer (nil when
 // observability is off).
-func (s *Study) Observer() *obs.Observer { return s.Opts.Obs }
+func (s *Study) Observer() *obs.Observer { return s.obs }
 
 // traceSeed derives per-experiment trace seeds from the study seed so that
 // experiments are independent but reproducible.

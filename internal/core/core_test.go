@@ -15,14 +15,15 @@ import (
 
 var sharedStudy *Study
 
+// testOptions is the reduced scale the package's tests run at.
+func testOptions() Options {
+	return Options{TableVTraceDays: 1, Figure6aDays: 1, GridSize: 25, NetworkNodes: 120}
+}
+
 func testStudy(t *testing.T) *Study {
 	t.Helper()
 	if sharedStudy == nil {
-		s, err := New(1,
-			WithWindows(1, 1),
-			WithGridSize(25),
-			WithNetworkNodes(120),
-		)
+		s, err := newStudy(1, testOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,8 +228,10 @@ func TestFigure7(t *testing.T) {
 		t.Run(fmt.Sprintf("grid%d", size), func(t *testing.T) {
 			s := testStudy(t)
 			if size != s.Opts.GridSize {
+				o := testOptions()
+				o.GridSize = size
 				var err error
-				if s, err = New(1, WithWindows(1, 1), WithGridSize(size), WithNetworkNodes(120)); err != nil {
+				if s, err = newStudy(1, o, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -258,7 +261,9 @@ func TestFigure7(t *testing.T) {
 // every replicate, so a budget shorter than the heal horizon fails the
 // study with the budget error instead of finishing as if unbudgeted.
 func TestHealStudyStepBudget(t *testing.T) {
-	s, err := New(1, WithWindows(1, 1), WithGridSize(25), WithNetworkNodes(120), WithStepBudget(1))
+	o := testOptions()
+	o.StepBudget = 1
+	s, err := newStudy(1, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (s *Study) NewSimFromPopulationBias(n int, seed int64, sameASBias float64) 
 		Population: nodes,
 		Seed:       seed,
 		Pools:      dataset.TableIV(),
-		Obs:        s.Opts.Obs,
+		Obs:        s.obs,
 		Faults:     s.Opts.Faults,
 		Gossip: p2p.Config{
 			FailureRate:    0.10,

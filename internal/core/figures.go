@@ -232,11 +232,12 @@ type Figure7Result struct {
 // disruption window scale with the grid's block interval, so a larger grid
 // shows the same arc at proportionally later steps.
 func (s *Study) Figure7() (*Figure7Result, error) {
-	spb := gridsim.NewConfig(s.seed, s.gridOptions(gridsim.WithSpanRatio(2.0))...).StepsPerBlock()
+	spb := gridsim.NewConfig(s.seed, gridsim.WithSize(s.Opts.GridSize), gridsim.WithSpanRatio(2.0)).StepsPerBlock()
 	steps := []int{3*spb + 1, 4*spb + 1, 5*spb + 1}
 	var g *gridsim.Grid
 	for offset := int64(0); offset < 32 && g == nil; offset++ {
-		candidate, err := gridsim.New(s.seed+offset, s.gridOptions(
+		candidate, err := gridsim.New(s.seed+offset,
+			gridsim.WithSize(s.Opts.GridSize),
 			gridsim.WithSpanRatio(2.0),
 			gridsim.WithFailureRate(0.10),
 			gridsim.WithAttacker(0.30, gridAttackerCell, gridAttackerCell),
@@ -245,10 +246,10 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 			// the honest chain floods back — the arc of the paper's three
 			// panels.
 			gridsim.WithBoundary(5, 0, 4*spb),
-			gridsim.WithObserver(s.Opts.Obs),
+			gridsim.WithObserver(s.obs),
 			gridsim.WithFaults(s.Opts.Faults),
 			gridsim.WithStepBudget(s.Opts.StepBudget),
-		)...)
+		)
 		if err != nil {
 			return nil, err
 		}
@@ -293,13 +294,14 @@ func (s *Study) Figure7() (*Figure7Result, error) {
 // trial order, so the table is byte-identical at any worker count.
 func (s *Study) HealStudy() (*gridsim.HealStudyResult, error) {
 	return gridsim.RunHealStudy(gridsim.HealConfig{
-		Grid: gridsim.NewConfig(s.seed, s.gridOptions(
+		Grid: gridsim.NewConfig(s.seed,
+			gridsim.WithSize(s.Opts.GridSize),
 			gridsim.WithSpanRatio(2.0),
 			gridsim.WithFailureRate(0.10),
 			gridsim.WithAttacker(0.30, gridAttackerCell, gridAttackerCell),
 			gridsim.WithBoundary(5, 0, 0),
 			gridsim.WithStepBudget(s.Opts.StepBudget),
-		)...),
+		),
 		Workers: s.Opts.Workers,
 	})
 }

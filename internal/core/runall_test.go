@@ -8,12 +8,9 @@ import (
 
 func workerStudy(t *testing.T, workers int) *Study {
 	t.Helper()
-	s, err := New(1,
-		WithWindows(1, 1),
-		WithGridSize(25),
-		WithNetworkNodes(120),
-		WithWorkers(workers),
-	)
+	o := testOptions()
+	o.Workers = workers
+	s, err := newStudy(1, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +80,9 @@ func TestStudiesOwnTheirRouteTable(t *testing.T) {
 // window), RunAll must return a nil result set and the named error — not a
 // slice with zero-valued rows in the failed slots.
 func TestRunAllSurfacesExperimentError(t *testing.T) {
-	s, err := New(1,
-		WithWindows(1, -1), // Figure6aDays < 0: the figure6a trace fails
-		WithGridSize(25),
-		WithNetworkNodes(120),
-	)
+	o := testOptions()
+	o.Figure6aDays = -1 // the figure6a trace fails
+	s, err := newStudy(1, o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

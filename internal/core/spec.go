@@ -6,21 +6,19 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
-	"repro/internal/faults"
 )
 
 // A Spec is the serializable form of a study invocation: the generation
-// seed, every option that core.New accepts, and the command to run
+// seed, the study's settings (Options, embedded), and the command to run
 // (experiment/attack/defend/export plus its name). It is the wire format of
-// the partitiond service (DESIGN.md §14) and the value the CLI now builds
-// from its flags, so daemon and CLI share one entry point.
+// the partitiond service (DESIGN.md §14) and the value the CLI builds from
+// its flags, so daemon and CLI share one entry point.
 //
-// The contract is lossless round-tripping: Spec → Options() → SpecFromOptions
-// is the identity, and json.Marshal emits fields in the fixed declaration
-// order below, so a spec's canonical rendering — Canonical() with the
-// output-neutral knobs normalized away — is a stable document whose FNV
-// fingerprint content-addresses the result cache and the resume journals
-// alike.
+// json.Marshal emits the fields in declaration order — the three below,
+// then the embedded settings' own, which encoding/json promotes in place —
+// so a spec's canonical rendering (Canonical() with the output-neutral
+// knobs normalized away) is a stable document whose FNV fingerprint
+// content-addresses the result cache and the resume journals alike.
 
 // SpecSchemaV1 names the first (current) spec schema. Every serialized spec
 // carries it; readers reject unknown schemas.
@@ -50,60 +48,19 @@ type Spec struct {
 	Run Command `json:"run"`
 	// Seed is the generation seed (the CLI's -seed).
 	Seed int64 `json:"seed"`
-	// The remaining fields mirror Options one-to-one; zero values select
-	// the same defaults core.New applies. See Options for semantics.
-	TableVTraceDays int             `json:"tablev_trace_days,omitempty"`
-	Figure6aDays    int             `json:"figure6a_days,omitempty"`
-	GridSize        int             `json:"grid_size,omitempty"`
-	NetworkNodes    int             `json:"network_nodes,omitempty"`
-	Workers         int             `json:"workers,omitempty"`
-	StepBudget      int             `json:"step_budget,omitempty"`
-	Shards          int             `json:"shards,omitempty"`
-	ShardWorkers    int             `json:"shard_workers,omitempty"`
-	Faults          faults.Scenario `json:"faults"`
+	// Options are the study's settings; zero values select the same
+	// defaults core.New applies.
+	Options
 }
 
-// SpecFromOptions captures a seed and a functional-option list as a Spec —
-// the exact values the options set, defaults not yet applied, so the
-// round-trip with Spec.Options is the identity.
+// SpecFromOptions captures a seed and a functional-option list as a Spec:
+// the exact values the options set, defaults not yet applied.
 func SpecFromOptions(seed int64, opts ...Option) Spec {
-	var o Options
+	var s Study
 	for _, apply := range opts {
-		apply(&o)
+		apply(&s)
 	}
-	return specFromRawOptions(seed, o)
-}
-
-// specFromRawOptions wraps an un-defaulted Options value.
-func specFromRawOptions(seed int64, o Options) Spec {
-	return Spec{
-		Schema:          SpecSchemaV1,
-		Seed:            seed,
-		TableVTraceDays: o.TableVTraceDays,
-		Figure6aDays:    o.Figure6aDays,
-		GridSize:        o.GridSize,
-		NetworkNodes:    o.NetworkNodes,
-		Workers:         o.Workers,
-		StepBudget:      o.StepBudget,
-		Shards:          o.Shards,
-		ShardWorkers:    o.ShardWorkers,
-		Faults:          o.Faults,
-	}
-}
-
-// Options reconstructs the functional-option list the spec was captured
-// from. SpecFromOptions(s.Seed, s.Options()...) equals s for any spec.
-func (s Spec) Options() []Option {
-	return []Option{
-		WithWindows(s.TableVTraceDays, s.Figure6aDays),
-		WithGridSize(s.GridSize),
-		WithNetworkNodes(s.NetworkNodes),
-		WithWorkers(s.Workers),
-		WithStepBudget(s.StepBudget),
-		WithShards(s.Shards),
-		WithShardWorkers(s.ShardWorkers),
-		WithFaults(s.Faults),
-	}
+	return Spec{Schema: SpecSchemaV1, Seed: seed, Options: s.Opts}
 }
 
 // The caps on a spec's scale fields. A trace of a year at 10-minute
@@ -143,8 +100,6 @@ func (s Spec) Validate() error {
 		{"grid_size", s.GridSize, maxSpecGridSize},
 		{"network_nodes", s.NetworkNodes, 0},
 		{"step_budget", s.StepBudget, 0},
-		{"shards", s.Shards, 0},
-		{"shard_workers", s.ShardWorkers, 0},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("core: spec field %s is negative (%d)", f.name, f.v)
@@ -153,48 +108,23 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("core: spec field %s is %d, above its cap of %d", f.name, f.v, f.max)
 		}
 	}
-	if s.ShardWorkers != 0 && s.Shards == 0 {
-		return fmt.Errorf("core: spec sets shard_workers without shards")
-	}
 	// Every grid experiment places the attacker at (gridAttackerCell,
-	// gridAttackerCell), and the sharded engine needs a cell per shard.
-	size := Options{GridSize: s.GridSize}.withDefaults().GridSize
+	// gridAttackerCell).
+	size := s.withDefaults().GridSize
 	if size <= gridAttackerCell {
 		return fmt.Errorf("core: spec grid_size %d leaves no room for the attacker cell (%d,%d); need at least %d",
 			size, gridAttackerCell, gridAttackerCell, gridAttackerCell+1)
-	}
-	if s.Shards > size*size {
-		return fmt.Errorf("core: spec shards %d exceeds the %d cells of a %dx%d grid", s.Shards, size*size, size, size)
 	}
 	return nil
 }
 
 // Canonical returns the cache-key form of the spec: defaults applied (so a
-// zero GridSize and an explicit 25 canonicalize identically) and the knobs
-// that never change output normalized away — Workers and ShardWorkers are
-// zeroed (output is byte-identical at any worker count), and Shards
-// collapses to 1 for every count >= 1 (the sharded engine is byte-identical
-// across shard counts; only the 0-vs-sharded engine split is kept, matching
-// the journal-fingerprint discipline of DESIGN.md §13).
+// zero GridSize and an explicit 25 canonicalize identically) and Workers
+// zeroed, since output is byte-identical at any worker count.
 func (s Spec) Canonical() Spec {
-	o := Options{
-		TableVTraceDays: s.TableVTraceDays,
-		Figure6aDays:    s.Figure6aDays,
-		GridSize:        s.GridSize,
-		NetworkNodes:    s.NetworkNodes,
-		StepBudget:      s.StepBudget,
-		Shards:          s.Shards,
-		ShardWorkers:    s.ShardWorkers,
-		Faults:          s.Faults,
-	}.withDefaults()
-	c := specFromRawOptions(s.Seed, o)
-	c.Run = s.Run
-	c.Workers = 0
-	c.ShardWorkers = 0
-	if c.Shards >= 1 {
-		c.Shards = 1
-	}
-	return c
+	s.Options = s.withDefaults()
+	s.Workers = 0
+	return s
 }
 
 // CanonicalJSON renders the canonical form as its stable JSON document:
@@ -242,14 +172,12 @@ func NewFromSpec(s Spec, extra ...Option) (*Study, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return New(s.Seed, append(s.Options(), extra...)...)
+	return newStudy(s.Seed, s.Options, extra)
 }
 
 // SpecFromStudy captures an existing study's configuration as a Spec with
 // the given command. Workers is preserved (it is part of the invocation,
 // not of the canonical identity).
 func SpecFromStudy(s *Study, run Command) Spec {
-	spec := specFromRawOptions(s.seed, s.Opts)
-	spec.Run = run
-	return spec
+	return Spec{Schema: SpecSchemaV1, Run: run, Seed: s.seed, Options: s.Opts}
 }

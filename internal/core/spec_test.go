@@ -9,8 +9,8 @@ import (
 	"repro/internal/faults"
 )
 
-// specFixtures spans the spec space: defaults, every scale knob, sharding,
-// and a fault preset.
+// specFixtures spans the spec space: defaults, every scale knob, the
+// fan-out and watchdog knobs, and a fault preset.
 func specFixtures(t *testing.T) []Spec {
 	t.Helper()
 	churny, err := faults.Preset("churny")
@@ -20,23 +20,18 @@ func specFixtures(t *testing.T) []Spec {
 	return []Spec{
 		{Schema: SpecSchemaV1, Run: Command{Verb: "experiment", Name: "all"}, Seed: 1},
 		{Schema: SpecSchemaV1, Run: Command{Verb: "attack", Name: "spatial"}, Seed: 7,
-			TableVTraceDays: 5, Figure6aDays: 2, GridSize: 30, NetworkNodes: 200},
+			Options: Options{TableVTraceDays: 5, Figure6aDays: 2, GridSize: 30, NetworkNodes: 200}},
 		{Schema: SpecSchemaV1, Run: Command{Verb: "experiment", Name: "figure7"}, Seed: 3,
-			Workers: 8, StepBudget: 500, Shards: 4, ShardWorkers: 2},
+			Options: Options{Workers: 8, StepBudget: 500}},
 		{Schema: SpecSchemaV1, Run: Command{Verb: "defend", Name: "stratum"}, Seed: 2,
-			Faults: churny},
+			Options: Options{Faults: churny}},
 	}
 }
 
-// TestSpecRoundTrip is the satellite-1 property: spec → Options() →
-// SpecFromOptions is the identity, and JSON round-trips losslessly.
+// TestSpecRoundTrip: a spec round-trips through JSON losslessly, the
+// embedded settings included.
 func TestSpecRoundTrip(t *testing.T) {
 	for _, spec := range specFixtures(t) {
-		back := SpecFromOptions(spec.Seed, spec.Options()...)
-		back.Run = spec.Run
-		if !reflect.DeepEqual(back, spec) {
-			t.Errorf("options round-trip not identity:\n got %+v\nwant %+v", back, spec)
-		}
 		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -96,18 +91,6 @@ func TestSpecFingerprintEquivalence(t *testing.T) {
 	if fp(explicit) != baseFP {
 		t.Error("explicit defaults fingerprint differently from zeros")
 	}
-	sharded := base
-	sharded.Shards = 4
-	sharded.ShardWorkers = 3
-	sharded16 := base
-	sharded16.Shards = 16
-	if fp(sharded) != fp(sharded16) {
-		t.Error("shard count >= 1 changed the fingerprint")
-	}
-	if fp(sharded) == baseFP {
-		t.Error("engine selection (sharded vs legacy) did not change the fingerprint")
-	}
-
 	// Output-changing knobs split.
 	for name, mutate := range map[string]func(*Spec){
 		"seed":         func(s *Spec) { s.Seed = 2 },
@@ -147,11 +130,8 @@ func TestSpecValidate(t *testing.T) {
 		"verb":                   func(s *Spec) { s.Run.Verb = "banana" },
 		"empty name":             func(s *Spec) { s.Run.Name = "" },
 		"negative grid":          func(s *Spec) { s.GridSize = -1 },
-		"shard workers alone":    func(s *Spec) { s.ShardWorkers = 2 },
-		"negative shard count":   func(s *Spec) { s.Shards = -3 },
 		"negative trace window":  func(s *Spec) { s.TableVTraceDays = -1 },
 		"grid without attacker":  func(s *Spec) { s.GridSize = 7 },
-		"more shards than cells": func(s *Spec) { s.GridSize = 8; s.Shards = 65 },
 		"trace days over cap":    func(s *Spec) { s.TableVTraceDays = maxSpecTraceDays + 1 },
 		"figure6a days over cap": func(s *Spec) { s.Figure6aDays = maxSpecTraceDays + 1 },
 		"grid over cap":          func(s *Spec) { s.GridSize = maxSpecGridSize + 1 },
@@ -179,7 +159,7 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 func TestNewFromSpec(t *testing.T) {
 	spec := Spec{
 		Schema: SpecSchemaV1, Run: Command{Verb: "experiment", Name: "all"},
-		Seed: 1, GridSize: 30, Workers: 2,
+		Seed: 1, Options: Options{GridSize: 30, Workers: 2},
 	}
 	s, err := NewFromSpec(spec)
 	if err != nil {

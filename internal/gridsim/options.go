@@ -74,9 +74,16 @@ func WithFaults(sc faults.Scenario) Option { return func(c *Config) { c.Faults =
 func WithStepBudget(steps int) Option { return func(c *Config) { c.StepBudget = steps } }
 
 // WithShards switches the world onto the sharded engine with k shards
-// (DESIGN.md §13). Output is byte-identical for every k >= 1.
+// (DESIGN.md §13). Output is byte-identical for every k >= 1. No study
+// selects the engine; perfbench's ladder row is the last caller, and the
+// engine goes with ROADMAP item 4(b).
+//
+//lint:ignore unusedexport used by the perfbench module, which ./... does not load
 func WithShards(k int) Option { return func(c *Config) { c.Shards = k } }
 
 // WithShardWorkers bounds the goroutines ticking shards inside this world;
-// <= 0 means one per CPU. Never changes results.
+// <= 0 means one per CPU. Never changes results. Like WithShards, it goes
+// with the sharded engine in ROADMAP item 4(b).
+//
+//lint:ignore unusedexport used by the perfbench module, which ./... does not load
 func WithShardWorkers(w int) Option { return func(c *Config) { c.ShardWorkers = w } }

@@ -176,7 +176,7 @@ func TestAttackPlansUnderChurny(t *testing.T) {
 		}
 		summaries := map[string]string{}
 		for _, plan := range allPlans(t, env) {
-			res, err := plan.Run(nil, nil)
+			res, err := plan.Run()
 			if err != nil {
 				t.Fatalf("%s under churny: %v", plan.Name(), err)
 			}
@@ -213,7 +213,7 @@ func TestTraceDeterministicAndReplaysSummaries(t *testing.T) {
 		env := planEnv(t, 1, observer)
 		summaries := map[string]string{}
 		for _, plan := range allPlans(t, env) {
-			res, err := plan.Run(nil, observer.Registry())
+			res, err := plan.Run()
 			if err != nil {
 				t.Fatalf("%s: %v", plan.Name(), err)
 			}

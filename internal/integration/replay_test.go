@@ -18,7 +18,7 @@ func runPlansWithCapacity(t *testing.T, capacity int) (map[string]string, *obs.T
 	live := map[string]string{}
 	var order []string
 	for _, plan := range allPlans(t, env) {
-		res, err := plan.Run(nil, observer.Registry())
+		res, err := plan.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", plan.Name(), err)
 		}

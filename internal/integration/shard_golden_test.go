@@ -1,81 +1,13 @@
 package integration
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"os"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/faults"
 	"repro/internal/gridsim"
 )
-
-// TestExperimentAllShardedGolden pins the sharded-engine evaluation
-// (`partition experiment all -seed 1 -shards K`) to a checked-in golden at
-// shard counts 1, 4, and 16 crossed with study worker counts 1 and 8 — six
-// byte-identical runs. The sharded engine is a different experiment from
-// the legacy engine (pull-only vs. push-pull gossip), so it owns its own
-// golden; what must never vary is the output across shard and worker
-// counts.
-func TestExperimentAllShardedGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation × 6 configurations")
-	}
-	want, err := os.ReadFile("testdata/experiment_all_seed1_sharded.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := os.ReadFile("testdata/experiment_all_seed1.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(want, base) {
-		t.Fatal("sharded golden is identical to the legacy golden; engine dispatch is broken")
-	}
-	for _, shards := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("shards%d_workers%d", shards, workers), func(t *testing.T) {
-				got := renderAll(t, workers, nil,
-					core.WithShards(shards), core.WithShardWorkers(workers))
-				if !bytes.Equal(got, want) {
-					t.Errorf("output diverged from sharded golden (%d bytes vs %d)", len(got), len(want))
-				}
-			})
-		}
-	}
-}
-
-// TestExperimentAllShardedChurnyGolden crosses the two deterministic
-// surfaces: fault injection under the sharded engine must be byte-identical
-// across shard counts and pinned release to release.
-func TestExperimentAllShardedChurnyGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full evaluation × 2 configurations")
-	}
-	want, err := os.ReadFile("testdata/experiment_all_seed1_sharded_churny.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := os.ReadFile("testdata/experiment_all_seed1_sharded.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(want, plain) {
-		t.Fatal("sharded churny golden is identical to the faults-off sharded golden")
-	}
-	for _, shards := range []int{1, 16} {
-		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			got := renderAll(t, 8, nil,
-				core.WithShards(shards), core.WithFaults(faults.Churny()))
-			if !bytes.Equal(got, want) {
-				t.Errorf("output diverged from sharded churny golden (%d bytes vs %d)", len(got), len(want))
-			}
-		})
-	}
-}
 
 // millionNodeDigest runs the 1000×1000 world — the million-node study the
 // sharded engine exists for — for two block intervals plus a settle tail

@@ -210,7 +210,7 @@ func runAttack(study *core.Study, name string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := plan.Run(nil, study.Observer().Registry())
+	res, err := plan.Run()
 	if err != nil {
 		return err
 	}

@@ -12,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/service"
 )
@@ -243,10 +245,10 @@ func TestCacheServedAcrossRestart(t *testing.T) {
 		t.Fatalf("cache-served result differs:\nfirst:  %q (exit %d)\ncached: %q (exit %d)", out1, exit1, out2, exit2)
 	}
 
-	// Specs differing in seed, engine sharding, or fault scenario miss.
+	// Specs differing in seed or fault scenario miss.
 	for name, other := range map[string]core.Spec{
 		"seed":   buildSpec(t, "attack", "doublespend", 4),
-		"shards": buildSpec(t, "attack", "doublespend", 3, core.WithShards(4)),
+		"faults": buildSpec(t, "attack", "doublespend", 3, core.WithFaults(faults.Churny())),
 	} {
 		_, st, err := svc2.Submit(canonical(t, other))
 		if err != nil || st != service.SubmitAccepted {
@@ -283,7 +285,9 @@ func TestSubmitRefusedWhileDraining(t *testing.T) {
 	}
 }
 
-// TestSubmitRejectsInvalidSpec pins the 400 path.
+// TestSubmitRejectsInvalidSpec pins the 400 path. A spec naming a grid
+// engine ("shards", "shard_workers") is an unknown field: the engine is no
+// study setting.
 func TestSubmitRejectsInvalidSpec(t *testing.T) {
 	svc, _ := newService(t, t.TempDir(), 1, 1)
 	ts := httptest.NewServer(service.Handler(svc))
@@ -292,6 +296,8 @@ func TestSubmitRejectsInvalidSpec(t *testing.T) {
 		`not json`,
 		`{"schema":"spec.v2","run":{"verb":"experiment","name":"all"},"seed":1,"faults":{}}`,
 		`{"schema":"spec.v1","run":{"verb":"conquer","name":"all"},"seed":1,"faults":{}}`,
+		`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,"shards":4,"faults":{}}`,
+		`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,"shard_workers":2,"faults":{}}`,
 	} {
 		if code, _ := postSpec(t, ts.URL, []byte(doc)); code != http.StatusBadRequest {
 			t.Fatalf("submit %q: code %d, want 400", doc, code)
@@ -395,7 +401,7 @@ func TestDrainRestartResume(t *testing.T) {
 		t.Fatalf("submit: status %q err %v", status, err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
-	for journaled(t, svcB, fp) == 0 {
+	for journaled(dir, fp) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("no experiment journaled before deadline: %+v", mustStatus(t, svcB, fp))
 		}
@@ -437,18 +443,13 @@ func TestDrainRestartResume(t *testing.T) {
 	svcC.Drain()
 }
 
-// journaled counts the checkpoint-journal trace events the job has emitted.
-func journaled(t *testing.T, svc *service.Service, id string) int {
-	t.Helper()
-	events, _, _, ok := svc.TraceSince(id, 0)
-	if !ok {
-		t.Fatalf("TraceSince(%q): job not tracked", id)
+// journaled counts the records in the job's checkpoint journal. It reads
+// the journal, not the job's trace: the sweep emits its checkpoint trace
+// events only once it is over.
+func journaled(dir, fp string) int {
+	log, err := checkpoint.LoadJournal(filepath.Join(dir, fp+".ckpt"), fp, checkpoint.JournalOptions{})
+	if err != nil {
+		return 0 // not created yet
 	}
-	n := 0
-	for _, ev := range events {
-		if ev.Scope == "checkpoint" && ev.Type == "journaled" {
-			n++
-		}
-	}
-	return n
+	return len(log.Records)
 }

@@ -14,8 +14,9 @@
 #      all` at an experiment boundary, and a restarted daemon over the same
 #      state directory resumes the job and serves a result byte-identical
 #      to the uninterrupted run (DESIGN.md §14);
-#   4. decoder hardening — short fuzz smokes over the ckpt.v1 decoder and
-#      the hardened snapshot loader.
+#   4. decoder hardening — short fuzz smokes over the ckpt.v1 decoder, the
+#      journal reader, and the spec parser, partitiond's admission boundary
+#      for untrusted documents.
 set -eu
 
 GO=${GO:-go}
@@ -148,8 +149,9 @@ kill -TERM "$daemon"
 wait "$daemon" || {
 	echo "crash-harness: FAIL: second daemon exited non-zero"; exit 1; }
 
-echo "crash-harness: fuzz smokes (ckpt.v1 frame decoder, journal reader)"
+echo "crash-harness: fuzz smokes (ckpt.v1 frame decoder, journal reader, spec parser)"
 $GO test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
 $GO test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
+$GO test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 5s ./internal/core/ > /dev/null
 
 echo "crash-harness: PASS"
