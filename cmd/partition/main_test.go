@@ -26,6 +26,7 @@ func TestRunRefusesFlagMisuse(t *testing.T) {
 		{"onfault on a single experiment", []string{"experiment", "table1", "-onfault", "fail"}, "-onfault needs -checkpoint DIR"},
 		{"onfault without checkpoint", []string{"experiment", "all", "-onfault", "degrade", "-stepbudget", "5"}, "-onfault needs -checkpoint DIR"},
 		{"grid engine selector", []string{"experiment", "all", "-shards", "4"}, "flag provided but not defined: -shards"},
+		{"negative step budget", []string{"experiment", "all", "-stepbudget", "-5"}, "spec field step_budget is negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

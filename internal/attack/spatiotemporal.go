@@ -68,7 +68,7 @@ func FindBestMoment(tr *dataset.Trace, topASes int) (*Moment, error) {
 	}
 	best := -1
 	for i, s := range tr.Samples {
-		if s.SyncedByAS == nil {
+		if s.ASSynced == nil {
 			return nil, errors.New("attack: trace lacks per-AS sync tracking")
 		}
 		if best == -1 || s.Buckets[0] < tr.Samples[best].Buckets[0] {
@@ -82,9 +82,11 @@ func FindBestMoment(tr *dataset.Trace, topASes int) (*Moment, error) {
 		Synced:      s.Buckets[0],
 		Behind:      s.UpNodes - s.Buckets[0],
 	}
-	rows := make([]dataset.SyncedASRow, 0, len(s.SyncedByAS))
-	for asn, c := range s.SyncedByAS {
-		rows = append(rows, dataset.SyncedASRow{ASN: asn, Nodes: c})
+	var rows []dataset.SyncedASRow
+	for k, c := range s.ASSynced {
+		if c > 0 {
+			rows = append(rows, dataset.SyncedASRow{ASN: tr.ASNs[k], Nodes: int(c)})
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Nodes != rows[j].Nodes {

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/faults"
@@ -208,12 +207,9 @@ func (s *Study) Observer() *obs.Observer { return s.obs }
 // experiments are independent but reproducible.
 func (s *Study) traceSeed(salt int64) int64 { return s.seed*1000003 + salt }
 
-// runTrace is the shared trace helper.
-func (s *Study) runTrace(d, sample time.Duration, salt int64, trackAS bool) (*dataset.Trace, error) {
-	return s.Pop.RunTrace(dataset.TraceConfig{
-		Duration:        d,
-		SampleEvery:     sample,
-		Seed:            s.traceSeed(salt),
-		TrackSyncedByAS: trackAS,
-	})
+// runTrace is the shared trace helper: it runs cfg on the study's
+// population with the trace seed of salt.
+func (s *Study) runTrace(salt int64, cfg dataset.TraceConfig) (*dataset.Trace, error) {
+	cfg.Seed = s.traceSeed(salt)
+	return s.Pop.RunTrace(cfg)
 }

@@ -164,19 +164,19 @@ type Figure6Result struct {
 func (s *Study) Figure6(v Figure6Variant) (*Figure6Result, error) {
 	switch v {
 	case Figure6a:
-		tr, err := s.runTrace(time.Duration(s.Opts.Figure6aDays)*24*time.Hour, 10*time.Minute, 61, false)
+		tr, err := s.runTrace(61, dataset.TraceConfig{Duration: time.Duration(s.Opts.Figure6aDays) * 24 * time.Hour, SampleEvery: 10 * time.Minute})
 		if err != nil {
 			return nil, err
 		}
 		return &Figure6Result{Variant: v, Trace: tr}, nil
 	case Figure6b:
-		tr, err := s.runTrace(24*time.Hour, 10*time.Minute, 62, false)
+		tr, err := s.runTrace(62, dataset.TraceConfig{Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute})
 		if err != nil {
 			return nil, err
 		}
 		return &Figure6Result{Variant: v, Trace: tr}, nil
 	case Figure6c:
-		tr, err := s.runTrace(3*time.Hour, time.Minute, 63, false)
+		tr, err := s.runTrace(63, dataset.TraceConfig{Duration: 3 * time.Hour, SampleEvery: time.Minute})
 		if err != nil {
 			return nil, err
 		}
@@ -336,7 +336,7 @@ type Figure8Result struct {
 
 // Figure8 runs the tracked one-day trace and extracts all three panels.
 func (s *Study) Figure8() (*Figure8Result, error) {
-	tr, err := s.runTrace(24*time.Hour, 10*time.Minute, 8, true)
+	tr, err := s.runTrace(8, dataset.TraceConfig{Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute, TrackSyncedByAS: true})
 	if err != nil {
 		return nil, err
 	}

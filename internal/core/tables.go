@@ -176,10 +176,15 @@ type TableVResult struct {
 	Rows []dataset.VulnRow
 }
 
-// TableV runs the lag trace and the vulnerability optimization, scanning
-// the nine timing windows across the study's workers.
+// TableV runs the lag trace with Table V's nine timing windows and the
+// vulnerability optimization, scanning the windows across the study's
+// workers.
 func (s *Study) TableV() (*TableVResult, error) {
-	tr, err := s.runTrace(time.Duration(s.Opts.TableVTraceDays)*24*time.Hour, 10*time.Minute, 5, false)
+	tr, err := s.runTrace(5, dataset.TraceConfig{
+		Duration:             time.Duration(s.Opts.TableVTraceDays) * 24 * time.Hour,
+		SampleEvery:          10 * time.Minute,
+		VulnerabilityWindows: dataset.DefaultVulnerabilityWindows(),
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +258,7 @@ type TableVIIResult struct {
 
 // TableVII runs a one-day tracked trace and aggregates synced hosting.
 func (s *Study) TableVII() (*TableVIIResult, error) {
-	tr, err := s.runTrace(24*time.Hour, 10*time.Minute, 7, true)
+	tr, err := s.runTrace(7, dataset.TraceConfig{Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute, TrackSyncedByAS: true})
 	if err != nil {
 		return nil, err
 	}

@@ -8,28 +8,32 @@ import (
 )
 
 // TestRunTraceAllocsCeiling holds the dense lag-trace kernel (DESIGN.md
-// §12) under its allocation ceiling: one day at 10-minute sampling,
-// untracked, so 144 samples. The kernel allocates its per-node arrays and
-// snapshot batches once per run and every sample's Vulnerable rows from
-// one backing array; a per-sample allocation creeping back into the sample
-// step would add 144 and pass the ceiling. AllocsPerRun runs at
-// GOMAXPROCS 1, where RunTrace's gang runs its two tasks inline.
+// §12) under its allocation ceiling: one day at 10-minute sampling, so
+// 144 samples, untracked and tracked. The kernel allocates its per-node
+// arrays and snapshot batches once per run, and every sample's Vulnerable
+// rows and per-AS synced row from one backing array each; a per-sample
+// allocation creeping back into the sample step would add 144 and pass
+// the ceiling (a map per sample, as the per-AS counts once were, made the
+// tracked trace 910). AllocsPerRun runs at GOMAXPROCS 1, where RunTrace's
+// gang runs its two tasks inline.
 func TestRunTraceAllocsCeiling(t *testing.T) {
 	const ceiling = 64
 	p := testPop(t)
-	cfg := TraceConfig{Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 1}
-	var runErr error
-	allocs := testing.AllocsPerRun(1, func() {
-		if _, err := p.RunTrace(cfg); err != nil {
-			runErr = err
+	for _, tracked := range []bool{false, true} {
+		cfg := TraceConfig{Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 1, TrackSyncedByAS: tracked}
+		var runErr error
+		allocs := testing.AllocsPerRun(1, func() {
+			if _, err := p.RunTrace(cfg); err != nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			t.Fatal(runErr)
 		}
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	t.Logf("%.0f allocs/op (ceiling %d)", allocs, ceiling)
-	if allocs > ceiling {
-		t.Errorf("RunTrace: %.0f allocs/op, ceiling %d", allocs, ceiling)
+		t.Logf("tracked %v: %.0f allocs/op (ceiling %d)", tracked, allocs, ceiling)
+		if allocs > ceiling {
+			t.Errorf("RunTrace, tracked %v: %.0f allocs/op, ceiling %d", tracked, allocs, ceiling)
+		}
 	}
 }
 

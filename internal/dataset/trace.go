@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -53,8 +52,9 @@ type TraceConfig struct {
 	// (needed for Table VII / Figure 8; costs memory on long traces).
 	TrackSyncedByAS bool
 	// VulnerabilityWindows are the timing constraints T for which each
-	// sample records vulnerable-node counts (Table V). Defaults to the
-	// paper's set {5,10,15,20,25,30,40,70,200} minutes.
+	// sample records vulnerable-node counts (Table V). Empty means no
+	// window scan and no Vulnerable rows; Table V passes
+	// DefaultVulnerabilityWindows.
 	VulnerabilityWindows []time.Duration
 }
 
@@ -68,13 +68,11 @@ func (c TraceConfig) withDefaults() TraceConfig {
 	if c.EpisodeSlowdownMax == 0 {
 		c.EpisodeSlowdownMax = 8
 	}
-	if len(c.VulnerabilityWindows) == 0 {
-		c.VulnerabilityWindows = DefaultVulnerabilityWindows()
-	}
 	return c
 }
 
-// DefaultVulnerabilityWindows returns Table V's timing constraints.
+// DefaultVulnerabilityWindows returns Table V's timing constraints,
+// {5,10,15,20,25,30,40,70,200} minutes.
 func DefaultVulnerabilityWindows() []time.Duration {
 	mins := []int{5, 10, 15, 20, 25, 30, 40, 70, 200}
 	out := make([]time.Duration, len(mins))
@@ -97,10 +95,12 @@ type Sample struct {
 	UpNodes int
 	// Vulnerable[i][j] counts nodes that are at least lagThresholds[j]
 	// blocks behind AND will remain behind for at least
-	// VulnerabilityWindows[i] more time (the paper's L(t) >= T).
+	// VulnerabilityWindows[i] more time (the paper's L(t) >= T). Nil
+	// without windows.
 	Vulnerable [][3]int
-	// SyncedByAS maps AS -> synced node count (only when TrackSyncedByAS).
-	SyncedByAS map[topology.ASN]int
+	// ASSynced[k] counts the synced nodes of AS Trace.ASNs[k]; nil unless
+	// TrackSyncedByAS. The rows of a trace share one backing array.
+	ASSynced []int32
 	// EpisodeActive records whether a slowdown episode covered this sample.
 	EpisodeActive bool
 }
@@ -109,6 +109,9 @@ type Sample struct {
 type Trace struct {
 	Config  TraceConfig
 	Samples []Sample
+	// ASNs maps a slot of Sample.ASSynced to its AS: every AS hosting an
+	// up node, in order of its first up node. Nil unless TrackSyncedByAS.
+	ASNs []topology.ASN
 	// Blocks is the number of blocks published during the trace.
 	Blocks int
 }
@@ -153,11 +156,9 @@ type traceSampler struct {
 	windows []time.Duration
 	hist    [][3]int
 	// Per-AS sync tracking (nil when untracked): slot is the node's dense
-	// AS index, slotASN its inverse, asSynced the per-slot synced count
-	// of the current sample.
-	slot     []int32
-	slotASN  []topology.ASN
-	asSynced []int32
+	// AS index, slotASN its inverse.
+	slot    []int32
+	slotASN []topology.ASN
 }
 
 // compileTrace lays out the kernel for the population's up nodes, all
@@ -183,7 +184,8 @@ func (p *Population) compileTrace(cfg TraceConfig) (*traceKernel, *traceSampler)
 	var slots map[topology.ASN]int32
 	if cfg.TrackSyncedByAS {
 		sm.slot = make([]int32, 0, up)
-		slots = map[topology.ASN]int32{}
+		sm.slotASN = make([]topology.ASN, 0, len(p.ASRows))
+		slots = make(map[topology.ASN]int32, len(p.ASRows))
 	}
 	for i := range p.Nodes {
 		n := &p.Nodes[i]
@@ -204,9 +206,6 @@ func (p *Population) compileTrace(cfg TraceConfig) (*traceKernel, *traceSampler)
 	for i := range k.catchupAt {
 		k.catchupAt[i] = idle
 	}
-	if slots != nil {
-		sm.asSynced = make([]int32, len(sm.slotASN))
-	}
 	return k, sm
 }
 
@@ -215,7 +214,7 @@ func (p *Population) compileTrace(cfg TraceConfig) (*traceKernel, *traceSampler)
 // one, its delay stretched by the episode factor slow.
 //
 //hot:path
-func (k *traceKernel) block(rng *rand.Rand, now time.Duration, slow float64) {
+func (k *traceKernel) block(rng *stats.Fast, now time.Duration, slow float64) {
 	prev := k.tip
 	k.tip++
 	for i, c := range k.catchupAt {
@@ -224,7 +223,7 @@ func (k *traceKernel) block(rng *rand.Rand, now time.Duration, slow float64) {
 			c = idle
 		}
 		if c == idle {
-			delay := stats.Exponential(rng, k.lambda[i])
+			delay := rng.ExpFloat64() / k.lambda[i]
 			delay *= slow
 			k.catchupAt[i] = now + time.Duration(delay*float64(time.Second))
 		}
@@ -234,8 +233,9 @@ func (k *traceKernel) block(rng *rand.Rand, now time.Duration, slow float64) {
 }
 
 // sample records v at now into s: its buckets, its vulnerable counts (into
-// s.Vulnerable, preallocated) and its per-slot synced counts. It writes
-// only the sampler's scratch and s. A catch-up due by now counts as synced
+// s.Vulnerable, preallocated, when there are windows) and its per-slot
+// synced counts (into s.ASSynced, zeroed, when tracked). It writes only
+// the sampler's scratch and s. A catch-up due by now counts as synced
 // without being fired: no block arrived since it fell due, so the next
 // block fires it with the same tip, and every sample before that block
 // sees it due as well.
@@ -251,8 +251,8 @@ func (sm *traceSampler) sample(v *lagView, now time.Duration, s *Sample) {
 		// pending when the first block it lacks arrived.
 		if c <= now || c == idle {
 			s.Buckets[0]++
-			if sm.asSynced != nil {
-				sm.asSynced[sm.slot[i]]++
+			if s.ASSynced != nil {
+				s.ASSynced[sm.slot[i]]++
 			}
 			continue
 		}
@@ -262,6 +262,9 @@ func (sm *traceSampler) sample(v *lagView, now time.Duration, s *Sample) {
 			b = int(bucketOf[behind])
 		}
 		s.Buckets[b]++
+		if len(sm.windows) == 0 {
+			continue
+		}
 		// The node is vulnerable for the leading windows its remaining lag
 		// reaches.
 		remaining := c - now
@@ -284,25 +287,6 @@ func (sm *traceSampler) sample(v *lagView, now time.Duration, s *Sample) {
 		acc[2] += h[2]
 		s.Vulnerable[wi] = [3]int{acc[0] + acc[1] + acc[2], acc[1] + acc[2], acc[2]}
 	}
-}
-
-// syncedByAS turns the sample's per-slot synced counts into the Sample map
-// and clears them for the next sample.
-func (sm *traceSampler) syncedByAS() map[topology.ASN]int {
-	n := 0
-	for _, c := range sm.asSynced {
-		if c > 0 {
-			n++
-		}
-	}
-	m := make(map[topology.ASN]int, n)
-	for s, c := range sm.asSynced {
-		if c > 0 {
-			m[sm.slotASN[s]] = int(c)
-			sm.asSynced[s] = 0
-		}
-	}
-	return m
 }
 
 // tracePhase is the number of samples the block task snapshots per phase
@@ -343,7 +327,9 @@ func (sn *traceSnap) take(k *traceKernel, now time.Duration, episode bool) {
 	sn.episode = episode
 }
 
-// RunTrace simulates the lag process over the population.
+// RunTrace simulates the lag process over the population. It runs only
+// the folds cfg asks for: the Table V window scan when cfg has windows, the
+// per-AS synced rows when cfg.TrackSyncedByAS.
 //
 // It runs as a two-task pipeline on a parallel.Gang, one phase of
 // tracePhase samples at a time. Task 0 alone owns the RNG and the live
@@ -365,7 +351,8 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 			return nil, fmt.Errorf("dataset: vulnerability windows %v must be positive and strictly ascending", cfg.VulnerabilityWindows)
 		}
 	}
-	rng := stats.NewRand(cfg.Seed)
+	rng := new(stats.Fast)
+	rng.Seed(cfg.Seed)
 	k, sm := p.compileTrace(cfg)
 
 	// Pre-draw episode schedule for the whole trace.
@@ -373,8 +360,16 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 
 	nSamples := int(cfg.Duration / cfg.SampleEvery)
 	nw := len(cfg.VulnerabilityWindows)
-	vulnerable := make([][3]int, nSamples*nw)
-	trace := &Trace{Config: cfg, Samples: make([]Sample, nSamples)}
+	var vulnerable [][3]int
+	if nw > 0 {
+		vulnerable = make([][3]int, nSamples*nw)
+	}
+	trace := &Trace{Config: cfg, Samples: make([]Sample, nSamples), ASNs: sm.slotASN}
+	nas := len(sm.slotASN)
+	var synced []int32
+	if cfg.TrackSyncedByAS {
+		synced = make([]int32, nSamples*nas)
+	}
 	batches := snapBatches(len(k.lambda), min(tracePhase, nSamples))
 	nPhases := (nSamples + tracePhase - 1) / tracePhase
 
@@ -385,7 +380,8 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 
 	// Task 0's event loop over two interleaved clocks: Poisson block
 	// arrivals and the regular sampling grid.
-	nextBlock := time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
+	blockRate := 1 / BlockInterval.Seconds()
+	nextBlock := time.Duration(rng.ExpFloat64() / blockRate * float64(time.Second))
 	nextSample := cfg.SampleEvery
 	blocks := 0
 	advance := func(snaps []traceSnap) {
@@ -394,7 +390,7 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 				now := nextBlock
 				blocks++
 				k.block(rng, now, episodeMultiplier(episodes, now))
-				nextBlock = now + time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds())*float64(time.Second))
+				nextBlock = now + time.Duration(rng.ExpFloat64()/blockRate*float64(time.Second))
 			}
 			snaps[i].take(k, nextSample, episodeMultiplier(episodes, nextSample) > 1)
 			nextSample += cfg.SampleEvery
@@ -404,13 +400,16 @@ func (p *Population) RunTrace(cfg TraceConfig) (*Trace, error) {
 	fold := func(snaps []traceSnap, first int) {
 		for i := range snaps {
 			sn := &snaps[i]
-			row := (first + i) * nw
-			s := &trace.Samples[first+i]
-			*s = Sample{T: sn.now, EpisodeActive: sn.episode, Vulnerable: vulnerable[row : row+nw : row+nw]}
-			sm.sample(&sn.lagView, sn.now, s)
-			if cfg.TrackSyncedByAS {
-				s.SyncedByAS = sm.syncedByAS()
+			n := first + i
+			s := &trace.Samples[n]
+			*s = Sample{T: sn.now, EpisodeActive: sn.episode}
+			if nw > 0 {
+				s.Vulnerable = vulnerable[n*nw : (n+1)*nw : (n+1)*nw]
 			}
+			if synced != nil {
+				s.ASSynced = synced[n*nas : (n+1)*nas : (n+1)*nas]
+			}
+			sm.sample(&sn.lagView, sn.now, s)
 		}
 	}
 
@@ -438,10 +437,7 @@ type episode struct {
 }
 
 // drawEpisodes pre-samples slowdown windows over the configured duration.
-func drawEpisodes(rng interface {
-	Float64() float64
-	ExpFloat64() float64
-}, cfg TraceConfig) []episode {
+func drawEpisodes(rng *stats.Fast, cfg TraceConfig) []episode {
 	var out []episode
 	day := 24 * time.Hour
 	rate := cfg.EpisodesPerDay / day.Seconds()
@@ -526,21 +522,24 @@ func (t *Trace) TopSyncedASes(n int) ([]SyncedASRow, error) {
 	if len(t.Samples) == 0 {
 		return nil, errors.New("dataset: empty trace")
 	}
-	if t.Samples[0].SyncedByAS == nil {
+	if t.Samples[0].ASSynced == nil {
 		return nil, errors.New("dataset: trace did not track per-AS sync (set TrackSyncedByAS)")
 	}
-	totals := map[topology.ASN]int{}
+	totals := make([]int, len(t.ASNs))
 	var allSynced int
 	for _, s := range t.Samples {
-		for asn, c := range s.SyncedByAS {
-			totals[asn] += c
-			allSynced += c
+		for k, c := range s.ASSynced {
+			totals[k] += int(c)
+			allSynced += int(c)
 		}
 	}
-	rows := make([]SyncedASRow, 0, len(totals))
-	for asn, c := range totals {
+	var rows []SyncedASRow
+	for k, c := range totals {
+		if c == 0 {
+			continue
+		}
 		rows = append(rows, SyncedASRow{
-			ASN:      asn,
+			ASN:      t.ASNs[k],
 			Nodes:    c / len(t.Samples),
 			Fraction: float64(c) / float64(allSynced),
 		})
@@ -552,8 +551,19 @@ func (t *Trace) TopSyncedASes(n int) ([]SyncedASRow, error) {
 	return rows[:n], nil
 }
 
+// ASSlot returns the slot of asn in the trace's per-AS rows, or -1 when
+// the AS hosts no up node or the trace did not track per-AS sync.
+func (t *Trace) ASSlot(asn topology.ASN) int {
+	for k, a := range t.ASNs {
+		if a == asn {
+			return k
+		}
+	}
+	return -1
+}
+
 // sortSyncedRows orders by synced count descending with ASN as tie-break,
-// so results are deterministic despite map iteration order.
+// so the order does not depend on slot order.
 func sortSyncedRows(rows []SyncedASRow) {
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].Nodes != rows[j].Nodes {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -36,7 +37,7 @@ func TestRunTraceWindowValidation(t *testing.T) {
 		windows []time.Duration
 		ok      bool
 	}{
-		{"default", nil, true},
+		{"default", nil, true}, // no windows: no scan, no Vulnerable rows
 		{"single", []time.Duration{5 * m}, true},
 		{"ascending", []time.Duration{5 * m, 10 * m, 200 * m}, true},
 		{"unsorted", []time.Duration{10 * m, 5 * m, 200 * m}, false},
@@ -65,8 +66,10 @@ func TestTraceCustomWindowsMatchDefaultColumns(t *testing.T) {
 	// A custom ascending subset of the default windows must count exactly
 	// what the default run counts in the same columns.
 	base := TraceConfig{Duration: 12 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 4, EpisodesPerDay: 10}
-	def := runTrace(t, base)
 	all := DefaultVulnerabilityWindows()
+	withAll := base
+	withAll.VulnerabilityWindows = all
+	def := runTrace(t, withAll)
 	pick := []int{1, 4, 8}
 	sub := base
 	for _, i := range pick {
@@ -83,7 +86,8 @@ func TestTraceCustomWindowsMatchDefaultColumns(t *testing.T) {
 }
 
 func TestTraceSampleCountsAndInvariants(t *testing.T) {
-	tr := runTrace(t, TraceConfig{Duration: 6 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 2})
+	tr := runTrace(t, TraceConfig{Duration: 6 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 2,
+		VulnerabilityWindows: DefaultVulnerabilityWindows()})
 	if got, want := len(tr.Samples), 36; got != want {
 		t.Fatalf("samples = %d, want %d", got, want)
 	}
@@ -160,7 +164,8 @@ func TestMaxVulnerableShape(t *testing.T) {
 	// Table V's qualitative shape: counts decrease with the timing window,
 	// a large max at T=5min (paper: 62.67% >= 1 block), and a stale floor
 	// at T=200min (paper: ~9%).
-	tr := runTrace(t, TraceConfig{Duration: 7 * 24 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 7})
+	tr := runTrace(t, TraceConfig{Duration: 7 * 24 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 7,
+		VulnerabilityWindows: DefaultVulnerabilityWindows()})
 	rows, err := tr.MaxVulnerableParallel(1)
 	if err != nil {
 		t.Fatal(err)
@@ -254,6 +259,34 @@ func TestTopSyncedASesRequiresTracking(t *testing.T) {
 	}
 }
 
+// TestTraceWindowsAreOptIn checks that the window scan only adds the
+// Vulnerable rows: a tracked, episode-heavy trace run with Table V's
+// windows and without them agrees on Blocks, the AS table and every other
+// sample field, and only the run with windows has rows.
+func TestTraceWindowsAreOptIn(t *testing.T) {
+	cfg := TraceConfig{Duration: 2 * 24 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 20,
+		EpisodesPerDay: 20, TrackSyncedByAS: true}
+	without := runTrace(t, cfg)
+	cfg.VulnerabilityWindows = DefaultVulnerabilityWindows()
+	with := runTrace(t, cfg)
+	if with.Blocks != without.Blocks || len(with.Samples) != len(without.Samples) {
+		t.Fatalf("blocks %d/%d, samples %d/%d", with.Blocks, without.Blocks, len(with.Samples), len(without.Samples))
+	}
+	if !slices.Equal(with.ASNs, without.ASNs) || len(with.ASNs) == 0 {
+		t.Fatalf("AS tables differ or are empty: %d vs %d slots", len(with.ASNs), len(without.ASNs))
+	}
+	for i, w := range with.Samples {
+		o := without.Samples[i]
+		if w.T != o.T || w.Buckets != o.Buckets || w.UpNodes != o.UpNodes || w.EpisodeActive != o.EpisodeActive ||
+			!slices.Equal(w.ASSynced, o.ASSynced) {
+			t.Fatalf("sample %d differs with windows: %+v vs %+v", i, w, o)
+		}
+		if len(w.Vulnerable) != len(cfg.VulnerabilityWindows) || o.Vulnerable != nil {
+			t.Fatalf("sample %d: %d rows with windows, %d without", i, len(w.Vulnerable), len(o.Vulnerable))
+		}
+	}
+}
+
 func TestTraceDeterminism(t *testing.T) {
 	cfg := TraceConfig{Duration: 12 * time.Hour, SampleEvery: 10 * time.Minute, Seed: 21}
 	a := runTrace(t, cfg)
@@ -273,24 +306,28 @@ func TestTraceDeterminism(t *testing.T) {
 // order.
 func traceOracle(p *Population, cfg TraceConfig) *Trace {
 	cfg = cfg.withDefaults()
-	rng := stats.NewRand(cfg.Seed)
+	rng := new(stats.Fast)
+	rng.Seed(cfg.Seed)
 	k, sm := p.compileTrace(cfg)
 	episodes := drawEpisodes(rng, cfg)
 	nw := len(cfg.VulnerabilityWindows)
-	tr := &Trace{Config: cfg}
-	nextBlock := time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
+	tr := &Trace{Config: cfg, ASNs: sm.slotASN}
+	nextBlock := time.Duration(rng.ExpFloat64() / (1 / BlockInterval.Seconds()) * float64(time.Second))
 	for nextSample := cfg.SampleEvery; nextSample <= cfg.Duration; {
 		if nextBlock <= nextSample {
 			tr.Blocks++
 			k.block(rng, nextBlock, episodeMultiplier(episodes, nextBlock))
-			nextBlock += time.Duration(stats.Exponential(rng, 1/BlockInterval.Seconds()) * float64(time.Second))
+			nextBlock += time.Duration(rng.ExpFloat64() / (1 / BlockInterval.Seconds()) * float64(time.Second))
 			continue
 		}
-		s := Sample{T: nextSample, EpisodeActive: episodeMultiplier(episodes, nextSample) > 1, Vulnerable: make([][3]int, nw)}
-		sm.sample(&k.lagView, nextSample, &s)
-		if cfg.TrackSyncedByAS {
-			s.SyncedByAS = sm.syncedByAS()
+		s := Sample{T: nextSample, EpisodeActive: episodeMultiplier(episodes, nextSample) > 1}
+		if nw > 0 {
+			s.Vulnerable = make([][3]int, nw)
 		}
+		if cfg.TrackSyncedByAS {
+			s.ASSynced = make([]int32, len(sm.slotASN))
+		}
+		sm.sample(&k.lagView, nextSample, &s)
 		tr.Samples = append(tr.Samples, s)
 		nextSample += cfg.SampleEvery
 	}
@@ -299,7 +336,8 @@ func traceOracle(p *Population, cfg TraceConfig) *Trace {
 
 // TestRunTraceMatchesSequentialOracle compares the two-task RunTrace with
 // the sequential loop it replaced: sample counts around the phase length
-// (1, 7, 8, 9, 17), tracked and untracked, and an episode-heavy trace;
+// (1, 7, 8, 9, 17) with Table V's windows, tracked traces without them,
+// and an episode-heavy trace with both;
 // each at GOMAXPROCS 1, where the gang runs both tasks inline, at the
 // default width, and four traces at once through parallel.Map as RunAll
 // runs them. It is the pipeline's concurrency check under the race
@@ -308,13 +346,14 @@ func TestRunTraceMatchesSequentialOracle(t *testing.T) {
 	p := testPop(t)
 	m := 10 * time.Minute
 	var cfgs []TraceConfig
+	w := DefaultVulnerabilityWindows()
 	for i, n := range []int{1, 7, 8, 9, 17} {
-		cfgs = append(cfgs, TraceConfig{Duration: time.Duration(n)*m + m/2, SampleEvery: m, Seed: int64(i + 1)})
+		cfgs = append(cfgs, TraceConfig{Duration: time.Duration(n)*m + m/2, SampleEvery: m, Seed: int64(i + 1), VulnerabilityWindows: w})
 	}
 	cfgs = append(cfgs,
 		TraceConfig{Duration: 9 * m, SampleEvery: m, Seed: 6, TrackSyncedByAS: true},
 		TraceConfig{Duration: 17 * m, SampleEvery: m, Seed: 7, TrackSyncedByAS: true},
-		TraceConfig{Duration: 17 * 3 * m, SampleEvery: 3 * m, Seed: 8, EpisodesPerDay: 20, TrackSyncedByAS: true},
+		TraceConfig{Duration: 17 * 3 * m, SampleEvery: 3 * m, Seed: 8, EpisodesPerDay: 20, TrackSyncedByAS: true, VulnerabilityWindows: w},
 	)
 	want := make([]string, len(cfgs))
 	episode := false

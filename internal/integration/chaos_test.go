@@ -18,8 +18,8 @@ import (
 // Crash-point exploration for partitiond's durability stack (DESIGN.md §15).
 // A recording run of a checkpointed `experiment all` over a passthrough
 // ChaosFS enumerates every durability point the write-ahead protocol
-// touches — spec sidecar, journal header and appends, result, meta, and
-// their fsync/rename/dirsync commits. For each point the run is replayed
+// touches — spec sidecar, journal header and appends, the result file
+// with its metadata header, and their fsync/rename/dirsync commits. For each point the run is replayed
 // with a simulated crash there (torn final write included), the daemon is
 // restarted over the surviving bytes, and the recovered output must be
 // byte-identical to the uninterrupted run.
@@ -91,8 +91,6 @@ func chaosClass(op iofault.Op) string {
 		return "journal"
 	case strings.Contains(base, ".result"):
 		return "result"
-	case strings.Contains(base, ".job.json"):
-		return "meta"
 	}
 	return "other"
 }
@@ -100,7 +98,7 @@ func chaosClass(op iofault.Op) string {
 // samplePoints picks the structurally distinct crash points: the first
 // occurrence of every kind×artifact combination, the torn-frame journal
 // appends (first record after the header, a middle record, the final
-// record), and the last two points — the commit tail of the meta write.
+// record), and the last two points — the commit tail of the result write.
 func samplePoints(ops []iofault.Op) []int {
 	picked := map[int]bool{}
 	firsts := map[string]bool{}
@@ -221,7 +219,7 @@ func TestChaosCrashPointRecovery(t *testing.T) {
 			t.Fatalf("no %s point in the recording run", k)
 		}
 	}
-	for _, cl := range []string{"spec", "journal", "result", "meta", "dir"} {
+	for _, cl := range []string{"spec", "journal", "result", "dir"} {
 		if !classes[cl] {
 			t.Fatalf("no durability point touches the %s artifact", cl)
 		}

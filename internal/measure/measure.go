@@ -258,14 +258,16 @@ func SyncedASSeries(tr *dataset.Trace, ases []topology.ASN) (map[topology.ASN][]
 	if len(tr.Samples) == 0 {
 		return nil, fmt.Errorf("measure: empty trace")
 	}
-	if tr.Samples[0].SyncedByAS == nil {
+	if tr.Samples[0].ASSynced == nil {
 		return nil, fmt.Errorf("measure: trace lacks per-AS sync tracking")
 	}
 	out := make(map[topology.ASN][]int, len(ases))
 	for _, asn := range ases {
-		series := make([]int, 0, len(tr.Samples))
-		for _, s := range tr.Samples {
-			series = append(series, s.SyncedByAS[asn])
+		series := make([]int, len(tr.Samples))
+		if k := tr.ASSlot(asn); k >= 0 {
+			for i, s := range tr.Samples {
+				series[i] = int(s.ASSynced[k])
+			}
 		}
 		out[asn] = series
 	}

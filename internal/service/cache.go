@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -19,8 +21,9 @@ import (
 //	<fp>.spec.json — the submitted spec, written before the job is admitted
 //	                 (the write-ahead record a restarted daemon rebuilds from)
 //	<fp>.ckpt      — the checkpoint journal of an `experiment all` job
-//	<fp>.result    — the raw output bytes, written atomically on completion
-//	<fp>.job.json  — the completion metadata (exit code), written after .result
+//	<fp>.result    — a header line with the completion metadata (exit code,
+//	                 faults, replays), then the raw output bytes; written
+//	                 atomically, once, on completion
 //	*.bad          — quarantined corrupt artifacts, kept for forensics
 //
 // A spec sidecar without a result marks an unfinished job; Resurrect
@@ -113,9 +116,8 @@ func (s *stateDir) Orphans() []string {
 func (s *stateDir) specPath(fp string) string    { return filepath.Join(s.dir, fp+".spec.json") }
 func (s *stateDir) journalPath(fp string) string { return filepath.Join(s.dir, fp+".ckpt") }
 func (s *stateDir) resultPath(fp string) string  { return filepath.Join(s.dir, fp+".result") }
-func (s *stateDir) metaPath(fp string) string    { return filepath.Join(s.dir, fp+".job.json") }
 
-// jobMeta is the completion metadata persisted next to the result bytes.
+// jobMeta is the completion metadata persisted in a result file's header.
 type jobMeta struct {
 	Fingerprint string `json:"fingerprint"`
 	Exit        int    `json:"exit"`
@@ -134,59 +136,78 @@ func (s *stateDir) dropSpec(fp string) {
 	_ = s.fs.Remove(s.specPath(fp))
 }
 
-// writeResult persists a completed job: result bytes first, metadata after,
-// both atomic and durable — a crash between the two leaves a result without
-// metadata, which loadResult treats as unfinished and the job re-runs.
+// A result file opens with resultMagic and the job's metadata as one line
+// of JSON; the output bytes follow the newline. The header is at most
+// resultHeaderMax bytes, so a start-up scan reads no further.
+const (
+	resultMagic     = "result.v1 "
+	resultHeaderMax = 512
+)
+
+// writeResult persists a completed job, metadata and output in one atomic,
+// durable write: the job is either done, with both, or not done at all.
 func (s *stateDir) writeResult(fp string, output []byte, meta jobMeta) error {
-	if err := s.atomicWrite(s.resultPath(fp), output); err != nil {
-		return err
-	}
 	doc, err := json.Marshal(meta)
 	if err != nil {
 		return fmt.Errorf("service: encode job meta: %w", err)
 	}
-	return s.atomicWrite(s.metaPath(fp), doc)
+	data := make([]byte, 0, len(resultMagic)+len(doc)+1+len(output))
+	data = append(data, resultMagic...)
+	data = append(data, doc...)
+	data = append(data, '\n')
+	return s.atomicWrite(s.resultPath(fp), append(data, output...))
 }
 
 // loadResult returns the cached output and metadata of a completed job, or
-// ok=false when the fingerprint has no (complete) persisted result.
+// ok=false when the fingerprint has no valid persisted result.
 func (s *stateDir) loadResult(fp string) (output []byte, meta jobMeta, ok bool) {
-	meta, ok = s.loadMeta(fp)
+	data, err := s.fs.ReadFile(s.resultPath(fp))
+	if err != nil {
+		return nil, jobMeta{}, false
+	}
+	meta, n, ok := s.checkHeader(fp, data)
 	if !ok {
 		return nil, jobMeta{}, false
 	}
-	output, err := s.fs.ReadFile(s.resultPath(fp))
-	if err != nil {
-		return nil, jobMeta{}, false
-	}
-	return output, meta, true
+	return data[n:], meta, true
 }
 
-// loadMeta reads a job's completion metadata. A meta file that exists but
-// does not parse — or names a different fingerprint — is corrupt, not
-// absent: it is quarantined so the job re-runs and the damage is visible on
-// /v1/healthz.
-func (s *stateDir) loadMeta(fp string) (meta jobMeta, ok bool) {
-	doc, err := s.fs.ReadFile(s.metaPath(fp))
-	if err != nil {
-		return jobMeta{}, false
-	}
-	if err := json.Unmarshal(doc, &meta); err != nil || meta.Fingerprint != fp {
-		s.quarantine(s.metaPath(fp))
-		return jobMeta{}, false
-	}
-	return meta, true
-}
-
-// completed reports whether a job has valid metadata and a result file,
-// the same test loadResult applies, but without reading the result body:
-// a start-up scan only needs to know that the job is done.
+// completed reports whether a job has a valid result file, the test
+// loadResult applies, reading only the header: a start-up scan needs to
+// know that the job is done, not its output.
 func (s *stateDir) completed(fp string) bool {
-	if _, ok := s.loadMeta(fp); !ok {
+	f, err := s.fs.Open(s.resultPath(fp))
+	if err != nil {
 		return false
 	}
-	fi, err := s.fs.Stat(s.resultPath(fp))
-	return err == nil && fi.Mode().IsRegular()
+	buf := make([]byte, resultHeaderMax)
+	n, err := io.ReadFull(f, buf)
+	_ = f.Close() // read-only: the header bytes are all that matter
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return false
+	}
+	_, _, ok := s.checkHeader(fp, buf[:n])
+	return ok
+}
+
+// checkHeader parses the header at the start of data, a prefix of fp's
+// result file, and returns the metadata and the offset of the output. A
+// file without the magic was written by the layout that kept the
+// metadata in a separate file: it reads as absent, and the job runs
+// again. A header that does not parse within resultHeaderMax bytes, or
+// names another fingerprint, is corrupt, not absent: the file is
+// quarantined, so the job re-runs and the damage shows on /v1/healthz.
+func (s *stateDir) checkHeader(fp string, data []byte) (meta jobMeta, n int, ok bool) {
+	rest, found := bytes.CutPrefix(data, []byte(resultMagic))
+	if !found {
+		return jobMeta{}, 0, false
+	}
+	line, _, found := bytes.Cut(rest[:min(len(rest), resultHeaderMax-len(resultMagic))], []byte{'\n'})
+	if !found || json.Unmarshal(line, &meta) != nil || meta.Fingerprint != fp {
+		s.quarantine(s.resultPath(fp))
+		return jobMeta{}, 0, false
+	}
+	return meta, len(resultMagic) + len(line) + 1, true
 }
 
 // unfinished scans for spec sidecars without a completed result — the jobs a

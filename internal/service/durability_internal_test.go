@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
@@ -71,19 +72,25 @@ func TestStateDirGCOrphanedTmp(t *testing.T) {
 	}
 }
 
-// TestLoadResultQuarantinesCorruptMeta: a meta file that fails to parse or
-// names a different fingerprint is renamed to `.bad` and the lookup misses,
-// so the job re-runs instead of serving garbage.
+// TestLoadResultQuarantinesCorruptMeta: a result file whose metadata
+// header fails to parse or names a different fingerprint is renamed to
+// `.bad` and the lookup misses, so the job re-runs instead of serving
+// garbage. A result file of the layout that kept its metadata in a
+// separate file has no header: it misses too, but it is not damage, so it
+// stays in place and is not counted.
 func TestLoadResultQuarantinesCorruptMeta(t *testing.T) {
 	state, err := newStateDir(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(state.metaPath("aaaa"), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(state.metaPath("bbbb"), []byte(`{"fingerprint":"zzzz","exit":0}`), 0o644); err != nil {
-		t.Fatal(err)
+	for fp, data := range map[string]string{
+		"aaaa": resultMagic + "{torn\noutput",
+		"bbbb": resultMagic + `{"fingerprint":"zzzz","exit":0}` + "\noutput",
+		"cccc": "output, no header",
+	} {
+		if err := os.WriteFile(state.resultPath(fp), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, _, ok := state.loadResult("aaaa"); ok {
 		t.Fatal("torn meta served a result")
@@ -91,53 +98,78 @@ func TestLoadResultQuarantinesCorruptMeta(t *testing.T) {
 	if _, _, ok := state.loadResult("bbbb"); ok {
 		t.Fatal("fingerprint-mismatched meta served a result")
 	}
+	if _, _, ok := state.loadResult("cccc"); ok {
+		t.Fatal("a result without a header was served")
+	}
 	q := state.Quarantined()
 	if len(q) != 2 {
-		t.Fatalf("quarantined %v, want both corrupt meta files", q)
+		t.Fatalf("quarantined %v, want both corrupt result files", q)
 	}
 	for _, fp := range []string{"aaaa", "bbbb"} {
-		if _, err := os.Stat(state.metaPath(fp) + ".bad"); err != nil {
-			t.Fatalf("%s meta not renamed to .bad: %v", fp, err)
+		if _, err := os.Stat(state.resultPath(fp) + ".bad"); err != nil {
+			t.Fatalf("%s result not renamed to .bad: %v", fp, err)
 		}
+	}
+	if _, err := os.Stat(state.resultPath("cccc")); err != nil {
+		t.Fatalf("headerless result moved: %v", err)
 	}
 }
 
 // readCountingFS passes every call through to the real filesystem and
-// counts, per path, the calls that read a file's contents.
+// counts, per path, the bytes read from a file: a whole-file ReadFile, or
+// Read calls on a handle opened read-only.
 type readCountingFS struct {
 	iofault.FS
 	mu    sync.Mutex
 	reads map[string]int
 }
 
-func (c *readCountingFS) count(path string) {
+func (c *readCountingFS) count(path string, n int) {
 	c.mu.Lock()
-	c.reads[path]++
+	c.reads[path] += n
 	c.mu.Unlock()
 }
 
 func (c *readCountingFS) ReadFile(path string) ([]byte, error) {
-	c.count(path)
-	return c.FS.ReadFile(path)
+	data, err := c.FS.ReadFile(path)
+	c.count(path, len(data))
+	return data, err
 }
 
 func (c *readCountingFS) Open(path string) (iofault.File, error) {
-	c.count(path)
-	return c.FS.Open(path)
+	f, err := c.FS.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c, path: path}, nil
 }
 
 func (c *readCountingFS) OpenFile(path string, flag int, perm os.FileMode) (iofault.File, error) {
-	if flag&(os.O_WRONLY|os.O_RDWR) == 0 {
-		c.count(path)
+	f, err := c.FS.OpenFile(path, flag, perm)
+	if err != nil || flag&(os.O_WRONLY|os.O_RDWR) != 0 {
+		return f, err
 	}
-	return c.FS.OpenFile(path, flag, perm)
+	return &countingFile{File: f, fs: c, path: path}, nil
+}
+
+// countingFile counts the bytes read through it.
+type countingFile struct {
+	iofault.File
+	fs   *readCountingFS
+	path string
+}
+
+func (f *countingFile) Read(p []byte) (int, error) {
+	n, err := f.File.Read(p)
+	f.fs.count(f.path, n)
+	return n, err
 }
 
 // TestStartupReadsNoResultBodies: a restarting daemon learns which jobs are
-// done from their metadata and the presence of their result files, never
-// by reading result bodies, which are as large as the job's output. The
-// metadata is still read and validated, a job whose result file is missing
-// still counts as unfinished, and a corrupt meta file is still quarantined.
+// done from the metadata header of their result files, never by reading
+// result bodies, which are as large as the job's output. The header is
+// still read and validated, a job whose result file is missing still
+// counts as unfinished, and a corrupt header is still quarantined.
 func TestStartupReadsNoResultBodies(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, data string) {
@@ -146,16 +178,14 @@ func TestStartupReadsNoResultBodies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	body := strings.Repeat("output line\n", 4*resultHeaderMax)
 	for _, fp := range []string{"aaaa", "bbbb", "cccc"} { // done
 		write(fp+".spec.json", "{}")
-		write(fp+".result", "output of "+fp)
-		write(fp+".job.json", `{"fingerprint":"`+fp+`","exit":0}`)
+		write(fp+".result", resultMagic+`{"fingerprint":"`+fp+`","exit":0}`+"\n"+body)
 	}
-	write("dddd.spec.json", "{}") // meta but no result: unfinished
-	write("dddd.job.json", `{"fingerprint":"dddd","exit":0}`)
-	write("eeee.spec.json", "{}") // corrupt meta: quarantined, unfinished
-	write("eeee.result", "output of eeee")
-	write("eeee.job.json", "{torn")
+	write("dddd.spec.json", "{}") // no result: unfinished
+	write("eeee.spec.json", "{}") // corrupt header: quarantined, unfinished
+	write("eeee.result", resultMagic+"{torn\n"+body)
 
 	fsys := &readCountingFS{FS: iofault.OS, reads: map[string]int{}}
 	svc, resurrected, err := New(Config{StateDir: dir, Workers: 1, Queue: 1, FS: fsys})
@@ -169,18 +199,18 @@ func TestStartupReadsNoResultBodies(t *testing.T) {
 	if len(resurrected) != 0 {
 		t.Fatalf("resurrected %v, want none", resurrected)
 	}
-	want := []string{"dddd.spec.json", "eeee.job.json", "eeee.spec.json"}
+	want := []string{"dddd.spec.json", "eeee.result", "eeee.spec.json"}
 	if q := svc.state.Quarantined(); !slices.Equal(q, want) {
 		t.Errorf("quarantined %v, want %v", q, want)
 	}
 	for path, n := range fsys.reads {
-		if strings.HasSuffix(path, ".result") {
-			t.Errorf("start-up read %s %d times", filepath.Base(path), n)
+		if strings.HasSuffix(path, ".result") && n > resultHeaderMax {
+			t.Errorf("start-up read %d bytes of %s, more than its header", n, filepath.Base(path))
 		}
 	}
-	for _, fp := range []string{"aaaa", "bbbb", "cccc", "dddd", "eeee"} {
-		if fsys.reads[svc.state.metaPath(fp)] == 0 {
-			t.Errorf("start-up did not read %s's meta", fp)
+	for _, fp := range []string{"aaaa", "bbbb", "cccc", "eeee"} {
+		if fsys.reads[svc.state.resultPath(fp)] == 0 {
+			t.Errorf("start-up did not read %s's header", fp)
 		}
 	}
 }
@@ -214,19 +244,22 @@ func TestReadmitBackoffDeterministic(t *testing.T) {
 }
 
 // FuzzStateDirScan throws adversarial directory contents at the startup
-// scanner and the result loader: truncated JSON, fingerprint-mismatched
-// meta, stray files. Neither may panic; a loadResult hit must be backed by
-// meta that names the fingerprint it was looked up under.
+// scanner and the result loader: truncated or oversized headers,
+// fingerprint-mismatched metadata, headerless results, stray files.
+// Neither may panic; a loadResult hit must be backed by a header that
+// names the fingerprint it was looked up under, and must return the bytes
+// after it; a job the scan finds completed must load.
 func FuzzStateDirScan(f *testing.F) {
-	f.Add([]byte(`{"fingerprint":"abcd","exit":0}`), []byte(`{"version":1}`), []byte("output"), "stray.txt")
-	f.Add([]byte(`{"fingerprint":"zzzz"`), []byte(`not json`), []byte{}, "x.spec.json")
-	f.Add([]byte{0xff, 0xfe}, []byte(`{"version":1,"run":{}}`), []byte("o"), "y.job.json")
-	f.Add([]byte(``), []byte(``), []byte(``), "z.tmp")
-	f.Fuzz(func(t *testing.T, meta, spec, result []byte, stray string) {
+	f.Add([]byte(resultMagic+`{"fingerprint":"abcd","exit":0}`+"\noutput"), []byte(`{"version":1}`), "stray.txt")
+	f.Add([]byte(resultMagic+`{"fingerprint":"zzzz"`), []byte(`not json`), "x.spec.json")
+	f.Add([]byte{0xff, 0xfe}, []byte(`{"version":1,"run":{}}`), "y.job.json")
+	f.Add([]byte(``), []byte(``), "z.tmp")
+	f.Add([]byte(resultMagic+`{"fingerprint":"abcd","exit":3,"faults":1}`+"\n"), []byte(`{}`), "")
+	f.Add([]byte("output of the previous layout"), []byte(`{}`), "abcd.job.json")
+	f.Fuzz(func(t *testing.T, result, spec []byte, stray string) {
 		dir := t.TempDir()
 		const fp = "abcd"
 		files := map[string][]byte{
-			fp + ".job.json":  meta,
 			fp + ".spec.json": spec,
 			fp + ".result":    result,
 		}
@@ -242,13 +275,17 @@ func FuzzStateDirScan(f *testing.F) {
 		if err != nil {
 			t.Fatalf("newStateDir on adversarial dir: %v", err)
 		}
+		done := state.completed(fp)
 		output, m, ok := state.loadResult(fp)
+		if done && !ok {
+			t.Fatal("the scan found the job completed, but its result does not load")
+		}
 		if ok {
 			if m.Fingerprint != fp {
 				t.Fatalf("loadResult accepted meta for %q under %q", m.Fingerprint, fp)
 			}
-			if string(output) != string(result) {
-				t.Fatalf("loadResult returned %q, file holds %q", output, result)
+			if !bytes.HasSuffix(result, output) || len(output) >= len(result) {
+				t.Fatalf("loadResult returned %q, not the bytes after the header of %q", output, result)
 			}
 		}
 		if _, err := state.unfinished(); err != nil {

@@ -75,9 +75,10 @@ func TestResurrectQuarantinesCorruptSidecars(t *testing.T) {
 	}
 }
 
-// TestCorruptMetaRerunsJob: damage the completion meta of a finished job;
-// the restarted daemon must quarantine it, re-run the job from its (still
-// valid) sidecar, and converge on the identical result bytes.
+// TestCorruptMetaRerunsJob: damage the completion meta in the header of a
+// finished job's result file; the restarted daemon must quarantine the
+// file, re-run the job from its (still valid) sidecar, and converge on the
+// identical result bytes.
 func TestCorruptMetaRerunsJob(t *testing.T) {
 	dir := t.TempDir()
 	spec := buildSpec(t, "attack", "spatial", 1)
@@ -94,8 +95,17 @@ func TestCorruptMetaRerunsJob(t *testing.T) {
 	}
 	svc1.Drain()
 
-	metaPath := filepath.Join(dir, fp+".job.json")
-	if err := os.WriteFile(metaPath, []byte(`{"fingerprint":"not-this-job"`), 0o644); err != nil {
+	resultPath := filepath.Join(dir, fp+".result")
+	data, err := os.ReadFile(resultPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, body, found := bytes.Cut(data, []byte("\n"))
+	if !found || !bytes.Contains(header, []byte(fp)) || !bytes.Equal(body, first) {
+		t.Fatalf("result file does not hold a header naming %s and the output", fp)
+	}
+	header = bytes.Replace(header, []byte(fp), []byte("not-this-job"), 1)
+	if err := os.WriteFile(resultPath, append(append(header, '\n'), body...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

@@ -33,12 +33,9 @@ func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 // Spec builds the validated spec the parsed flags describe for the given
 // command. The name must be one the verb knows, spelled exactly.
 func (f *SpecFlags) Spec(verb, name string) (core.Spec, error) {
-	opts := []core.Option{core.WithWorkers(*f.workers)}
+	opts := []core.Option{core.WithWorkers(*f.workers), core.WithStepBudget(*f.stepBudget)}
 	if *f.full {
 		opts = append(opts, core.WithFull())
-	}
-	if *f.stepBudget > 0 {
-		opts = append(opts, core.WithStepBudget(*f.stepBudget))
 	}
 	if *f.faultsName != "" {
 		scenario, err := faults.Preset(*f.faultsName)

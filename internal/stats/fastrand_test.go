@@ -65,6 +65,44 @@ func TestFastMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestFastExpFloat64MatchesMathRand pins ExpFloat64 draw for draw against
+// rand.Rand.ExpFloat64, interleaved with Float64 so the two share one
+// stream as the lag trace's draws do. A million draws per seed reach the
+// base strip (i == 0, about 1 in 2^15 first draws) and the wedge test many
+// times each; the test peeks at each first draw to count both branches, so
+// a seed set that missed one would fail.
+func TestFastExpFloat64MatchesMathRand(t *testing.T) {
+	const draws = 1 << 20
+	var base, wedge int
+	for _, seed := range []int64{1, -7, 42, 1000008, 5577006791947779410} {
+		ref := rand.New(rand.NewSource(seed))
+		f := newFast(seed)
+		for step := 0; step < draws; step++ {
+			if step%5 == 4 {
+				if got, want := f.Float64(), ref.Float64(); got != want {
+					t.Fatalf("seed %d step %d Float64: got %v want %v", seed, step, got, want)
+				}
+				continue
+			}
+			if f.pos < fastLen {
+				j := uint32(int64(f.buf[f.pos]&^(1<<63)) >> 31)
+				if i := j & 0xFF; i == 0 && j >= expKe[0] {
+					base++
+				} else if j >= expKe[i] {
+					wedge++
+				}
+			}
+			if got, want := f.ExpFloat64(), ref.ExpFloat64(); got != want {
+				t.Fatalf("seed %d step %d ExpFloat64: got %v want %v", seed, step, got, want)
+			}
+		}
+	}
+	t.Logf("base-strip draws %d, wedge tests %d", base, wedge)
+	if base == 0 || wedge == 0 {
+		t.Fatalf("base-strip draws %d, wedge tests %d: a branch went untested", base, wedge)
+	}
+}
+
 // TestFastSeedReuse checks that re-seeding a used generator restarts the
 // stream exactly — the property Grid.Reset relies on for pooled reuse.
 func TestFastSeedReuse(t *testing.T) {

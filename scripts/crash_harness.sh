@@ -15,8 +15,9 @@
 #      state directory resumes the job and serves a result byte-identical
 #      to the uninterrupted run (DESIGN.md §14);
 #   4. decoder hardening — short fuzz smokes over the ckpt.v1 decoder, the
-#      journal reader, and the spec parser, partitiond's admission boundary
-#      for untrusted documents.
+#      journal reader, the spec parser (partitiond's admission boundary for
+#      untrusted documents) and the daemon's state-dir scan, which reads
+#      each result file's metadata header.
 set -eu
 
 GO=${GO:-go}
@@ -149,9 +150,10 @@ kill -TERM "$daemon"
 wait "$daemon" || {
 	echo "crash-harness: FAIL: second daemon exited non-zero"; exit 1; }
 
-echo "crash-harness: fuzz smokes (ckpt.v1 frame decoder, journal reader, spec parser)"
+echo "crash-harness: fuzz smokes (ckpt.v1 frame decoder, journal reader, spec parser, state-dir scan)"
 $GO test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
 $GO test -run '^$' -fuzz '^FuzzReadJournal$' -fuzztime 5s ./internal/checkpoint/ > /dev/null
 $GO test -run '^$' -fuzz '^FuzzParseSpec$' -fuzztime 5s ./internal/core/ > /dev/null
+$GO test -run '^$' -fuzz '^FuzzStateDirScan$' -fuzztime 5s ./internal/service/ > /dev/null
 
 echo "crash-harness: PASS"
