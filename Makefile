@@ -1,7 +1,8 @@
 # Tier-1 verification gate and performance tooling.
 #
 #   make check      — the tier-1 gate: build, vet, tests (the lint audit among
-#                     them), race tests, and the benchmark module's vet + tests
+#                     them), race tests, one run of every Go benchmark, and
+#                     the benchmark module's vet + tests
 #   make lint       — go vet + the root lint audit (all nine internal/lint analyzers)
 #   make ci         — the gate plus gofmt, the crash harness and the chaos proofs
 #   make crash      — kill/resume harness + fuzz smokes (DESIGN.md §11)
@@ -10,7 +11,7 @@
 #                     workloads (perfbench/README.md)
 GO ?= go
 
-.PHONY: all build vet lint test race perfbench check ci fmtcheck crash chaos bench clean
+.PHONY: all build vet lint test race benchonce perfbench check ci fmtcheck crash chaos bench clean
 
 all: check
 
@@ -48,10 +49,19 @@ test:
 # GOMAXPROCS 1 and the default, and four at once. In internal/core only the
 # evaluation sweep's tests run (TestCheckpointed*): the sweep's tasks append
 # to one journal, bump its counters and emit its trace events concurrently,
-# under one lock, and those tests drive that at four workers.
+# under one lock, and those tests drive that at four workers. So do the
+# population memo's (TestPopulationMemo*), which build studies of more
+# seeds than the memo holds from four goroutines at once.
 race:
 	$(GO) test -race -skip '^TestTraceGolden$$' ./internal/faults/... ./internal/parallel/... ./internal/obs/... ./internal/checkpoint/... ./internal/gridsim/... ./internal/topology/... ./internal/dataset/...
-	$(GO) test -race -run '^TestCheckpointed' ./internal/core/
+	$(GO) test -race -run '^(TestCheckpointed|TestPopulationMemo)' ./internal/core/
+
+# benchonce runs every Go benchmark for one iteration and no tests. The
+# benchmarks' own set-up and checks run nowhere else, so without it a
+# benchmark that no longer runs (one that reads a field its trace no longer
+# fills, say) would pass the gate. It takes a few seconds.
+benchonce:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # perfbench vets and tests the benchmark harness. perfbench/ is a module of
 # its own (replace repro => ../), so the root ./... patterns never compile
@@ -63,7 +73,7 @@ perfbench:
 
 # check is the tier-1 gate every PR must keep green (see README). It takes
 # vet rather than lint because test already runs the lint audit.
-check: build vet test race perfbench
+check: build vet test race benchonce perfbench
 
 # fmtcheck fails if any file is not gofmt-clean.
 fmtcheck:

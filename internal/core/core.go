@@ -8,6 +8,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/dataset"
@@ -154,24 +155,59 @@ func New(seed int64, opts ...Option) (*Study, error) {
 	return newStudy(seed, Options{}, opts)
 }
 
-// populations memoizes the synthetic population per generation seed. The
-// build is nearly all of study construction (the rest is a copy-on-write
-// route-table fork) and deterministic in the seed, so studies sharing a
-// seed share one copy built exactly once — even when constructed
-// concurrently. The memoized copy is never mutated: the only mutable part,
-// the BGP route table the spatial attacks and defenses announce into and
-// purge, is forked per study by newStudy.
-var populations sync.Map // int64 -> *popEntry
+// populations memoizes the synthetic population of the most recently used
+// generation seeds. The build is nearly all of study construction (the rest
+// is a copy-on-write route-table fork) and deterministic in the seed, so
+// studies sharing a seed share one copy built exactly once — even when
+// constructed concurrently. The memoized copy is never mutated: the only
+// mutable part, the BGP route table the spatial attacks and defenses
+// announce into and purge, is forked per study by newStudy.
+var populations popMemo
+
+// popMemoSeeds bounds the memo. A population is about 3.7 MB, so an
+// unbounded memo grows by that much for every new seed a long-lived daemon
+// or sweep sees; eight seeds hold it near 30 MB and still cover the few
+// seeds a session's repeated jobs cycle through (a daemon's clients
+// typically name a handful). Evicting a seed only costs a rebuild, which
+// yields the same rows.
+const popMemoSeeds = 8
+
+// popMemo is the bounded memo: its entries in order of last use, oldest
+// first.
+type popMemo struct {
+	mu     sync.Mutex
+	recent []*popEntry
+}
 
 type popEntry struct {
+	seed int64
 	once sync.Once
 	pop  *dataset.Population
 	err  error
 }
 
+// entry returns seed's entry, marked most recently used, adding it (and
+// evicting the least recently used one past the bound) when absent.
+func (m *popMemo) entry(seed int64) *popEntry {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	i := slices.IndexFunc(m.recent, func(e *popEntry) bool { return e.seed == seed })
+	var e *popEntry
+	if i >= 0 {
+		e = m.recent[i]
+		m.recent = slices.Delete(m.recent, i, i+1)
+	} else {
+		e = &popEntry{seed: seed}
+		if len(m.recent) == popMemoSeeds {
+			m.recent = slices.Delete(m.recent, 0, 1)
+		}
+	}
+	m.recent = append(m.recent, e)
+	return e
+}
+
 func generatePopulation(seed int64) (*dataset.Population, error) {
-	v, _ := populations.LoadOrStore(seed, &popEntry{})
-	e := v.(*popEntry)
+	e := populations.entry(seed)
 	e.once.Do(func() { e.pop, e.err = dataset.Generate(seed) })
 	return e.pop, e.err
 }

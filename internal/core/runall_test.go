@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/parallel"
 )
 
 func workerStudy(t *testing.T, workers int) *Study {
@@ -19,7 +22,9 @@ func workerStudy(t *testing.T, workers int) *Study {
 
 // TestPopulationMemoized pins that a seed's population is generated once:
 // studies of one seed share the generated node and AS rows (one backing
-// array each), while a different seed builds its own.
+// array each), while a different seed builds its own. The memo keeps the
+// popMemoSeeds most recently used seeds: one seed more evicts the least
+// recently used, and a study of an evicted seed rebuilds the same rows.
 func TestPopulationMemoized(t *testing.T) {
 	a, err := New(1)
 	if err != nil {
@@ -38,6 +43,55 @@ func TestPopulationMemoized(t *testing.T) {
 	}
 	if &c.Pop.Nodes[0] == &a.Pop.Nodes[0] {
 		t.Error("different seeds share a population")
+	}
+	for seed := int64(3); seed <= popMemoSeeds+1; seed++ {
+		if _, err := New(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d, err := New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &d.Pop.Nodes[0] != &c.Pop.Nodes[0] {
+		t.Errorf("seed 2 was evicted with %d seeds in use", popMemoSeeds)
+	}
+	e, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &e.Pop.Nodes[0] == &a.Pop.Nodes[0] {
+		t.Errorf("seed 1 is still memoized after %d newer seeds", popMemoSeeds)
+	}
+	if !reflect.DeepEqual(e.Pop.Nodes, a.Pop.Nodes) || !reflect.DeepEqual(e.Pop.ASRows, a.Pop.ASRows) {
+		t.Error("seed 1 rebuilt after eviction differs from its first build")
+	}
+}
+
+// TestPopulationMemoConcurrent builds studies of more seeds than the memo
+// holds from four goroutines at once, so seeds are evicted while others
+// are being built and looked up: every study must still carry its seed's
+// population. make race runs it.
+func TestPopulationMemoConcurrent(t *testing.T) {
+	const seeds = popMemoSeeds + 4
+	want := make([]*dataset.Population, seeds)
+	for i := range want {
+		p, err := dataset.Generate(int64(i + 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+	_, err := parallel.Map(4, 3*seeds, func(task int) (struct{}, error) {
+		i := task % seeds
+		s, err := New(int64(i + 1))
+		if err == nil && (!reflect.DeepEqual(s.Pop.Nodes, want[i].Nodes) || !reflect.DeepEqual(s.Pop.ASRows, want[i].ASRows)) {
+			t.Errorf("study of seed %d carries another population", i+1)
+		}
+		return struct{}{}, err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

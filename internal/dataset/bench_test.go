@@ -64,9 +64,10 @@ func BenchmarkMaxVulnerable(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr, err := pop.RunTrace(TraceConfig{
-		Duration:    7 * 24 * time.Hour,
-		SampleEvery: 10 * time.Minute,
-		Seed:        3,
+		Duration:             7 * 24 * time.Hour,
+		SampleEvery:          10 * time.Minute,
+		Seed:                 3,
+		VulnerabilityWindows: DefaultVulnerabilityWindows(),
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -3,7 +3,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -116,14 +115,27 @@ type Trace struct {
 	Blocks int
 }
 
-// idle is the catch-up time of a node with no catch-up pending: it is past
-// every trace instant, so a synced node never passes the "catch-up due"
-// test and needs no separate flag.
-const idle = time.Duration(math.MaxInt64)
+// bucketOf maps a node's lag, its blocks behind clamped to 11 (0 when
+// synced), to its Buckets index.
+var bucketOf = [12]uint8{0, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 4}
 
-// bucketOf maps blocks-behind 0..10 to its Buckets index; more than 10
-// behind is bucket 4.
-var bucketOf = [11]uint8{0, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3}
+// classOf maps blocks behind, clamped to 5, to a lagging node's Table V
+// threshold class: behind 1, 2-4, >=5.
+var classOf = [6]uint8{0, 0, 1, 1, 1, 2}
+
+// pending is 1 when a catch-up at c is still pending at now and 0 when it
+// is due (c <= now). Catch-up times and instants are never negative, so
+// now-c cannot overflow and its sign bit is the answer, with no branch.
+func pending(c, now time.Duration) int32 {
+	return int32(uint64(now-c) >> 63)
+}
+
+// atMost returns min(x, hi) without a branch, for x and hi whose
+// difference fits an int32 (block heights are far smaller).
+func atMost(x, hi int32) int32 {
+	d := x - hi
+	return hi + d&(d>>31)
+}
 
 // lagView is the lag state the sample step reads: the kernel's live
 // arrays, or a snapshot of them taken at a sample instant. Index i is the
@@ -132,7 +144,8 @@ var bucketOf = [11]uint8{0, 1, 2, 2, 2, 3, 3, 3, 3, 3, 3}
 type lagView struct {
 	// syncedTo is the height the node has fully verified.
 	syncedTo []int32
-	// catchupAt is when the node jumps to the tip, idle if synced.
+	// catchupAt is when the node next jumps to the tip. Every node always
+	// has one: a node is synced at t exactly when catchupAt <= t.
 	catchupAt []time.Duration
 	tip       int32
 }
@@ -143,6 +156,9 @@ type lagView struct {
 type traceKernel struct {
 	// lambda is the catch-up rate 1/MeanCatchup.Seconds().
 	lambda []float64
+	// due is the block step's scratch: the indices of the nodes whose
+	// catch-up is due at the block, ascending, in its first n slots.
+	due []int32
 	lagView
 }
 
@@ -162,7 +178,9 @@ type traceSampler struct {
 }
 
 // compileTrace lays out the kernel for the population's up nodes, all
-// synced at height 0, and the sampler that reads it.
+// synced at height 0 and caught up at time 0, and the sampler that reads
+// it. The first block finds every catch-up due and fires it with prev 0,
+// which leaves the node at height 0 and draws its first delay.
 func (p *Population) compileTrace(cfg TraceConfig) (*traceKernel, *traceSampler) {
 	up := 0
 	for i := range p.Nodes {
@@ -172,6 +190,7 @@ func (p *Population) compileTrace(cfg TraceConfig) (*traceKernel, *traceSampler)
 	}
 	k := &traceKernel{
 		lambda: make([]float64, 0, up),
+		due:    make([]int32, up),
 		lagView: lagView{
 			syncedTo:  make([]int32, up),
 			catchupAt: make([]time.Duration, up),
@@ -203,32 +222,34 @@ func (p *Population) compileTrace(cfg TraceConfig) (*traceKernel, *traceSampler)
 			sm.slot = append(sm.slot, s)
 		}
 	}
-	for i := range k.catchupAt {
-		k.catchupAt[i] = idle
-	}
 	return k, sm
 }
 
-// block publishes a block at now: a due catch-up fires first (to the tip
-// before this block), then every node without a pending catch-up draws
-// one, its delay stretched by the episode factor slow.
+// block publishes a block at now: every due catch-up fires (to the tip
+// before this block) and draws the node's next one, its delay stretched by
+// the episode factor slow. Nodes mid-catch-up fall further behind; their
+// catchupAt stands (they will sync to the tip as of that moment).
+//
+// About half the nodes are due at a block, so a per-node "due?" branch
+// would mispredict on every other node. The first pass writes every index
+// into due and advances the cursor by the due bit; the second walks the
+// due indices in ascending order, which is the draw order.
 //
 //hot:path
 func (k *traceKernel) block(rng *stats.Fast, now time.Duration, slow float64) {
 	prev := k.tip
 	k.tip++
+	due := k.due
+	n := 0
 	for i, c := range k.catchupAt {
-		if c <= now {
-			k.syncedTo[i] = prev
-			c = idle
-		}
-		if c == idle {
-			delay := rng.ExpFloat64() / k.lambda[i]
-			delay *= slow
-			k.catchupAt[i] = now + time.Duration(delay*float64(time.Second))
-		}
-		// Nodes mid-catch-up fall further behind; their catchupAt
-		// stands (they will sync to the tip as of that moment).
+		due[n] = int32(i)
+		n += int(1 - pending(c, now))
+	}
+	for _, i := range due[:n] {
+		k.syncedTo[i] = prev
+		delay := rng.ExpFloat64() / k.lambda[i]
+		delay *= slow
+		k.catchupAt[i] = now + time.Duration(delay*float64(time.Second))
 	}
 }
 
@@ -240,43 +261,51 @@ func (k *traceKernel) block(rng *stats.Fast, now time.Duration, slow float64) {
 // block fires it with the same tip, and every sample before that block
 // sees it due as well.
 //
+// Each fold is its own pass, and the bucket and per-AS passes take no
+// per-node branch: a due node's lag is forced to 0 and its AS slot gains
+// its due bit. The bucket counts alternate between two rows so that
+// consecutive increments do not wait on one memory slot.
+//
 //hot:path
 func (sm *traceSampler) sample(v *lagView, now time.Duration, s *Sample) {
+	tip := v.tip
+	syncedTo := v.syncedTo[:len(v.catchupAt)]
+	var counts [2][len(bucketOf)]int32
+	for i, c := range v.catchupAt {
+		lag := atMost(tip-syncedTo[i], int32(len(bucketOf)-1)) * pending(c, now)
+		counts[i&1][lag]++
+	}
+	for lag, b := range bucketOf {
+		s.Buckets[b] += int(counts[0][lag] + counts[1][lag])
+	}
+	s.UpNodes = len(v.catchupAt)
+	if synced := s.ASSynced; synced != nil {
+		slot := sm.slot[:len(v.catchupAt)]
+		for i, c := range v.catchupAt {
+			synced[slot[i]] += 1 - pending(c, now)
+		}
+	}
+	if len(sm.windows) == 0 {
+		return
+	}
 	for j := range sm.hist {
 		sm.hist[j] = [3]int{}
 	}
-	tip := v.tip
+	first := sm.windows[0]
 	for i, c := range v.catchupAt {
-		// A node is synced exactly when no catch-up is pending: it went
-		// pending when the first block it lacks arrived.
-		if c <= now || c == idle {
-			s.Buckets[0]++
-			if s.ASSynced != nil {
-				s.ASSynced[sm.slot[i]]++
-			}
-			continue
-		}
-		behind := tip - v.syncedTo[i]
-		b := 4
-		if behind <= 10 {
-			b = int(bucketOf[behind])
-		}
-		s.Buckets[b]++
-		if len(sm.windows) == 0 {
-			continue
-		}
-		// The node is vulnerable for the leading windows its remaining lag
-		// reaches.
+		// A node is vulnerable for the leading windows its remaining lag
+		// reaches. Most nodes reach none (a due node's remaining lag is
+		// not positive), so the scan stops at the first window.
 		remaining := c - now
-		w := 0
+		if remaining < first {
+			continue
+		}
+		w := 1
 		for w < len(sm.windows) && remaining >= sm.windows[w] {
 			w++
 		}
-		if w > 0 {
-			sm.hist[w][min(b-1, 2)]++
-		}
+		sm.hist[w][classOf[atMost(tip-syncedTo[i], int32(len(classOf)-1))]]++
 	}
-	s.UpNodes = len(v.catchupAt)
 	// Vulnerable[wi][ti] counts nodes reaching window wi or later in class
 	// ti or higher: a suffix sum over both axes of hist.
 	var acc [3]int

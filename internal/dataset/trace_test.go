@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/parallel"
 	"repro/internal/stats"
+	"repro/internal/topology"
 )
 
 func runTrace(t *testing.T, cfg TraceConfig) *Trace {
@@ -301,33 +303,107 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// traceOracle is RunTrace's sequential event loop from before the pipeline:
-// one goroutine advancing blocks and sampling the live arrays in time
-// order.
+// traceOracle is the lag process as the sequential event loop RunTrace
+// replaced: one goroutine advancing blocks and sampling the live state in
+// time order, with the kernel's former layout. An idle sentinel marks a
+// node with no catch-up pending, the block and sample steps branch per
+// node, and Vulnerable is the direct count over windows and thresholds. It
+// shares only the episode schedule helpers with RunTrace.
 func traceOracle(p *Population, cfg TraceConfig) *Trace {
+	const idle = time.Duration(math.MaxInt64)
 	cfg = cfg.withDefaults()
 	rng := new(stats.Fast)
 	rng.Seed(cfg.Seed)
-	k, sm := p.compileTrace(cfg)
-	episodes := drawEpisodes(rng, cfg)
-	nw := len(cfg.VulnerabilityWindows)
-	tr := &Trace{Config: cfg, ASNs: sm.slotASN}
-	nextBlock := time.Duration(rng.ExpFloat64() / (1 / BlockInterval.Seconds()) * float64(time.Second))
-	for nextSample := cfg.SampleEvery; nextSample <= cfg.Duration; {
-		if nextBlock <= nextSample {
-			tr.Blocks++
-			k.block(rng, nextBlock, episodeMultiplier(episodes, nextBlock))
-			nextBlock += time.Duration(rng.ExpFloat64() / (1 / BlockInterval.Seconds()) * float64(time.Second))
+	tr := &Trace{Config: cfg}
+	var lambda []float64
+	var slot []int32
+	slots := map[topology.ASN]int32{}
+	for i := range p.Nodes {
+		n := &p.Nodes[i]
+		if !n.Up {
 			continue
 		}
-		s := Sample{T: nextSample, EpisodeActive: episodeMultiplier(episodes, nextSample) > 1}
-		if nw > 0 {
-			s.Vulnerable = make([][3]int, nw)
+		lambda = append(lambda, 1/n.MeanCatchup.Seconds())
+		s, ok := slots[n.ASN]
+		if !ok {
+			s = int32(len(tr.ASNs))
+			slots[n.ASN] = s
+			tr.ASNs = append(tr.ASNs, n.ASN)
+		}
+		slot = append(slot, s)
+	}
+	if !cfg.TrackSyncedByAS {
+		tr.ASNs = nil
+	}
+	syncedTo := make([]int32, len(lambda))
+	catchupAt := make([]time.Duration, len(lambda))
+	for i := range catchupAt {
+		catchupAt[i] = idle
+	}
+	var tip int32
+	episodes := drawEpisodes(rng, cfg)
+	windows := cfg.VulnerabilityWindows
+	blockRate := 1 / BlockInterval.Seconds()
+	nextBlock := time.Duration(rng.ExpFloat64() / blockRate * float64(time.Second))
+	for nextSample := cfg.SampleEvery; nextSample <= cfg.Duration; {
+		if nextBlock <= nextSample {
+			now := nextBlock
+			tr.Blocks++
+			slow := episodeMultiplier(episodes, now)
+			prev := tip
+			tip++
+			for i, c := range catchupAt {
+				if c <= now {
+					syncedTo[i] = prev
+					c = idle
+				}
+				if c == idle {
+					delay := rng.ExpFloat64() / lambda[i]
+					delay *= slow
+					catchupAt[i] = now + time.Duration(delay*float64(time.Second))
+				}
+			}
+			nextBlock = now + time.Duration(rng.ExpFloat64()/blockRate*float64(time.Second))
+			continue
+		}
+		now := nextSample
+		s := Sample{T: now, UpNodes: len(catchupAt), EpisodeActive: episodeMultiplier(episodes, now) > 1}
+		if len(windows) > 0 {
+			s.Vulnerable = make([][3]int, len(windows))
 		}
 		if cfg.TrackSyncedByAS {
-			s.ASSynced = make([]int32, len(sm.slotASN))
+			s.ASSynced = make([]int32, len(tr.ASNs))
 		}
-		sm.sample(&k.lagView, nextSample, &s)
+		for i, c := range catchupAt {
+			if c <= now || c == idle {
+				s.Buckets[0]++
+				if s.ASSynced != nil {
+					s.ASSynced[slot[i]]++
+				}
+				continue
+			}
+			behind := tip - syncedTo[i]
+			switch {
+			case behind == 1:
+				s.Buckets[1]++
+			case behind <= 4:
+				s.Buckets[2]++
+			case behind <= 10:
+				s.Buckets[3]++
+			default:
+				s.Buckets[4]++
+			}
+			for wi, w := range windows {
+				if c-now < w {
+					break
+				}
+				for ti, th := range lagThresholds {
+					if int(behind) >= th {
+						s.Vulnerable[wi][ti]++
+					}
+				}
+			}
+		}
 		tr.Samples = append(tr.Samples, s)
 		nextSample += cfg.SampleEvery
 	}
@@ -337,7 +413,9 @@ func traceOracle(p *Population, cfg TraceConfig) *Trace {
 // TestRunTraceMatchesSequentialOracle compares the two-task RunTrace with
 // the sequential loop it replaced: sample counts around the phase length
 // (1, 7, 8, 9, 17) with Table V's windows, tracked traces without them,
-// and an episode-heavy trace with both;
+// an episode-heavy trace with both, and two hours at 1-minute sampling
+// with both, where about ten samples fall between two blocks and see
+// catch-ups that fell due but have not fired;
 // each at GOMAXPROCS 1, where the gang runs both tasks inline, at the
 // default width, and four traces at once through parallel.Map as RunAll
 // runs them. It is the pipeline's concurrency check under the race
@@ -354,6 +432,7 @@ func TestRunTraceMatchesSequentialOracle(t *testing.T) {
 		TraceConfig{Duration: 9 * m, SampleEvery: m, Seed: 6, TrackSyncedByAS: true},
 		TraceConfig{Duration: 17 * m, SampleEvery: m, Seed: 7, TrackSyncedByAS: true},
 		TraceConfig{Duration: 17 * 3 * m, SampleEvery: 3 * m, Seed: 8, EpisodesPerDay: 20, TrackSyncedByAS: true, VulnerabilityWindows: w},
+		TraceConfig{Duration: 2*time.Hour + 30*time.Second, SampleEvery: time.Minute, Seed: 9, TrackSyncedByAS: true, VulnerabilityWindows: w},
 	)
 	want := make([]string, len(cfgs))
 	episode := false

@@ -294,19 +294,6 @@ func (c *ChaosFS) ReadFile(path string) ([]byte, error) {
 	return data, nil
 }
 
-func (c *ChaosFS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	f, err := c.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, perm)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(data)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
 func (c *ChaosFS) Rename(oldpath, newpath string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -67,9 +67,6 @@ type FS interface {
 	Open(path string) (File, error)
 	// ReadFile reads the whole file.
 	ReadFile(path string) ([]byte, error)
-	// WriteFile writes data to path in one call (create + truncate). Like
-	// os.WriteFile it does NOT sync: the bytes may be lost at power-off.
-	WriteFile(path string, data []byte, perm os.FileMode) error
 	// Rename atomically replaces newpath with oldpath.
 	Rename(oldpath, newpath string) error
 	// Remove deletes path.
@@ -109,10 +106,6 @@ func (OSFS) OpenFile(path string, flag int, perm os.FileMode) (File, error) {
 func (OSFS) Open(path string) (File, error) { return os.Open(path) }
 
 func (OSFS) ReadFile(path string) ([]byte, error) { return os.ReadFile(path) }
-
-func (OSFS) WriteFile(path string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(path, data, perm)
-}
 
 func (OSFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
