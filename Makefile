@@ -1,10 +1,10 @@
 # Tier-1 verification gate and performance tooling.
 #
-#   make check      — the tier-1 gate: build, vet, tests (the lint audit among
-#                     them), race tests, one run of every Go benchmark, and
-#                     the benchmark module's vet + tests
+#   make check      — the tier-1 gate: build, vet, gofmt, tests (the lint
+#                     audit among them), race tests, one run of every Go
+#                     benchmark, and the benchmark module's vet + tests
 #   make lint       — go vet + the root lint audit (all nine internal/lint analyzers)
-#   make ci         — the gate plus gofmt, the crash harness and the chaos proofs
+#   make ci         — the gate plus the crash harness and the chaos proofs
 #   make crash      — kill/resume harness + fuzz smokes (DESIGN.md §11)
 #   make chaos      — exhaustive crash-point recovery proofs (DESIGN.md §15)
 #   make bench      — the benchmark: perfbench's sweep, scale and daemon
@@ -72,8 +72,10 @@ perfbench:
 	$(GO) -C perfbench test ./...
 
 # check is the tier-1 gate every PR must keep green (see README). It takes
-# vet rather than lint because test already runs the lint audit.
-check: build vet test race benchonce perfbench
+# vet rather than lint because test already runs the lint audit, and runs
+# fmtcheck (under a second) so a gofmt regression fails the gate, not only
+# ci.
+check: build vet fmtcheck test race benchonce perfbench
 
 # fmtcheck fails if any file is not gofmt-clean.
 fmtcheck:
@@ -98,9 +100,9 @@ chaos:
 	CHAOS_EXHAUSTIVE=1 $(GO) test -run 'TestChaos' -count=1 ./internal/integration/
 
 # ci is the single command a CI workflow should run: the full tier-1 gate
-# plus formatting cleanliness, the kill/resume harness, and the exhaustive
-# chaos crash-point proofs.
-ci: check fmtcheck crash chaos
+# (formatting included), the kill/resume harness, and the exhaustive chaos
+# crash-point proofs.
+ci: check crash chaos
 
 # bench runs the one benchmark harness, perfbench, on each of its three
 # workloads: the in-process paper sweep, the paper-scale kernels, and the

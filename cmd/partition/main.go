@@ -23,19 +23,26 @@
 //
 // Usage:
 //
-//	partition experiment <table1..table8|figure1..figure8|figure6a..figure6c|healstudy|all> [-seed N] [-full] [-faults SCENARIO]
+//	partition experiment <name> [-seed N] [-full] [-faults SCENARIO]
 //	partition experiment all [-checkpoint DIR] [-resume] [-onfault degrade|fail] [-stepbudget N]
-//	partition attack <spatial|temporal|spatiotemporal|logical|doublespend|majority51|cascade> [-seed N] [-faults SCENARIO]
-//	partition defend <blockaware|stratum|routeguard|placement> [-seed N]
-//	partition export <figure3|figure4|figure6a..figure6c|figure8|table5|table6> [-seed N]   CSV to stdout
+//	partition attack <plan> [-seed N] [-faults SCENARIO]
+//	partition defend <countermeasure> [-seed N]
+//	partition export <name> [-seed N]   CSV to stdout
 //	partition spec <verb> <name> [flags]   print the spec JSON without running
+//
+// The names each verb takes are the entries of core's command table (the
+// tables and figures, healstudy and all; the attack plans; the §VI
+// countermeasures; the CSV exports). `partition` without arguments lists
+// them.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/internal/checkpoint"
@@ -86,7 +93,7 @@ func run(args []string) (int, error) {
 	default:
 		return service.ExitHardError, fmt.Errorf("unknown -onfault policy %q (degrade, fail)", *onFault)
 	}
-	if (*ckptDir != "" || *resume) && (verb != "experiment" || noun != "all") {
+	if (*ckptDir != "" || *resume) && (core.Command{Verb: verb, Name: noun}) != core.ExperimentAll {
 		return service.ExitHardError, fmt.Errorf("-checkpoint/-resume apply only to `experiment all`")
 	}
 	if *resume && *ckptDir == "" {
@@ -99,7 +106,7 @@ func run(args []string) (int, error) {
 	}
 	spec, err := sf.Spec(verb, noun)
 	if err != nil {
-		if verb != "experiment" && verb != "attack" && verb != "defend" && verb != "export" {
+		if !slices.ContainsFunc(core.Commands(), func(c core.Command) bool { return c.Verb == verb }) {
 			return service.ExitHardError, usageError()
 		}
 		return service.ExitHardError, err
@@ -215,12 +222,20 @@ func writeObservations(observer *obs.Observer, tracePath string, metrics bool) e
 	return f.Close()
 }
 
+// usageError lists every command of the command table, grouped by verb.
 func usageError() error {
-	return fmt.Errorf("usage: partition <experiment|attack|defend|export|spec> <name> [-seed N] [-full] [-workers N] [-faults SCENARIO]\n" +
-		"  experiments: table1..table8, figure1..figure8 (figure6a/b/c), healstudy, all\n" +
-		"  attacks:     spatial, temporal, spatiotemporal, logical, doublespend, majority51, cascade\n" +
-		"  defenses:    blockaware, stratum, routeguard, placement\n" +
-		"  exports:     figure3, figure4, figure6a/b/c, figure8, table5, table6 (CSV to stdout)\n" +
-		"  spec:        print the canonical spec JSON for <verb> <name> instead of running it\n" +
-		"  -faults runs every simulation under a fault scenario: " + strings.Join(faults.PresetNames(), ", "))
+	var b strings.Builder
+	b.WriteString("usage: partition <experiment|attack|defend|export|spec> <name> [-seed N] [-full] [-workers N] [-faults SCENARIO]")
+	verb := ""
+	for _, c := range core.Commands() {
+		if c.Verb == verb {
+			b.WriteString(", " + c.Name)
+			continue
+		}
+		verb = c.Verb
+		fmt.Fprintf(&b, "\n  %-11s %s", verb+":", c.Name)
+	}
+	b.WriteString("\n  spec:       print the canonical spec JSON for <verb> <name> instead of running it\n" +
+		"  export writes CSV to stdout; -faults runs every simulation under a fault scenario: " + strings.Join(faults.PresetNames(), ", "))
+	return errors.New(b.String())
 }

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestPlanParamsCoverRegistry: every registered plan has a parameter
-// document and nothing documents a plan that does not exist.
+// TestPlanParamsCoverRegistry: every registered plan has a non-empty
+// parameter document. (A document for a plan that does not exist cannot be
+// written: the document is a field of the registry entry.)
 func TestPlanParamsCoverRegistry(t *testing.T) {
 	for _, name := range PlanNames() {
 		doc, err := PlanParams(name)
@@ -22,9 +23,6 @@ func TestPlanParamsCoverRegistry(t *testing.T) {
 		if len(decoded) == 0 {
 			t.Errorf("%s: empty parameter document", name)
 		}
-	}
-	if len(planParams) != len(PlanNames()) {
-		t.Errorf("params document %d plans, registry has %d", len(planParams), len(PlanNames()))
 	}
 }
 
@@ -47,7 +45,7 @@ func TestPlanParamsStable(t *testing.T) {
 	}
 }
 
-// TestPlanParamsUnknown mirrors NewPlan's unknown-name contract.
+// TestPlanParamsUnknown mirrors RunPlan's unknown-name contract.
 func TestPlanParamsUnknown(t *testing.T) {
 	_, err := PlanParams("warpdrive")
 	if err == nil || !strings.Contains(err.Error(), "registry") {

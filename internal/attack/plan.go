@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -11,30 +12,17 @@ import (
 	"repro/internal/obs"
 )
 
-// The Plan interface unifies the seven attack entry points behind one
-// shape: a named scenario that runs against a simulation and reports a
-// paper-style summary plus headline metrics. cmd/partition dispatches
-// attacks from the sorted registry below instead of a hand-rolled switch,
-// and new scenarios register here instead of forking the CLI.
-
-// Plan is one registered attack scenario.
-type Plan interface {
-	// Name is the registry key (the CLI's attack noun).
-	Name() string
-	// Run executes the scenario on the simulation(s) it builds from its
-	// Env. Headline metrics are merged into the Env's observer registry,
-	// and the summary is emitted to its tracer so recorded traces replay
-	// it (ReplaySummaries).
-	Run() (Result, error)
-}
+// The seven attack scenarios sit behind one registry: a name mapped to the
+// function that runs the scenario and the parameters it bakes in. The
+// command table in core turns every entry into an `attack <name>` command,
+// and partitiond's /v1/plans serves the same entries with their parameters.
 
 // Result is a completed plan's outcome.
-type Result interface {
-	// Summary is the paper-style text the CLI prints, byte-identical to
-	// the pre-registry hand-rolled output.
-	Summary() string
-	// Metrics returns the plan's headline metrics, sorted by name.
-	Metrics() obs.Snapshot
+type Result struct {
+	// Summary is the paper-style text the CLI prints.
+	Summary string
+	// Metrics are the plan's headline metrics, sorted by name.
+	Metrics obs.Snapshot
 }
 
 // Env carries the study-level context a plan needs to build its scenario:
@@ -51,64 +39,136 @@ type Env struct {
 	Obs          *obs.Observer
 	Faults       faults.Scenario
 	NewSim       func(n int, seed int64) (*netsim.Simulation, error)
+	// plan is the registry name of the running plan, set by RunPlan.
+	plan string
 }
-
-// planResult is the concrete Result all plans return.
-type planResult struct {
-	name    string
-	summary string
-	metrics obs.Snapshot
-}
-
-func (r planResult) Summary() string       { return r.summary }
-func (r planResult) Metrics() obs.Snapshot { return r.metrics }
 
 // finish seals a plan run: headline metrics merge into the Env's observer,
 // and the summary goes into the trace as an "attack"/"summary" event so a
 // recorded JSONL stream replays it.
-func (e Env) finish(name, summary string, local *obs.Registry, tick int64) Result {
+func (e Env) finish(summary string, local *obs.Registry, tick int64) Result {
 	e.Obs.Registry().Merge(local)
 	e.Obs.Tracer().Emit(tick, "attack", "summary",
-		obs.F("plan", name), obs.F("text", summary))
-	return planResult{name: name, summary: summary, metrics: local.Snapshot()}
+		obs.F("plan", e.plan), obs.F("text", summary))
+	return Result{Summary: summary, Metrics: local.Snapshot()}
 }
 
-// planRegistry maps registry keys to constructors. Registration is static:
-// the set of attacks is the paper's, and a sorted, compile-time-known
-// registry keeps the CLI's dispatch and error text deterministic.
-var planRegistry = map[string]func(Env) Plan{
-	"cascade":        func(e Env) Plan { return &cascadePlan{env: e} },
-	"doublespend":    func(e Env) Plan { return &doubleSpendPlan{env: e} },
-	"logical":        func(e Env) Plan { return &logicalPlan{env: e} },
-	"majority51":     func(e Env) Plan { return &majorityPlan{env: e} },
-	"spatial":        func(e Env) Plan { return &spatialPlan{env: e} },
-	"spatiotemporal": func(e Env) Plan { return &spatioTemporalPlan{env: e} },
-	"temporal":       func(e Env) Plan { return &temporalPlan{env: e} },
+// plan is one registered scenario: its runner and the canonical parameter
+// document /v1/plans serves for it. The parameters are baked into the
+// runner (they come from the paper's §V setups and are part of the
+// byte-identical summary contract); the document describes them, so an
+// entry's two halves sit side by side and are edited together. Durations
+// are Go duration strings, shares fractions.
+type plan struct {
+	run    func(Env) (Result, error)
+	params map[string]any
+}
+
+// plans is the registry. Registration is static: the set of attacks is the
+// paper's, and a sorted, compile-time-known registry keeps dispatch and
+// error text deterministic.
+var plans = map[string]plan{
+	"cascade": {runCascade, map[string]any{
+		"victim_as":     24940,
+		"as_size":       30,
+		"border_nodes":  6,
+		"cut_fractions": []float64{0.1, 0.2, 0.5},
+		"run_for":       "12h",
+		"seed_salt":     7,
+	}},
+	"doublespend": {runDoubleSpend, map[string]any{
+		"attacker_share": 0.30,
+		"victims":        "n/10 lagging nodes",
+		"hold_for":       "8h",
+		"heal_for":       "4h",
+		"track_payment":  true,
+		"seed_salt":      5,
+	}},
+	"logical": {runLogical, map[string]any{
+		"cve":           "CVE-2018-17144",
+		"top_targets":   3,
+		"capture_tiers": []int{1, 2, 20, 100},
+		"relay_window":  "12h",
+		"seed_salt":     8,
+	}},
+	"majority51": {runMajority51, map[string]any{
+		"attacker_share": 0.30,
+		"isolated_share": 0.657,
+		"mine_for":       "24h",
+		"seed_salt":      6,
+	}},
+	"spatial": {runSpatial, map[string]any{
+		"hijacked_as":      24940,
+		"prefix_coverage":  0.95,
+		"mining_ases":      []int{37963, 45102, 58563},
+		"country_scenario": "CN",
+	}},
+	"spatiotemporal": {runSpatioTemporal, map[string]any{
+		"trace_window": "24h",
+		"sample_every": "10m",
+		"min_ases":     5,
+		"capabilities": []string{"routing", "mining", "both"},
+		"seed_salt":    9,
+	}},
+	"temporal": {runTemporal, map[string]any{
+		"attacker_share": 0.30,
+		"victims":        "n/8 lagging nodes",
+		"hold_for":       "8h",
+		"heal_for":       "4h",
+		"warmup":         "6h",
+	}},
 }
 
 // PlanNames returns the registry keys in sorted order.
 func PlanNames() []string {
-	names := make([]string, 0, len(planRegistry))
-	for name := range planRegistry {
+	names := make([]string, 0, len(plans))
+	for name := range plans {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// NewPlan instantiates the named plan. Unknown names report the full
-// sorted registry.
-func NewPlan(name string, env Env) (Plan, error) {
-	ctor, ok := planRegistry[name]
+// lookupPlan finds the named plan. Unknown names report the full sorted
+// registry.
+func lookupPlan(name string) (plan, error) {
+	p, ok := plans[name]
 	if !ok {
-		return nil, fmt.Errorf("attack: unknown plan %q (registry: %s)",
+		return plan{}, fmt.Errorf("attack: unknown plan %q (registry: %s)",
 			name, strings.Join(PlanNames(), ", "))
 	}
-	return ctor(env), nil
+	return p, nil
 }
 
-// ReplaySummaries reconstructs each plan's Summary() from a decoded trace:
-// every Plan.Run emits a final "summary" event carrying the plan name and
+// RunPlan runs the named plan on the simulation(s) it builds from env.
+// Headline metrics are merged into env's observer registry, and the
+// summary is emitted to its tracer so recorded traces replay it
+// (ReplaySummaries).
+func RunPlan(name string, env Env) (Result, error) {
+	p, err := lookupPlan(name)
+	if err != nil {
+		return Result{}, err
+	}
+	env.plan = name
+	return p.run(env)
+}
+
+// PlanParams returns the named plan's canonical parameter document as
+// stable JSON (sorted keys — encoding/json sorts map keys).
+func PlanParams(name string) (json.RawMessage, error) {
+	p, err := lookupPlan(name)
+	if err != nil {
+		return nil, err
+	}
+	doc, err := json.Marshal(p.params)
+	if err != nil {
+		return nil, fmt.Errorf("attack: encode %s params: %w", name, err)
+	}
+	return doc, nil
+}
+
+// ReplaySummaries reconstructs each plan's summary from a decoded trace:
+// every plan run emits a final "summary" event carrying the plan name and
 // the exact summary text, so a recorded JSONL trace replays the reported
 // outcome without re-running the simulation. Later events win when a plan
 // ran more than once.

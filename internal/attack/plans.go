@@ -22,17 +22,12 @@ import (
 
 // --- temporal ---------------------------------------------------------------
 
-// temporalPlan is the Figure 5 temporal attack demo: lagging nodes are
+// runTemporal is the Figure 5 temporal attack demo: lagging nodes are
 // isolated and fed a counterfeit branch, then the partition heals.
-type temporalPlan struct{ env Env }
-
-func (p *temporalPlan) Name() string { return "temporal" }
-
-func (p *temporalPlan) Run() (Result, error) {
-	env := p.env
+func runTemporal(env Env) (Result, error) {
 	sim, err := env.NewSim(env.NetworkNodes, env.Seed)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	sim.StartMining()
 	sim.Run(6 * time.Hour)
@@ -46,7 +41,7 @@ func (p *temporalPlan) Run() (Result, error) {
 		HealFor:       4 * time.Hour,
 	})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	var b strings.Builder
 	b.WriteString("Figure 5 (attack demo): temporal partitioning\n")
@@ -58,23 +53,18 @@ func (p *temporalPlan) Run() (Result, error) {
 	local.Counter("plan.temporal.captured_at_release").Add(uint64(res.CapturedAtRelease))
 	local.Counter("plan.temporal.max_fork_depth").Add(uint64(res.MaxForkDepth))
 	local.Counter("plan.temporal.reversed_txs").Add(uint64(res.ReversedTxs))
-	return env.finish("temporal", b.String(), local, int64(sim.Engine.Now())), nil
+	return env.finish(b.String(), local, int64(sim.Engine.Now())), nil
 }
 
 // --- doublespend ------------------------------------------------------------
 
-// doubleSpendPlan plants a payment in the first counterfeit block of a
+// runDoubleSpend plants a payment in the first counterfeit block of a
 // temporal partition and checks the merchant-visible confirmations reverse
 // on heal.
-type doubleSpendPlan struct{ env Env }
-
-func (p *doubleSpendPlan) Name() string { return "doublespend" }
-
-func (p *doubleSpendPlan) Run() (Result, error) {
-	env := p.env
+func runDoubleSpend(env Env) (Result, error) {
 	sim, err := env.NewSim(env.NetworkNodes, env.Seed+5)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	sim.StartMining()
 	sim.Run(6 * time.Hour)
@@ -87,7 +77,7 @@ func (p *doubleSpendPlan) Run() (Result, error) {
 		TrackPayment:  true,
 	}, victims)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	var b strings.Builder
 	b.WriteString("Double-spend through a temporal partition\n")
@@ -102,7 +92,7 @@ func (p *doubleSpendPlan) Run() (Result, error) {
 	if res.PaymentReversed {
 		local.Counter("plan.doublespend.payment_reversed").Inc()
 	}
-	return env.finish("doublespend", b.String(), local, int64(sim.Engine.Now())), nil
+	return env.finish(b.String(), local, int64(sim.Engine.Now())), nil
 }
 
 func outcome(ok bool) string {
@@ -114,17 +104,12 @@ func outcome(ok bool) string {
 
 // --- majority51 -------------------------------------------------------------
 
-// majorityPlan races a private chain after spatially isolating Table IV's
+// runMajority51 races a private chain after spatially isolating Table IV's
 // mining backbone.
-type majorityPlan struct{ env Env }
-
-func (p *majorityPlan) Name() string { return "majority51" }
-
-func (p *majorityPlan) Run() (Result, error) {
-	env := p.env
+func runMajority51(env Env) (Result, error) {
 	sim, err := env.NewSim(env.NetworkNodes, env.Seed+6)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	sim.StartMining()
 	sim.Run(6 * time.Hour)
@@ -135,7 +120,7 @@ func (p *majorityPlan) Run() (Result, error) {
 		Seed:          env.Seed,
 	})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	var b strings.Builder
 	b.WriteString("51% attack after spatially isolating Table IV's mining backbone\n")
@@ -151,20 +136,15 @@ func (p *majorityPlan) Run() (Result, error) {
 	if res.AttackerWins {
 		local.Counter("plan.majority51.attacker_wins").Inc()
 	}
-	return env.finish("majority51", b.String(), local, int64(sim.Engine.Now())), nil
+	return env.finish(b.String(), local, int64(sim.Engine.Now())), nil
 }
 
 // --- cascade ----------------------------------------------------------------
 
-// cascadePlan cuts increasing fractions of a victim AS (border nodes
+// runCascade cuts increasing fractions of a victim AS (border nodes
 // first) and measures how far the surviving interior falls behind. It
 // builds its own clustered-topology simulations.
-type cascadePlan struct{ env Env }
-
-func (p *cascadePlan) Name() string { return "cascade" }
-
-func (p *cascadePlan) Run() (Result, error) {
-	env := p.env
+func runCascade(env Env) (Result, error) {
 	// The cascade precondition (§V-A implications): within the victim AS,
 	// interior nodes peer only among themselves and with a few border
 	// nodes that hold the external connectivity. Hijacking the prefixes
@@ -222,7 +202,7 @@ func (p *cascadePlan) Run() (Result, error) {
 	for _, frac := range []float64{0.1, 0.2, 0.5} {
 		sim, err := build()
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		sim.StartMining()
 		sim.Run(4 * time.Hour)
@@ -232,7 +212,7 @@ func (p *cascadePlan) Run() (Result, error) {
 			RunFor:      12 * time.Hour,
 		})
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		fmt.Fprintf(&b, "  cut %.0f%% of the AS (%d nodes, border first): %d/%d survivors behind, mean lag %.1f blocks (outside: %.1f%% behind)\n",
 			frac*100, res.Cut, res.SurvivorsBehind, res.Survivors, res.MeanSurvivorLag, res.OutsideBehindFrac*100)
@@ -242,37 +222,32 @@ func (p *cascadePlan) Run() (Result, error) {
 		tick = int64(sim.Engine.Now())
 	}
 	b.WriteString("  isolating the border subset eclipses the entire AS, as §V-A predicts\n")
-	return env.finish("cascade", b.String(), local, tick), nil
+	return env.finish(b.String(), local, tick), nil
 }
 
 // --- spatial ----------------------------------------------------------------
 
-// spatialPlan runs the §V-A BGP scenarios on the population's route table:
+// runSpatial runs the §V-A BGP scenarios on the population's route table:
 // the AS24940 sub-prefix hijack, the Table IV mining isolation, and the
 // nation-state cut. It needs no live simulation.
-type spatialPlan struct{ env Env }
-
-func (p *spatialPlan) Name() string { return "spatial" }
-
-func (p *spatialPlan) Run() (Result, error) {
-	env := p.env
+func runSpatial(env Env) (Result, error) {
 	sp, err := NewSpatial(env.Pop)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	pools, err := mining.NewPoolSet(dataset.TableIV())
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	var b strings.Builder
 	b.WriteString("Spatial attack: sub-prefix hijack of AS24940 (Hetzner, 1,030 nodes)\n")
 	plan, err := sp.PlanAS(666, 24940, 0.95)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	res, err := sp.Execute(plan, pools)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	fmt.Fprintf(&b, "  prefixes hijacked: %d (announcements: %d)\n", plan.HijackCount, res.Announcements)
 	fmt.Fprintf(&b, "  nodes captured: %d of 1030 (%.1f%%)\n", res.CapturedNodes, float64(res.CapturedNodes)/10.30)
@@ -285,7 +260,7 @@ func (p *spatialPlan) Run() (Result, error) {
 	b.WriteString("Nation-state scenario: block all Chinese ASes\n")
 	cplan, err := sp.PlanCountry(0, "CN")
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	var cnASes []topology.ASN
 	for _, t := range cplan.Targets {
@@ -299,30 +274,25 @@ func (p *spatialPlan) Run() (Result, error) {
 	local.Counter("plan.spatial.announcements").Add(uint64(res.Announcements))
 	local.Gauge("plan.spatial.mining_share_isolated").Set(share)
 	local.Gauge("plan.spatial.cn_hash_share").Set(cnShare)
-	return env.finish("spatial", b.String(), local, 0), nil
+	return env.finish(b.String(), local, 0), nil
 }
 
 // --- spatiotemporal ---------------------------------------------------------
 
-// spatioTemporalPlan finds the weakest moment in a per-AS-tracked lag trace
+// runSpatioTemporal finds the weakest moment in a per-AS-tracked lag trace
 // and sizes the combined attack for each adversary capability. It plans on
 // the population trace.
-type spatioTemporalPlan struct{ env Env }
-
-func (p *spatioTemporalPlan) Name() string { return "spatiotemporal" }
-
-func (p *spatioTemporalPlan) Run() (Result, error) {
-	env := p.env
+func runSpatioTemporal(env Env) (Result, error) {
 	tr, err := env.Pop.RunTrace(dataset.TraceConfig{
 		Duration: 24 * time.Hour, SampleEvery: 10 * time.Minute,
 		Seed: env.Seed + 9, TrackSyncedByAS: true,
 	})
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	moment, err := FindBestMoment(tr, 5)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Spatio-temporal attack: best moment at t=%v (synced %d, behind %d)\n",
@@ -333,32 +303,27 @@ func (p *spatioTemporalPlan) Run() (Result, error) {
 	for _, cap := range []Capability{CapabilityRouting, CapabilityMining, CapabilityBoth} {
 		plan, err := PlanSpatioTemporal(env.Pop, moment, cap, 5)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		fmt.Fprintf(&b, "  %v adversary: %d ASes (%d prefixes), %d temporal victims, coverage %.1f%%\n",
 			cap, len(plan.SpatialASes), plan.SpatialPrefixes, plan.TemporalVictims, plan.Coverage*100)
 		local.Gauge("plan.spatiotemporal.coverage", obs.L("capability", cap.String())).Set(plan.Coverage)
 	}
-	return env.finish("spatiotemporal", b.String(), local, int64(moment.Time)), nil
+	return env.finish(b.String(), local, int64(moment.Time)), nil
 }
 
 // --- logical ----------------------------------------------------------------
 
-// logicalPlan runs the §V-D software-partition analyses (capture targets,
+// runLogical runs the §V-D software-partition analyses (capture targets,
 // crash exploit, diversity) and the live relay-silence executions at
 // increasing capture shares. It builds its own simulations.
-type logicalPlan struct{ env Env }
-
-func (p *logicalPlan) Name() string { return "logical" }
-
-func (p *logicalPlan) Run() (Result, error) {
-	env := p.env
+func runLogical(env Env) (Result, error) {
 	db := vulndb.New()
 	var b strings.Builder
 	b.WriteString("Logical attack: software-version partitioning\n")
 	plans, err := TopCaptureTargets(env.Pop, 3)
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	for _, pl := range plans {
 		fmt.Fprintf(&b, "  controlling %q captures %d nodes (%.1f%% of network)\n",
@@ -366,7 +331,7 @@ func (p *logicalPlan) Run() (Result, error) {
 	}
 	impact, err := SimulateCrashExploit(env.Pop, db, "CVE-2018-17144")
 	if err != nil {
-		return nil, err
+		return Result{}, err
 	}
 	fmt.Fprintf(&b, "  CVE-2018-17144 crash exploit: %d of %d up nodes down (%.1f%%)\n",
 		impact.NodesDown, impact.UpBefore, impact.DownShare*100)
@@ -389,13 +354,13 @@ func (p *logicalPlan) Run() (Result, error) {
 		}
 		sim, err := env.NewSim(env.NetworkNodes, env.Seed+8)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		sim.StartMining()
 		sim.Run(3 * time.Hour)
 		res, err := ExecuteLogicalCapture(sim, versions, 12*time.Hour, 0)
 		if err != nil {
-			return nil, err
+			return Result{}, err
 		}
 		fmt.Fprintf(&b, "    top %3d versions captured (%.0f%% of nodes silent): %.0f%% of honest nodes fall behind\n",
 			k, res.Share*100, res.HonestBehindFrac*100)
@@ -406,5 +371,5 @@ func (p *logicalPlan) Run() (Result, error) {
 	}
 	b.WriteString("  eight-peer gossip redundancy resists relay silence until capture is near-total —\n")
 	b.WriteString("  which is why §V-D frames logical control as an optimizer for the other attacks\n")
-	return env.finish("logical", b.String(), local, tick), nil
+	return env.finish(b.String(), local, tick), nil
 }

@@ -85,7 +85,7 @@ func (r *CheckpointedRun) Exhausted() bool {
 // same spec fingerprint, a journal and the cache entry of the run it
 // checkpointed always agree.
 func (s *Study) Fingerprint() string {
-	spec := SpecFromStudy(s, Command{Verb: "experiment", Name: "all"})
+	spec := SpecFromStudy(s, ExperimentAll)
 	fp, err := spec.Fingerprint()
 	if err != nil {
 		// A study that was constructed at all has a valid spec; the only
@@ -109,7 +109,7 @@ func (s *Study) Fingerprint() string {
 // the graceful-drain path of the partitiond daemon (DESIGN.md §14). A nil
 // quit never stops.
 func (s *Study) RunAllDrainable(workers int, j *checkpoint.Journal, resume *checkpoint.Log, degrade bool, quit func() bool) (*CheckpointedRun, error) {
-	return s.runCheckpointed(experiments(), workers, j, resume, degrade, quit)
+	return s.runCheckpointed(evaluation, workers, j, resume, degrade, quit)
 }
 
 // sweepSlot is one experiment's part of a sweep's report.

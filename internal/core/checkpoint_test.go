@@ -314,7 +314,7 @@ func TestFingerprintSensitivity(t *testing.T) {
 	if got := newTestStudy(t, func(s *Study) { s.Opts.GridSize = 30 }).Fingerprint(); got == base {
 		t.Error("grid size did not change the fingerprint")
 	}
-	if got := newTestStudy(t, WithStepBudget(10)).Fingerprint(); got == base {
+	if got := newTestStudy(t, func(s *Study) { s.Opts.StepBudget = 10 }).Fingerprint(); got == base {
 		t.Error("step budget did not change the fingerprint")
 	}
 	s2, err := New(2)

@@ -96,20 +96,10 @@ type Study struct {
 // Option configures a Study at construction time (see New).
 type Option func(*Study)
 
-// WithFull selects the paper's experiment windows and scales (minutes of
-// CPU rather than seconds) — the functional-options form of Full().
-func WithFull() Option {
-	return func(s *Study) {
-		full := Full()
-		s.Opts.TableVTraceDays = full.TableVTraceDays
-		s.Opts.Figure6aDays = full.Figure6aDays
-		s.Opts.GridSize = full.GridSize
-		s.Opts.NetworkNodes = full.NetworkNodes
-	}
-}
-
 // WithWorkers bounds the study's intra-experiment fan-out (0 = one worker
 // per CPU, 1 = sequential). Output is bit-identical for any worker count.
+//
+//lint:ignore unusedexport used by the perfbench module, which ./... does not load
 func WithWorkers(n int) Option {
 	return func(s *Study) { s.Opts.Workers = n }
 }
@@ -128,21 +118,6 @@ func WithNetworkNodes(n int) Option {
 	return func(s *Study) { s.Opts.NetworkNodes = n }
 }
 
-// WithFaults runs every simulation the study builds under the given fault
-// scenario (DESIGN.md §10):
-//
-//	study, err := core.New(1, core.WithFaults(faults.Churny()))
-func WithFaults(sc faults.Scenario) Option {
-	return func(s *Study) { s.Opts.Faults = sc }
-}
-
-// WithStepBudget arms the watchdog (DESIGN.md §11) on the study's grid
-// simulations: trials running past n grid steps are cancelled with an error
-// wrapping checkpoint.ErrBudget.
-func WithStepBudget(n int) Option {
-	return func(s *Study) { s.Opts.StepBudget = n }
-}
-
 // gridAttackerCell is the row and column of the attacker's cell in the
 // Figure 7 and heal-study grids.
 const gridAttackerCell = 7
@@ -150,7 +125,10 @@ const gridAttackerCell = 7
 // New generates (or reuses, per seed) the synthetic population and wraps
 // it in a Study configured by the given options:
 //
-//	study, err := core.New(1, core.WithFull(), core.WithWorkers(8))
+//	study, err := core.New(1, core.WithWorkers(8))
+//
+// Settings without an option (the paper scale, a fault scenario, the step
+// budget) are spec fields: build those studies with NewFromSpec.
 func New(seed int64, opts ...Option) (*Study, error) {
 	return newStudy(seed, Options{}, opts)
 }
@@ -234,10 +212,6 @@ func newStudy(seed int64, settings Options, opts []Option) (*Study, error) {
 
 // Seed returns the study's generation seed.
 func (s *Study) Seed() int64 { return s.seed }
-
-// Observer returns the study's attached observability layer (nil when
-// observability is off).
-func (s *Study) Observer() *obs.Observer { return s.obs }
 
 // traceSeed derives per-experiment trace seeds from the study seed so that
 // experiments are independent but reproducible.

@@ -1,4 +1,4 @@
-package service
+package core
 
 import (
 	"fmt"
@@ -6,29 +6,18 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/defense"
 	"repro/internal/topology"
 )
 
-// The §VI countermeasure demos, moved here from cmd/partition so the daemon
-// serves `defend <name>` specs through the same code path as the CLI. Output
-// stays byte-identical to the pre-service CLI. (The time.Duration literals
-// below are simulated-time spans fed to the event engine, not wall-clock
-// reads.)
+// The §VI countermeasure demos, the `defend` commands of the command table.
+// (The time.Duration literals below are simulated-time spans fed to the
+// event engine, not wall-clock reads.)
 
-// defenses is the `defend` verb's table.
-var defenses = map[string]func(*core.Study, io.Writer) error{
-	"blockaware": blockAwareDemo,
-	"stratum":    stratumDemo,
-	"routeguard": routeGuardDemo,
-	"placement":  placementDemo,
-}
-
-func placementDemo(study *core.Study, w io.Writer) error {
+func placementDemo(study *Study, w io.Writer) error {
 	fmt.Fprintln(w, "Exchange full-node placement: co-location vs dispersal (§VI)")
-	candidates := core.Figure4ASes()
+	candidates := Figure4ASes()
 	cost, err := defense.CompareColocation(study.Pop, 24940, candidates, 5)
 	if err != nil {
 		return err
@@ -39,7 +28,7 @@ func placementDemo(study *core.Study, w io.Writer) error {
 	return nil
 }
 
-func blockAwareDemo(study *core.Study, w io.Writer) error {
+func blockAwareDemo(study *Study, w io.Writer) error {
 	fmt.Fprintln(w, "BlockAware: tc - tl > 600s self-check vs the temporal attack")
 	for _, protect := range []bool{false, true} {
 		sim, err := study.NewSimFromPopulation(study.Opts.NetworkNodes, study.Seed()+3)
@@ -73,7 +62,7 @@ func blockAwareDemo(study *core.Study, w io.Writer) error {
 	return nil
 }
 
-func stratumDemo(_ *core.Study, w io.Writer) error {
+func stratumDemo(_ *Study, w io.Writer) error {
 	fmt.Fprintln(w, "Stratum dispersal: attack cost to isolate 60% of hash rate")
 	pools := dataset.TableIV()
 	candidates := []topology.ASN{
@@ -98,7 +87,7 @@ func stratumDemo(_ *core.Study, w io.Writer) error {
 	return nil
 }
 
-func routeGuardDemo(study *core.Study, w io.Writer) error {
+func routeGuardDemo(study *Study, w io.Writer) error {
 	fmt.Fprintln(w, "RouteGuard: bogus route purging after a hijack of AS24940")
 	guard, err := defense.NewRouteGuard(study.Pop.Topo)
 	if err != nil {

@@ -159,7 +159,7 @@ func TestRunAllNamesAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	var names []string
-	for _, e := range experiments() {
+	for _, e := range evaluation {
 		names = append(names, e.name)
 	}
 	if len(outputs) != len(names) {

@@ -27,12 +27,12 @@ const SpecSchemaV1 = "spec.v1"
 // ErrSpecSchema marks a spec document with an unknown schema version.
 var errSpecSchema = fmt.Errorf("core: unknown spec schema (want %q)", SpecSchemaV1)
 
-// Command selects what a spec runs: a CLI-style verb plus the name the
-// verb's registry resolves ("experiment all", "attack spatial", ...).
+// Command selects what a spec runs: a CLI-style verb plus a name, one entry
+// of the command table ("experiment all", "attack spatial", ...).
 type Command struct {
 	// Verb is one of "experiment", "attack", "defend", "export".
 	Verb string `json:"verb"`
-	// Name is the experiment/plan/defense/export name the verb dispatches.
+	// Name is the experiment/plan/defense/export name within the verb.
 	Name string `json:"name"`
 }
 
@@ -55,6 +55,8 @@ type Spec struct {
 
 // SpecFromOptions captures a seed and a functional-option list as a Spec:
 // the exact values the options set, defaults not yet applied.
+//
+//lint:ignore unusedexport used by the perfbench module, which ./... does not load
 func SpecFromOptions(seed int64, opts ...Option) Spec {
 	var s Study
 	for _, apply := range opts {
@@ -73,22 +75,17 @@ const (
 	maxSpecGridSize  = 1000
 )
 
-// Validate checks the structural invariants a spec must hold before it is
-// run or fingerprinted: a known schema, a known verb, a non-empty name, and
-// non-negative scale fields, the trace days and the grid size within their
-// caps. The service checks the name against the verb's table before it
-// runs or stores anything.
+// Validate checks the invariants a spec must hold before it is run,
+// fingerprinted or stored: a known schema, a command of the command table
+// spelled exactly, and non-negative scale fields, the trace days and the
+// grid size within their caps. Every admission path (ParseSpec, the CLI's
+// flags, RunSpec) ends here, so all refuse a bad spec with one error.
 func (s Spec) Validate() error {
 	if s.Schema != SpecSchemaV1 {
 		return fmt.Errorf("%w, got %q", errSpecSchema, s.Schema)
 	}
-	switch s.Run.Verb {
-	case "experiment", "attack", "defend", "export":
-	default:
-		return fmt.Errorf("core: unknown spec verb %q (experiment, attack, defend, export)", s.Run.Verb)
-	}
-	if s.Run.Name == "" {
-		return fmt.Errorf("core: spec has no command name")
+	if _, err := lookup(s.Run); err != nil {
+		return err
 	}
 	for _, f := range []struct {
 		name string

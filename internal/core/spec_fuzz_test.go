@@ -3,14 +3,16 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 )
 
 // FuzzParseSpec feeds arbitrary documents to the spec parser, the admission
 // boundary of partitiond: it must return an error or a spec that passes
-// Validate, keeps its trace days and grid size within their caps, and whose
-// canonical form marshals and re-parses to the same fingerprint. It must
-// never panic.
+// Validate, names a command of the command table, keeps its trace days and
+// grid size within their caps, and whose canonical form marshals and
+// re-parses to the same fingerprint. It must never panic. The corpus holds
+// one document per table command.
 func FuzzParseSpec(f *testing.F) {
 	def, err := json.Marshal(Spec{Schema: SpecSchemaV1, Run: Command{Verb: "experiment", Name: "all"}, Seed: 1})
 	if err != nil {
@@ -18,6 +20,13 @@ func FuzzParseSpec(f *testing.F) {
 	}
 	f.Add(def)
 	f.Add(def[:len(def)/2])
+	for _, cmd := range Commands() {
+		doc, err := json.Marshal(Spec{Schema: SpecSchemaV1, Run: cmd, Seed: 3})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
+	}
 	doc := func(field string, v int) []byte {
 		return []byte(fmt.Sprintf(`{"schema":"spec.v1","run":{"verb":"experiment","name":"all"},"seed":1,%q:%d,"faults":{}}`, field, v))
 	}
@@ -46,6 +55,9 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("ParseSpec accepted a spec Validate refuses: %v", err)
+		}
+		if !slices.Contains(Commands(), s.Run) {
+			t.Fatalf("ParseSpec accepted %q, which is not in the command table", s.Run)
 		}
 		if s.TableVTraceDays > maxSpecTraceDays || s.Figure6aDays > maxSpecTraceDays || s.GridSize > maxSpecGridSize {
 			t.Fatalf("ParseSpec accepted a spec over its caps: %+v", s)

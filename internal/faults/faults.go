@@ -17,8 +17,8 @@
 // A Scenario value describes the fault load; the zero value injects
 // nothing and is contractually a no-op (the pinned `experiment all` golden
 // does not move). Scenarios thread through the three simulators via
-// netsim.Config.Faults / gridsim.Config.Faults / core.WithFaults and reach
-// the CLI as `-faults <preset>`.
+// netsim.Config.Faults / gridsim.Config.Faults / the spec field
+// core.Options.Faults and reach the CLI as `-faults <preset>`.
 //
 // Determinism rules (DESIGN.md §10): every fault family draws from its own
 // SplitMix64 stream derived from the injector seed — churn gets one stream
@@ -300,7 +300,7 @@ func PresetNames() []string {
 }
 
 // Preset returns the named scenario. Unknown names report the full sorted
-// registry, like attack.NewPlan.
+// registry, like attack.RunPlan.
 func Preset(name string) (Scenario, error) {
 	ctor, ok := presets[name]
 	if !ok {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/p2p"
+	"repro/internal/parallel"
 )
 
 func TestZeroScenarioInjectsNothing(t *testing.T) {
@@ -213,16 +214,16 @@ func TestLinkTableKinds(t *testing.T) {
 // TestStreamDeterminism pins the SplitMix64 stream: same seed, same
 // sequence; different salts, different sequences.
 func TestStreamDeterminism(t *testing.T) {
-	a := newStream(deriveStreamSeed(7, saltChaos))
-	b := newStream(deriveStreamSeed(7, saltChaos))
-	c := newStream(deriveStreamSeed(7, saltLinks))
+	a := parallel.NewStream(deriveStreamSeed(7, saltChaos))
+	b := parallel.NewStream(deriveStreamSeed(7, saltChaos))
+	c := parallel.NewStream(deriveStreamSeed(7, saltLinks))
 	same, diff := true, false
 	for i := 0; i < 64; i++ {
-		av := a.next()
-		if av != b.next() {
+		av := a.Next()
+		if av != b.Next() {
 			same = false
 		}
-		if av != c.next() {
+		if av != c.Next() {
 			diff = true
 		}
 	}
@@ -232,17 +233,17 @@ func TestStreamDeterminism(t *testing.T) {
 	if !diff {
 		t.Error("differently-salted streams produced identical sequences")
 	}
-	u := newStream(99)
+	u := parallel.NewStream(99)
 	for i := 0; i < 1000; i++ {
-		if v := u.float64(); v < 0 || v >= 1 {
+		if v := u.Float64(); v < 0 || v >= 1 {
 			t.Fatalf("float64 out of [0,1): %v", v)
 		}
 	}
-	e := newStream(99)
+	e := parallel.NewStream(99)
 	var sum time.Duration
 	const n = 2000
 	for i := 0; i < n; i++ {
-		d := e.expDuration(time.Hour)
+		d := expDuration(&e, time.Hour)
 		if d < 0 {
 			t.Fatalf("negative exponential duration %v", d)
 		}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/parallel"
 )
 
 // GridInjector realizes a Scenario against the step-driven grid model
@@ -25,7 +26,7 @@ type GridInjector struct {
 	sc      Scenario
 	stepDur time.Duration
 
-	chaos stream
+	chaos parallel.Stream
 	// chaosSeed is the chaos stream's initial state, kept aside so the
 	// order-free ChaosLossAt hashes off a value that never advances.
 	chaosSeed uint64
@@ -45,7 +46,7 @@ type GridInjector struct {
 
 type gridChurnCell struct {
 	idx      int
-	cs       stream
+	cs       parallel.Stream
 	nextFlip int
 }
 
@@ -63,7 +64,7 @@ func NewGridInjector(sc Scenario, seed int64, cells int, stepDur time.Duration, 
 	gi := &GridInjector{
 		sc:        sc,
 		stepDur:   stepDur,
-		chaos:     newStream(deriveStreamSeed(seed, saltGridChaos)),
+		chaos:     parallel.NewStream(deriveStreamSeed(seed, saltGridChaos)),
 		chaosSeed: uint64(deriveStreamSeed(seed, saltGridChaos)),
 		linkSeed:  uint64(deriveStreamSeed(seed, saltGridLinks)),
 		down:      make([]bool, cells),
@@ -79,8 +80,8 @@ func NewGridInjector(sc Scenario, seed int64, cells int, stepDur time.Duration, 
 			if i == exempt {
 				continue
 			}
-			cs := stream{state: uint64(deriveStreamSeed(churnSeed, i))}
-			if !cs.bernoulli(gi.sc.Churn.Fraction) {
+			cs := parallel.NewStream(deriveStreamSeed(churnSeed, i))
+			if !cs.Bernoulli(gi.sc.Churn.Fraction) {
 				continue
 			}
 			first := gi.holdSteps(&cs, gi.sc.Churn.MeanUptime)
@@ -92,8 +93,8 @@ func NewGridInjector(sc Scenario, seed int64, cells int, stepDur time.Duration, 
 
 // holdSteps converts an exponential holding time to a whole number of
 // steps, at least one so a flip is never a same-step no-op.
-func (gi *GridInjector) holdSteps(cs *stream, mean time.Duration) int {
-	d := cs.expDuration(mean)
+func (gi *GridInjector) holdSteps(cs *parallel.Stream, mean time.Duration) int {
+	d := expDuration(cs, mean)
 	steps := int(d / gi.stepDur)
 	if steps < 1 {
 		steps = 1
@@ -175,7 +176,7 @@ func (gi *GridInjector) LinkDown(c LinkClass, phase, clock time.Duration) bool {
 // positive Chaos.LossProb, which keeps it small enough to inline; at zero
 // it still draws nothing.
 func (gi *GridInjector) ChaosLoss() bool {
-	if gi.chaos.bernoulli(gi.sc.Chaos.LossProb) {
+	if gi.chaos.Bernoulli(gi.sc.Chaos.LossProb) {
 		gi.m.msgLoss.Inc()
 		return true
 	}
@@ -191,7 +192,7 @@ func (gi *GridInjector) ChaosLoss() bool {
 // ChaosLoss: its goldens pin the sequential stream. Callers gate it on a
 // positive Chaos.LossProb, like ChaosLoss.
 func (gi *GridInjector) ChaosLossAt(cell, step int) bool {
-	h := mix64(gi.chaosSeed ^ mix64(uint64(cell)+1) ^ mix64(uint64(step)<<20))
+	h := parallel.Mix64(gi.chaosSeed ^ parallel.Mix64(uint64(cell)+1) ^ parallel.Mix64(uint64(step)<<20))
 	if unit(h) < gi.sc.Chaos.LossProb {
 		gi.m.msgLoss.Inc()
 		return true

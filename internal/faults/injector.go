@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/p2p"
+	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -82,7 +83,7 @@ func newMetrics(o *obs.Observer) metrics {
 // byte-identical at any worker count.
 type Injector struct {
 	sc        Scenario
-	chaos     stream
+	chaos     parallel.Stream
 	linkSeed  uint64
 	churnSeed int64
 
@@ -103,7 +104,7 @@ func NewInjector(sc Scenario, seed int64, o *obs.Observer) (*Injector, error) {
 	}
 	return &Injector{
 		sc:        sc,
-		chaos:     newStream(deriveStreamSeed(seed, saltChaos)),
+		chaos:     parallel.NewStream(deriveStreamSeed(seed, saltChaos)),
 		linkSeed:  uint64(deriveStreamSeed(seed, saltLinks)),
 		churnSeed: deriveStreamSeed(seed, saltChurn),
 		m:         newMetrics(o),
@@ -127,18 +128,18 @@ func (inj *Injector) Intercept(from, to p2p.NodeID, now time.Duration) p2p.Fault
 	}
 	if inj.sc.Chaos.Enabled() {
 		c := inj.sc.Chaos
-		if inj.chaos.bernoulli(c.LossProb) {
+		if inj.chaos.Bernoulli(c.LossProb) {
 			inj.m.msgLoss.Inc()
 			v.Drop = true
 			return v
 		}
-		if inj.chaos.bernoulli(c.DupProb) {
+		if inj.chaos.Bernoulli(c.DupProb) {
 			inj.m.msgDup.Inc()
 			v.Duplicate = true
 		}
-		if inj.chaos.bernoulli(c.DelayProb) {
+		if inj.chaos.Bernoulli(c.DelayProb) {
 			inj.m.msgDelay.Inc()
-			v.ExtraDelay = inj.chaos.expDuration(c.MeanExtraDelay)
+			v.ExtraDelay = expDuration(&inj.chaos, c.MeanExtraDelay)
 		}
 	}
 	return v
@@ -149,7 +150,7 @@ func pairHash(linkSeed uint64, a, b int) uint64 {
 	if a > b {
 		a, b = b, a
 	}
-	return mix64(linkSeed ^ mix64(uint64(uint32(a))<<32|uint64(uint32(b))))
+	return parallel.Mix64(linkSeed ^ parallel.Mix64(uint64(uint32(a))<<32|uint64(uint32(b))))
 }
 
 // LinkClass is a directed link's entry in the link table: the fault family
@@ -186,16 +187,16 @@ func classifyLink(linkSeed uint64, l LinkSpec, from, to int) (LinkClass, time.Du
 		return LinkDrop, 0
 	}
 	if u < l.DropFraction+l.FlapFraction {
-		return LinkFlap, time.Duration(mix64(h^0x5F1A) % uint64(l.FlapPeriod))
+		return LinkFlap, time.Duration(parallel.Mix64(h^0x5F1A) % uint64(l.FlapPeriod))
 	}
 	if l.OneWayFraction > 0 {
-		h2 := mix64(h ^ 0x0E1A)
+		h2 := parallel.Mix64(h ^ 0x0E1A)
 		if unit(h2) < l.OneWayFraction {
 			lo := from
 			if to < lo {
 				lo = to
 			}
-			deadFromLow := mix64(h2)&1 == 0
+			deadFromLow := parallel.Mix64(h2)&1 == 0
 			if (from == lo) == deadFromLow {
 				return LinkOneWay, 0
 			}
@@ -239,17 +240,17 @@ func (inj *Injector) StartChurn(engine *sim.Engine, net *p2p.Network, exempt fun
 		if exempt != nil && exempt(id) {
 			continue
 		}
-		cs := &stream{state: uint64(deriveStreamSeed(inj.churnSeed, i))}
-		if !cs.bernoulli(inj.sc.Churn.Fraction) {
+		cs := parallel.NewStream(deriveStreamSeed(inj.churnSeed, i))
+		if !cs.Bernoulli(inj.sc.Churn.Fraction) {
 			continue
 		}
-		inj.scheduleDown(id, cs)
+		inj.scheduleDown(id, &cs)
 	}
 }
 
 // scheduleDown arms the node's next leave event.
-func (inj *Injector) scheduleDown(id p2p.NodeID, cs *stream) {
-	delay := cs.expDuration(inj.sc.Churn.MeanUptime)
+func (inj *Injector) scheduleDown(id p2p.NodeID, cs *parallel.Stream) {
+	delay := expDuration(cs, inj.sc.Churn.MeanUptime)
 	err := inj.engine.After(delay, func(now time.Duration) {
 		inj.net.Nodes[id].Up = false
 		inj.m.churnDown.Inc()
@@ -266,8 +267,8 @@ func (inj *Injector) scheduleDown(id p2p.NodeID, cs *stream) {
 // node's churn stream), and is re-offered its neighbors' current tips —
 // the getheaders-on-reconnect catch-up without which a restarted node
 // would stay behind until the next block inv happened to reach it.
-func (inj *Injector) scheduleUp(id p2p.NodeID, cs *stream) {
-	delay := cs.expDuration(inj.sc.Churn.MeanDowntime)
+func (inj *Injector) scheduleUp(id p2p.NodeID, cs *parallel.Stream) {
+	delay := expDuration(cs, inj.sc.Churn.MeanDowntime)
 	err := inj.engine.After(delay, func(now time.Duration) {
 		inj.net.Nodes[id].Up = true
 		inj.m.churnUp.Inc()
@@ -275,7 +276,7 @@ func (inj *Injector) scheduleUp(id p2p.NodeID, cs *stream) {
 			obs.Fint("node", int64(id)),
 			obs.Fbool("rediscover", inj.sc.Churn.Rediscover))
 		if inj.sc.Churn.Rediscover {
-			inj.net.RewirePeers(id, stats.NewRand(int64(cs.next())))
+			inj.net.RewirePeers(id, stats.NewRand(int64(cs.Next())))
 			inj.m.rewire.Inc()
 		}
 		for _, p := range inj.net.Neighbors(id) {

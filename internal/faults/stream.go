@@ -8,68 +8,23 @@ import (
 )
 
 // The fault engine never touches a simulation's math/rand stream: every
-// fault family draws from its own SplitMix64 sequence derived from the
-// injector seed, so enabling a scenario adds randomness without re-ordering
-// any existing draw, and two runs of the same scenario at the same seed are
-// byte-identical regardless of worker count (each simulation owns its
-// injector; streams advance only inside that simulation's deterministic
-// event order).
-
-// SplitMix64 constants (Steele, Lea & Flood, OOPSLA 2014) — the same mixing
-// function internal/parallel uses for per-task seed derivation.
-const (
-	splitmixGamma = 0x9E3779B97F4A7C15
-	splitmixMul1  = 0xBF58476D1CE4E5B9
-	splitmixMul2  = 0x94D049BB133111EB
-)
-
-// mix64 is the SplitMix64 output function: a fixed avalanche permutation of
-// the state word. It is pure, which is what makes the link-fault table a
-// function rather than a stateful sampler.
-func mix64(z uint64) uint64 {
-	z ^= z >> 30
-	z *= splitmixMul1
-	z ^= z >> 27
-	z *= splitmixMul2
-	z ^= z >> 31
-	return z
-}
-
-// stream is a SplitMix64 PRNG: 8 bytes of state per stream, so per-node
-// churn streams stay cheap even at the paper's 10,000-node scale.
-type stream struct{ state uint64 }
-
-// newStream seeds a stream. Seeds come from parallel.DeriveSeed so nearby
-// fault streams (node i and node i+1) are statistically independent.
-func newStream(seed int64) stream { return stream{state: uint64(seed)} }
-
-// next advances the state by the golden-ratio gamma and mixes it out.
-func (s *stream) next() uint64 {
-	s.state += splitmixGamma
-	return mix64(s.state)
-}
-
-// float64 returns a uniform draw in [0, 1) from the top 53 bits.
-func (s *stream) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
-
-// bernoulli returns true with probability p.
-func (s *stream) bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	return s.float64() < p
-}
+// fault family draws from its own SplitMix64 sequence (parallel.Stream)
+// derived from the injector seed, so enabling a scenario adds randomness
+// without re-ordering any existing draw, and two runs of the same scenario
+// at the same seed are byte-identical regardless of worker count (each
+// simulation owns its injector; streams advance only inside that
+// simulation's deterministic event order). The link-fault table hashes
+// with the pure finalizer, parallel.Mix64, instead: a function rather than
+// a stateful sampler.
 
 // expDuration samples an exponential holding time with the given mean via
 // inversion. The mean-parameterized form mirrors how scenarios are
 // specified (mean uptime/downtime/extra delay).
-func (s *stream) expDuration(mean time.Duration) time.Duration {
+func expDuration(s *parallel.Stream, mean time.Duration) time.Duration {
 	if mean <= 0 {
 		return 0
 	}
-	u := s.float64()
+	u := s.Float64()
 	return time.Duration(-float64(mean) * math.Log(1-u))
 }
 

@@ -15,9 +15,9 @@ import (
 //  1. Counter-mode randomness. The legacy engine consumes one sequential
 //     RNG stream in cell-index order, which no partition can reproduce
 //     concurrently. Here every per-cell decision derives from
-//     Mix(tickKey + (cell+1)·Gamma) — a pure function of (seed, step,
-//     cell) — so a cell draws the same values whichever shard, worker, or
-//     moment computes it.
+//     parallel.Mix64(tickKey + (cell+1)·Gamma) — a pure function of
+//     (seed, step, cell) — so a cell draws the same values whichever
+//     shard, worker, or moment computes it.
 //  2. Synchronous pull-only gossip under double buffering. Each cell reads
 //     the frozen previous tick (anywhere — a shard's foreign reads are the
 //     plan's halo, served from shared memory) and writes only itself into
@@ -72,7 +72,7 @@ func (g *Grid) resetSharded(cfg Config, n int) error {
 	g.plan = shard.BuildPlan(n, cfg.Shards, g.adjFn)
 	g.gang = parallel.NewGang(cfg.ShardWorkers)
 	g.tickFn = g.tickShard
-	g.tickBase = shard.Mix(uint64(parallel.DeriveSeed(cfg.Seed, tickSeedSalt)))
+	g.tickBase = parallel.Mix64(uint64(parallel.DeriveSeed(cfg.Seed, tickSeedSalt)))
 	g.failThresh53 = float53Threshold(cfg.FailureRate)
 	g.nextFork = resizeI32(g.nextFork, n)
 	g.nextHeight = resizeI32(g.nextHeight, n)
@@ -118,7 +118,7 @@ func resizeI64(s []int64, n int) []int64 {
 
 // float53Threshold is float01Threshold for the 53-bit counter draws: the
 // smallest y such that float64(y)/2^53 >= p, so the sharded failure test is
-// a pure integer compare on Mix(c) >> 11 — the same high-bits-to-unit
+// a pure integer compare on Mix64(c) >> 11 — the same high-bits-to-unit
 // mapping the fault streams use.
 func float53Threshold(p float64) int64 {
 	lo, hi := int64(0), int64(1)<<53
@@ -148,7 +148,7 @@ func (g *Grid) advanceSharded(n int) {
 			g.faults.StepChurn(g.step)
 			g.flapClock = g.faults.FlapClock(g.step)
 		}
-		g.tickKey = shard.Mix(g.tickBase + uint64(g.step)*shard.Gamma)
+		g.tickKey = parallel.Mix64(g.tickBase + uint64(g.step)*parallel.Gamma)
 		if g.obsOn {
 			g.prepTickObs()
 		}
@@ -214,13 +214,13 @@ func (g *Grid) tickShard(s int) {
 		// Counter-mode draws: c is unique per (step, cell), d1 feeds the
 		// failure Bernoulli (53 high bits vs. the precomputed threshold),
 		// d2 the neighbor pick (modulo bias < 2^-60 at degree <= 8).
-		c := tick + (uint64(i)+1)*shard.Gamma
-		d1 := shard.Mix(c)
+		c := tick + (uint64(i)+1)*parallel.Gamma
+		d1 := parallel.Mix64(c)
 		if int64(d1>>11) < thresh {
 			continue
 		}
 		lo := g.nbrOff[i]
-		d2 := shard.Mix(d1 ^ c)
+		d2 := parallel.Mix64(d1 ^ c)
 		e := lo + int32(d2%uint64(g.nbrOff[i+1]-lo))
 		// Targeted communication disruption: gossip never crosses an
 		// active attack boundary.

@@ -89,7 +89,7 @@ func TestExperimentAllChurnyGolden(t *testing.T) {
 	}
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			got := renderAll(t, workers, nil, core.WithFaults(faults.Churny()))
+			got := renderAll(t, workers, nil, func(s *core.Study) { s.Opts.Faults = faults.Churny() })
 			if !bytes.Equal(got, want) {
 				t.Errorf("output diverged from churny golden (%d bytes vs %d)", len(got), len(want))
 			}
@@ -109,7 +109,7 @@ func TestZeroScenarioIsNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := renderAll(t, 8, nil, core.WithFaults(faults.Scenario{}))
+	got := renderAll(t, 8, nil, func(s *core.Study) { s.Opts.Faults = faults.Scenario{} })
 	if !bytes.Equal(got, want) {
 		t.Errorf("zero-value Scenario perturbed output (%d bytes vs %d)", len(got), len(want))
 	}
@@ -130,23 +130,9 @@ func planEnv(t *testing.T, seed int64, observer *obs.Observer) attack.Env {
 		Pop:          study.Pop,
 		NetworkNodes: study.Opts.NetworkNodes,
 		Seed:         study.Seed(),
-		Obs:          study.Observer(),
+		Obs:          observer,
 		NewSim:       study.NewSimFromPopulation,
 	}
-}
-
-// allPlans instantiates every registered attack plan in sorted-name order.
-func allPlans(t *testing.T, env attack.Env) []attack.Plan {
-	t.Helper()
-	var plans []attack.Plan
-	for _, name := range attack.PlanNames() {
-		plan, err := attack.NewPlan(name, env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, plan)
-	}
-	return plans
 }
 
 // TestAttackPlansUnderChurny runs every registered attack plan under the
@@ -161,7 +147,7 @@ func TestAttackPlansUnderChurny(t *testing.T) {
 	run := func() map[string]string {
 		study, err := core.New(1,
 			core.WithNetworkNodes(80),
-			core.WithFaults(faults.Churny()),
+			func(s *core.Study) { s.Opts.Faults = faults.Churny() },
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -170,20 +156,19 @@ func TestAttackPlansUnderChurny(t *testing.T) {
 			Pop:          study.Pop,
 			NetworkNodes: study.Opts.NetworkNodes,
 			Seed:         study.Seed(),
-			Obs:          study.Observer(),
 			Faults:       study.Opts.Faults,
 			NewSim:       study.NewSimFromPopulation,
 		}
 		summaries := map[string]string{}
-		for _, plan := range allPlans(t, env) {
-			res, err := plan.Run()
+		for _, name := range attack.PlanNames() {
+			res, err := attack.RunPlan(name, env)
 			if err != nil {
-				t.Fatalf("%s under churny: %v", plan.Name(), err)
+				t.Fatalf("%s under churny: %v", name, err)
 			}
-			if res.Summary() == "" {
-				t.Fatalf("%s under churny: empty summary", plan.Name())
+			if res.Summary == "" {
+				t.Fatalf("%s under churny: empty summary", name)
 			}
-			summaries[plan.Name()] = res.Summary()
+			summaries[name] = res.Summary
 		}
 		return summaries
 	}
@@ -203,7 +188,7 @@ func TestAttackPlansUnderChurny(t *testing.T) {
 // TestTraceDeterministicAndReplaysSummaries runs every registered attack
 // plan twice with tracing on and asserts (a) the two JSONL exports are
 // byte-identical, and (b) decoding a trace and replaying it reproduces each
-// plan's Summary() exactly — the ISSUE's replayability contract.
+// plan's summary exactly: the replayability contract.
 func TestTraceDeterministicAndReplaysSummaries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all seven attack scenarios twice")
@@ -212,18 +197,18 @@ func TestTraceDeterministicAndReplaysSummaries(t *testing.T) {
 		observer := obs.New(0)
 		env := planEnv(t, 1, observer)
 		summaries := map[string]string{}
-		for _, plan := range allPlans(t, env) {
-			res, err := plan.Run()
+		for _, name := range attack.PlanNames() {
+			res, err := attack.RunPlan(name, env)
 			if err != nil {
-				t.Fatalf("%s: %v", plan.Name(), err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			if res.Summary() == "" {
-				t.Fatalf("%s: empty summary", plan.Name())
+			if res.Summary == "" {
+				t.Fatalf("%s: empty summary", name)
 			}
-			if m := res.Metrics(); len(m.Counters)+len(m.Gauges)+len(m.Histograms) == 0 {
-				t.Errorf("%s: no headline metrics", plan.Name())
+			if m := res.Metrics; len(m.Counters)+len(m.Gauges)+len(m.Histograms) == 0 {
+				t.Errorf("%s: no headline metrics", name)
 			}
-			summaries[plan.Name()] = res.Summary()
+			summaries[name] = res.Summary
 		}
 		var buf bytes.Buffer
 		if err := observer.Tracer().WriteJSONL(&buf); err != nil {

@@ -17,13 +17,13 @@ func runPlansWithCapacity(t *testing.T, capacity int) (map[string]string, *obs.T
 	env := planEnv(t, 1, observer)
 	live := map[string]string{}
 	var order []string
-	for _, plan := range allPlans(t, env) {
-		res, err := plan.Run()
+	for _, name := range attack.PlanNames() {
+		res, err := attack.RunPlan(name, env)
 		if err != nil {
-			t.Fatalf("%s: %v", plan.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		live[plan.Name()] = res.Summary()
-		order = append(order, plan.Name())
+		live[name] = res.Summary
+		order = append(order, name)
 	}
 	var buf bytes.Buffer
 	if err := observer.Tracer().WriteJSONL(&buf); err != nil {

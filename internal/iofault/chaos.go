@@ -51,7 +51,7 @@ type ChaosFS struct {
 	failOps  map[int]bool
 	files    map[string]*track
 
-	shortS, writeS, syncS, renameS, spaceS, readS, tearS splitmix
+	shortS, writeS, syncS, renameS, spaceS, readS, tearS parallel.Stream
 }
 
 // Config parameterizes a ChaosFS. The zero value injects nothing and never
@@ -125,13 +125,13 @@ func NewChaos(cfg Config) *ChaosFS {
 		cfg:     cfg,
 		failOps: map[int]bool{},
 		files:   map[string]*track{},
-		shortS:  newSplitmix(cfg.Seed, saltShort),
-		writeS:  newSplitmix(cfg.Seed, saltWrite),
-		syncS:   newSplitmix(cfg.Seed, saltSync),
-		renameS: newSplitmix(cfg.Seed, saltRename),
-		spaceS:  newSplitmix(cfg.Seed, saltSpace),
-		readS:   newSplitmix(cfg.Seed, saltRead),
-		tearS:   newSplitmix(cfg.Seed, saltTear),
+		shortS:  newStream(cfg.Seed, saltShort),
+		writeS:  newStream(cfg.Seed, saltWrite),
+		syncS:   newStream(cfg.Seed, saltSync),
+		renameS: newStream(cfg.Seed, saltRename),
+		spaceS:  newStream(cfg.Seed, saltSpace),
+		readS:   newStream(cfg.Seed, saltRead),
+		tearS:   newStream(cfg.Seed, saltTear),
 	}
 	for _, op := range cfg.FailOps {
 		c.failOps[op] = true
@@ -301,7 +301,7 @@ func (c *ChaosFS) Rename(oldpath, newpath string) error {
 		return fmt.Errorf("%w: rename %s", ErrCrash, newpath)
 	}
 	inj := ""
-	if c.renameS.hit(c.cfg.RenameErr) {
+	if c.renameS.Bernoulli(c.cfg.RenameErr) {
 		inj = "renameerr"
 	}
 	_, crash, fail := c.point(OpRename, newpath, 0, inj)
@@ -370,7 +370,7 @@ func (c *ChaosFS) SyncDir(path string) error {
 		return fmt.Errorf("%w: syncdir %s", ErrCrash, path)
 	}
 	inj := ""
-	if c.syncS.hit(c.cfg.SyncErr) {
+	if c.syncS.Bernoulli(c.cfg.SyncErr) {
 		inj = "syncerr"
 	}
 	_, crash, fail := c.point(OpSyncDir, path, 0, inj)
@@ -388,11 +388,11 @@ func (c *ChaosFS) SyncDir(path string) error {
 // maybeCorrupt flips one byte of data when the read-corruption stream
 // fires. Callers hold the lock.
 func (c *ChaosFS) maybeCorrupt(data []byte) {
-	if len(data) == 0 || !c.readS.hit(c.cfg.ReadCorrupt) {
+	if len(data) == 0 || !c.readS.Bernoulli(c.cfg.ReadCorrupt) {
 		return
 	}
 	c.injected++
-	pos := int(c.readS.next() % uint64(len(data)))
+	pos := int(c.readS.Next() % uint64(len(data)))
 	data[pos] ^= 0x40
 }
 
@@ -427,11 +427,11 @@ func (cf *chaosFile) Write(p []byte) (int, error) {
 	}
 	inj := ""
 	switch {
-	case c.writeS.hit(c.cfg.WriteErr):
+	case c.writeS.Bernoulli(c.cfg.WriteErr):
 		inj = "writeerr"
-	case c.spaceS.hit(c.cfg.NoSpace):
+	case c.spaceS.Bernoulli(c.cfg.NoSpace):
 		inj = "enospc"
-	case c.shortS.hit(c.cfg.ShortWrite):
+	case c.shortS.Bernoulli(c.cfg.ShortWrite):
 		inj = "shortwrite"
 	}
 	_, crash, fail := c.point(OpWrite, cf.path, len(p), inj)
@@ -439,7 +439,7 @@ func (cf *chaosFile) Write(p []byte) (int, error) {
 	if crash {
 		// The torn write: a seeded prefix of p reaches the platter, the
 		// rest never does.
-		torn := int(c.tearS.next() % uint64(len(p)+1))
+		torn := int(c.tearS.Next() % uint64(len(p)+1))
 		if torn > 0 {
 			if n, err := cf.f.Write(p[:torn]); err != nil {
 				torn = n
@@ -478,7 +478,7 @@ func (cf *chaosFile) Sync() error {
 		return fmt.Errorf("%w: sync %s", ErrCrash, cf.path)
 	}
 	inj := ""
-	if c.syncS.hit(c.cfg.SyncErr) {
+	if c.syncS.Bernoulli(c.cfg.SyncErr) {
 		inj = "syncerr"
 	}
 	_, crash, fail := c.point(OpSync, cf.path, 0, inj)
@@ -538,17 +538,6 @@ func (cf *chaosFile) Close() error {
 	return err
 }
 
-// splitmix is the package's SplitMix64 stream — the same mixing function
-// internal/parallel and internal/faults use. One stream per fault family
-// keeps decisions independent.
-type splitmix struct{ state uint64 }
-
-const (
-	splitmixGamma = 0x9E3779B97F4A7C15
-	splitmixMul1  = 0xBF58476D1CE4E5B9
-	splitmixMul2  = 0x94D049BB133111EB
-)
-
 // Stream salts, one per fault family.
 const (
 	saltShort = iota + 0x10FA
@@ -560,31 +549,8 @@ const (
 	saltTear
 )
 
-func newSplitmix(seed int64, salt int) splitmix {
-	return splitmix{state: uint64(parallel.DeriveSeed(seed, salt))}
-}
-
-func (s *splitmix) next() uint64 {
-	s.state += splitmixGamma
-	z := s.state
-	z ^= z >> 30
-	z *= splitmixMul1
-	z ^= z >> 27
-	z *= splitmixMul2
-	z ^= z >> 31
-	return z
-}
-
-// float64 returns a uniform draw in [0, 1) from the top 53 bits.
-func (s *splitmix) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
-
-// hit draws one Bernoulli decision with probability p (p <= 0 draws
-// nothing, keeping the zero Config a true passthrough).
-func (s *splitmix) hit(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	return s.float64() < p
+// newStream is the fault family's stream: one per family keeps decisions
+// independent.
+func newStream(seed int64, salt int) parallel.Stream {
+	return parallel.NewStream(parallel.DeriveSeed(seed, salt))
 }

@@ -26,3 +26,28 @@ func use() int {
 	var l Live
 	return l.Get()
 }
+
+// Plan is a registry seam: Run is called through the interface and Name is
+// not, so Name is reported although every implementation satisfies Plan and
+// its own Name method therefore counts as referenced.
+type Plan interface {
+	Name() string // want `exported interface method Plan\.Name is called by no non-test file`
+	Run() error
+	// Describe is called from unusedexport_test.go alone.
+	Describe() string // want `exported interface method Plan\.Describe is called by no non-test file`
+}
+
+type spatialPlan struct{}
+
+func (spatialPlan) Name() string     { return "spatial" }
+func (spatialPlan) Run() error       { return nil }
+func (spatialPlan) Describe() string { return "" }
+
+func runPlans() error {
+	for _, p := range []Plan{spatialPlan{}} {
+		if err := p.Run(); err != nil {
+			return err
+		}
+	}
+	return nil
+}

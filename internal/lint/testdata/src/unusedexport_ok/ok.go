@@ -40,3 +40,37 @@ func run(xs []string) (float64, int, Status) {
 	sort.Sort(byLen(xs))
 	return total([]Shape{Square{side: 2}}), Used(), 0
 }
+
+// Renderer's method is called through a type parameter it constrains,
+// Closer's through an interface that embeds it, and Sizer's as a method
+// value: each is a use of the interface method.
+type Renderer interface{ Render() string }
+
+type Closer interface{ Close() error }
+
+type ReadCloser interface {
+	Closer
+	Read() int
+}
+
+type Sizer interface{ Size() int }
+
+func renderAll[R Renderer](rs []R) string {
+	out := ""
+	for _, r := range rs {
+		out += r.Render()
+	}
+	return out
+}
+
+func closeIt(rc ReadCloser) error {
+	if rc.Read() == 0 {
+		return nil
+	}
+	return rc.Close()
+}
+
+func sizeOf(s Sizer) func() int { return s.Size }
+
+var _ = renderAll[Renderer]
+var _, _ = closeIt, sizeOf

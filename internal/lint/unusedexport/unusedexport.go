@@ -9,6 +9,10 @@
 // the program names (a type, parameter, result or field of interface type
 // used anywhere in non-test code), or error or fmt.Stringer, which fmt and
 // errors consult dynamically: a call through the interface reaches it.
+// That makes the interface's own methods the ones to check: an exported
+// method of an interface the load set declares is reported when no
+// non-test selector uses it, since then no call through the interface
+// reaches any implementation either.
 //
 // The findings of one package depend on its importers, not just on its own
 // dependency cone, so the analyzer is only sound over a whole-module load —
@@ -77,7 +81,13 @@ func run(pass *analysis.Pass) (any, error) {
 						continue
 					}
 					tn, _ := pass.TypesInfo.Defs[ts.Name].(*types.TypeName)
-					if tn == nil || !tn.Exported() || refs[typeKey(tn)] {
+					if tn == nil {
+						continue
+					}
+					if it, ok := ts.Type.(*ast.InterfaceType); ok {
+						reportInterfaceMethods(pass, refs, tn, it)
+					}
+					if !tn.Exported() || refs[typeKey(tn)] {
 						continue
 					}
 					pass.Reportf(ts.Name.Pos(), "exported type %s is referenced by no non-test file", tn.Name())
@@ -86,6 +96,22 @@ func run(pass *analysis.Pass) (any, error) {
 		}
 	}
 	return nil, nil
+}
+
+// reportInterfaceMethods reports the exported methods declared in the
+// interface type tn that no non-test file uses. The use of an interface
+// method is a selector on an interface (or type-parameter) value, which
+// type-checks to the method declared here.
+func reportInterfaceMethods(pass *analysis.Pass, refs map[string]bool, tn *types.TypeName, it *ast.InterfaceType) {
+	for _, field := range it.Methods.List {
+		for _, name := range field.Names {
+			fn, _ := pass.TypesInfo.Defs[name].(*types.Func)
+			if fn == nil || !fn.Exported() || refs[dataflow.KeyOf(fn)] {
+				continue
+			}
+			pass.Reportf(name.Pos(), "exported interface method %s.%s is called by no non-test file", tn.Name(), fn.Name())
+		}
+	}
 }
 
 // references builds the set of canonical keys (dataflow.KeyOf for funcs and

@@ -156,24 +156,59 @@ func Trials[T any](workers int, root int64, n int, fn func(trial int, seed int64
 	}, fn)
 }
 
-// SplitMix64 constants (Steele, Lea & Flood, OOPSLA 2014): the additive
-// golden-ratio gamma and the two avalanche multipliers.
-const (
-	splitmixGamma = 0x9E3779B97F4A7C15
-	splitmixMul1  = 0xBF58476D1CE4E5B9
-	splitmixMul2  = 0x94D049BB133111EB
-)
+// The repo's one SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the
+// finalizer, the per-task seed derivation built on it, and the sequential
+// stream the fault engines draw from. The sharded grid engine's
+// counter-mode draws use Mix64 and Gamma directly.
+
+// Gamma is SplitMix64's additive golden-ratio increment.
+const Gamma = 0x9E3779B97F4A7C15
+
+// Mix64 is the SplitMix64 finalizer: a fixed bijective avalanche on 64
+// bits. It is pure, so a (seed, step, key) counter mixed through it is an
+// independent draw that no shared sequential stream has to hand out.
+func Mix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xBF58476D1CE4E5B9
+	z ^= z >> 27
+	z *= 0x94D049BB133111EB
+	z ^= z >> 31
+	return z
+}
 
 // DeriveSeed maps (root, index) to a well-mixed per-task seed using one
 // SplitMix64 step at state root + (index+1)·gamma. Nearby roots and indices
 // yield statistically independent streams, and the mapping is a fixed pure
 // function, so derived seeds never depend on scheduling.
 func DeriveSeed(root int64, index int) int64 {
-	z := uint64(root) + (uint64(index)+1)*splitmixGamma
-	z ^= z >> 30
-	z *= splitmixMul1
-	z ^= z >> 27
-	z *= splitmixMul2
-	z ^= z >> 31
-	return int64(z)
+	return int64(Mix64(uint64(root) + (uint64(index)+1)*Gamma))
+}
+
+// Stream is a SplitMix64 PRNG: 8 bytes of state, so per-node fault streams
+// stay cheap even at the paper's 10,000-node scale. The zero value is the
+// stream of seed 0.
+type Stream struct{ state uint64 }
+
+// NewStream seeds a stream. Seeds should come from DeriveSeed, so nearby
+// streams (node i and node i+1) are statistically independent.
+func NewStream(seed int64) Stream { return Stream{state: uint64(seed)} }
+
+// Next advances the state by Gamma and mixes it out.
+func (s *Stream) Next() uint64 {
+	s.state += Gamma
+	return Mix64(s.state)
+}
+
+// Float64 returns a uniform draw in [0, 1) from the top 53 bits.
+func (s *Stream) Float64() float64 {
+	return float64(s.Next()>>11) / (1 << 53)
+}
+
+// Bernoulli returns true with probability p. A p <= 0 draws nothing, so a
+// disabled fault family never advances its stream.
+func (s *Stream) Bernoulli(p float64) bool {
+	if p <= 0 {
+		return false
+	}
+	return s.Float64() < p
 }

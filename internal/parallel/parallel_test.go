@@ -247,6 +247,57 @@ func TestDeriveSeedGolden(t *testing.T) {
 	}
 }
 
+// TestMix64MatchesDeriveSeed pins Mix64 to the SplitMix64 finalizer as
+// published, written out here with its constants, and DeriveSeed to one
+// finalizer step at root + (i+1)·Gamma.
+func TestMix64MatchesDeriveSeed(t *testing.T) {
+	root, i := int64(12345), 6
+	want := uint64(root) + (uint64(i)+1)*0x9E3779B97F4A7C15
+	want ^= want >> 30
+	want *= 0xBF58476D1CE4E5B9
+	want ^= want >> 27
+	want *= 0x94D049BB133111EB
+	want ^= want >> 31
+	if got := Mix64(uint64(root) + (uint64(i)+1)*Gamma); got != want {
+		t.Fatalf("Mix64 = %#x, want %#x", got, want)
+	}
+	if got := DeriveSeed(root, i); got != int64(want) {
+		t.Fatalf("DeriveSeed = %#x, want %#x", got, want)
+	}
+	// Mix64 is bijective with fixed point 0; nearby nonzero inputs must
+	// scatter.
+	if Mix64(1) == Mix64(2) || Mix64(1)^Mix64(2) < 1<<32 {
+		t.Fatal("Mix64 fails the smoke avalanche check")
+	}
+}
+
+// TestStreamDraws pins the stream to the finalizer: the k-th draw of the
+// stream of seed s is Mix64(s + k·Gamma), its uniform is the draw's top 53
+// bits, and a Bernoulli at p <= 0 leaves the stream where it was.
+func TestStreamDraws(t *testing.T) {
+	seed := int64(-7)
+	s := NewStream(seed)
+	for k := uint64(1); k <= 4; k++ {
+		if got, want := s.Next(), Mix64(uint64(seed)+k*Gamma); got != want {
+			t.Fatalf("draw %d = %#x, want %#x", k, got, want)
+		}
+	}
+	u := NewStream(seed)
+	if got, want := u.Float64(), float64(Mix64(uint64(seed)+Gamma)>>11)/(1<<53); got != want {
+		t.Fatalf("Float64 = %v, want %v", got, want)
+	}
+	b := NewStream(seed)
+	if b.Bernoulli(0) || b.Bernoulli(-1) {
+		t.Fatal("Bernoulli(p <= 0) returned true")
+	}
+	if b != NewStream(seed) {
+		t.Fatal("Bernoulli(p <= 0) advanced the stream")
+	}
+	if !b.Bernoulli(1) || b == NewStream(seed) {
+		t.Fatal("Bernoulli(1) did not draw true")
+	}
+}
+
 func TestDefaultWorkers(t *testing.T) {
 	if DefaultWorkers() < 1 {
 		t.Errorf("DefaultWorkers() = %d", DefaultWorkers())

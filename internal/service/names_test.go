@@ -1,25 +1,29 @@
 package service_test
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/service"
 )
 
 // submitRefusesName submits a spec whose name its verb does not know and
 // requires an error from Submit, a 400 over HTTP, the same error from
-// RunSpec, no spec sidecar in the state directory and no tracked job.
+// RunSpec, no spec sidecar in the state directory and no tracked job. The
+// document is written by hand, since every spec builder validates and so
+// refuses the name itself.
 func submitRefusesName(t *testing.T, verb, name string) {
 	t.Helper()
 	dir := t.TempDir()
 	svc, _ := newService(t, dir, 1, 1)
 	ts := httptest.NewServer(service.Handler(svc))
 	defer ts.Close()
-	spec := buildSpec(t, verb, name, 7)
-	doc := canonical(t, spec)
+	spec := core.Spec{Schema: core.SpecSchemaV1, Run: core.Command{Verb: verb, Name: name}, Seed: 7}
+	doc := []byte(fmt.Sprintf(`{"schema":"spec.v1","run":{"verb":%q,"name":%q},"seed":7,"faults":{}}`, verb, name))
 	_, status, err := svc.Submit(doc)
 	if err == nil {
 		t.Fatalf("Submit(%s) = %q, want an error", spec.Run, status)

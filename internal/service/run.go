@@ -10,11 +10,8 @@ package service
 
 import (
 	"fmt"
-	"io"
-	"slices"
 	"strings"
 
-	"repro/internal/attack"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 )
@@ -86,33 +83,22 @@ func RunSpec(spec core.Spec, opts RunOptions) (*RunResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.Run == allCommand {
-		study, err := core.NewFromSpec(spec, opts.Extra...)
-		if err != nil {
-			return nil, err
-		}
-		return runAll(study, opts)
-	}
-	if opts.Journal != nil {
+	if opts.Journal != nil && spec.Run != core.ExperimentAll {
 		return nil, fmt.Errorf("service: checkpointing applies only to `experiment all`, not %q", spec.Run)
-	}
-	run, err := resolve(spec.Run)
-	if err != nil {
-		return nil, err
 	}
 	study, err := core.NewFromSpec(spec, opts.Extra...)
 	if err != nil {
 		return nil, err
 	}
-	var out strings.Builder
-	if err := run(study, &out); err != nil {
+	if spec.Run == core.ExperimentAll {
+		return runAll(study, opts)
+	}
+	out, err := study.Run(spec.Run)
+	if err != nil {
 		return nil, err
 	}
-	return &RunResult{Output: out.String(), Exit: ExitClean}, nil
+	return &RunResult{Output: out, Exit: ExitClean}, nil
 }
-
-// allCommand is `experiment all`, the whole evaluation in one sweep.
-var allCommand = core.Command{Verb: "experiment", Name: "all"}
 
 // runAll is `experiment all`: the study's one evaluation sweep, journaled
 // when opts.Journal is set and drainable via opts.Quit. The completed
@@ -147,89 +133,4 @@ func runAll(study *core.Study, opts RunOptions) (*RunResult, error) {
 		res.Exit = ExitDegraded
 	}
 	return res, nil
-}
-
-// checkCommand refuses a command RunSpec cannot run. Submit and the CLI's
-// spec builder call it before anything is built or stored, so the CLI and
-// the daemon refuse a bad name with the same error RunSpec would give.
-func checkCommand(cmd core.Command) error {
-	if cmd == allCommand {
-		return nil
-	}
-	_, err := resolve(cmd)
-	return err
-}
-
-// resolve finds the runner a command's verb dispatches its name to; every
-// command but `experiment all`, which RunSpec runs as one sweep, has one.
-// Names match exactly, so a spelling outside the registry is refused rather
-// than given a cache key of its own.
-func resolve(cmd core.Command) (func(*core.Study, io.Writer) error, error) {
-	switch cmd.Verb {
-	case "experiment":
-		if !core.IsExperiment(cmd.Name) {
-			return nil, fmt.Errorf("unknown experiment %q", cmd.Name)
-		}
-		return func(study *core.Study, w io.Writer) error {
-			out, err := study.Experiment(cmd.Name)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, out)
-			return nil
-		}, nil
-	case "attack":
-		if !slices.Contains(attack.PlanNames(), cmd.Name) {
-			return nil, fmt.Errorf("unknown attack plan %q (%s)", cmd.Name, strings.Join(attack.PlanNames(), ", "))
-		}
-		return func(study *core.Study, w io.Writer) error { return runAttack(study, cmd.Name, w) }, nil
-	case "defend":
-		if run, ok := defenses[cmd.Name]; ok {
-			return run, nil
-		}
-		return nil, fmt.Errorf("unknown defense %q (blockaware, stratum, routeguard, placement)", cmd.Name)
-	case "export":
-		if run, ok := exports[cmd.Name]; ok {
-			return run, nil
-		}
-		return nil, fmt.Errorf("unknown export %q (figure3, figure4, figure6a/b/c, figure8, table5, table6)", cmd.Name)
-	}
-	return nil, fmt.Errorf("unknown verb %q", cmd.Verb)
-}
-
-// runAttack runs one plan of the attack package's registry.
-func runAttack(study *core.Study, name string, w io.Writer) error {
-	plan, err := attack.NewPlan(name, attack.Env{
-		Pop:          study.Pop,
-		NetworkNodes: study.Opts.NetworkNodes,
-		Seed:         study.Seed(),
-		Obs:          study.Observer(),
-		Faults:       study.Opts.Faults,
-		NewSim:       study.NewSimFromPopulation,
-	})
-	if err != nil {
-		return err
-	}
-	res, err := plan.Run()
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(w, res.Summary())
-	return nil
-}
-
-// exports writes machine-readable CSV for the data figures and tables.
-var exports = map[string]func(*core.Study, io.Writer) error{
-	"figure3":  (*core.Study).ExportFigure3,
-	"figure4":  (*core.Study).ExportFigure4,
-	"figure6a": exportFigure6(core.Figure6a),
-	"figure6b": exportFigure6(core.Figure6b),
-	"figure6c": exportFigure6(core.Figure6c),
-	"figure8":  (*core.Study).ExportFigure8,
-	"table5":   (*core.Study).ExportTableV,
-	"table6":   (*core.Study).ExportTableVI,
-}
-
-func exportFigure6(v core.Figure6Variant) func(*core.Study, io.Writer) error {
-	return func(study *core.Study, w io.Writer) error { return study.ExportFigure6(w, v) }
 }

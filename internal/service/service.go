@@ -84,14 +84,11 @@ const (
 )
 
 // Submit parses, validates, fingerprints, and (if new) admits a spec. A
-// command name its verb does not know is an error before anything is
-// fingerprinted, stored or queued.
+// command outside the command table is refused by the parse, before
+// anything is fingerprinted, stored or queued.
 func (s *Service) Submit(raw []byte) (View, SubmitStatus, error) {
 	spec, err := core.ParseSpec(raw)
 	if err != nil {
-		return View{}, "", err
-	}
-	if err := checkCommand(spec.Run); err != nil {
 		return View{}, "", err
 	}
 	fp, err := spec.Fingerprint()
@@ -192,7 +189,7 @@ func (s *Service) runJob(j *job) {
 	// — its durability promise is power-off, not just process-crash. Other
 	// commands run to completion — they have no boundary to stop at — and a
 	// drained daemon simply waits.
-	if j.spec.Run.Verb == "experiment" && j.spec.Run.Name == "all" {
+	if j.spec.Run == core.ExperimentAll {
 		path := s.state.journalPath(j.fp)
 		jopts := checkpoint.JournalOptions{FS: s.state.fs, Sync: true}
 		var (

@@ -248,7 +248,7 @@ func TestCacheServedAcrossRestart(t *testing.T) {
 	// Specs differing in seed or fault scenario miss.
 	for name, other := range map[string]core.Spec{
 		"seed":   buildSpec(t, "attack", "doublespend", 4),
-		"faults": buildSpec(t, "attack", "doublespend", 3, core.WithFaults(faults.Churny())),
+		"faults": buildSpec(t, "attack", "doublespend", 3, func(s *core.Study) { s.Opts.Faults = faults.Churny() }),
 	} {
 		_, st, err := svc2.Submit(canonical(t, other))
 		if err != nil || st != service.SubmitAccepted {

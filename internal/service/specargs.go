@@ -33,23 +33,20 @@ func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 // Spec builds the validated spec the parsed flags describe for the given
 // command. The name must be one the verb knows, spelled exactly.
 func (f *SpecFlags) Spec(verb, name string) (core.Spec, error) {
-	opts := []core.Option{core.WithWorkers(*f.workers), core.WithStepBudget(*f.stepBudget)}
+	var opts core.Options
 	if *f.full {
-		opts = append(opts, core.WithFull())
+		opts = core.Full()
 	}
+	opts.Workers, opts.StepBudget = *f.workers, *f.stepBudget
 	if *f.faultsName != "" {
 		scenario, err := faults.Preset(*f.faultsName)
 		if err != nil {
 			return core.Spec{}, err
 		}
-		opts = append(opts, core.WithFaults(scenario))
+		opts.Faults = scenario
 	}
-	spec := core.SpecFromOptions(*f.seed, opts...)
-	spec.Run = core.Command{Verb: verb, Name: name}
+	spec := core.Spec{Schema: core.SpecSchemaV1, Run: core.Command{Verb: verb, Name: name}, Seed: *f.seed, Options: opts}
 	if err := spec.Validate(); err != nil {
-		return core.Spec{}, err
-	}
-	if err := checkCommand(spec.Run); err != nil {
 		return core.Spec{}, err
 	}
 	return spec, nil

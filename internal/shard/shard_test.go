@@ -162,25 +162,3 @@ func TestRangeHaloIsRowBoundary(t *testing.T) {
 		}
 	}
 }
-
-// TestMixMatchesDeriveSeed pins Mix to the SplitMix64 finalizer already
-// relied on by parallel.DeriveSeed: same constants, same avalanche, so the
-// counter-mode draws built on Mix live in the same proven family.
-func TestMixMatchesDeriveSeed(t *testing.T) {
-	// DeriveSeed(root, i) = Mix(root + (i+1)·Gamma) by construction.
-	root, i := int64(12345), 6
-	want := uint64(root) + (uint64(i)+1)*Gamma
-	want ^= want >> 30
-	want *= mul1
-	want ^= want >> 27
-	want *= mul2
-	want ^= want >> 31
-	if got := Mix(uint64(root) + (uint64(i)+1)*Gamma); got != want {
-		t.Fatalf("Mix = %#x, want %#x", got, want)
-	}
-	// Mix is bijective with fixed point 0; nearby nonzero inputs must
-	// scatter.
-	if Mix(1) == Mix(2) || Mix(1)^Mix(2) < 1<<32 {
-		t.Fatal("Mix fails the smoke avalanche check")
-	}
-}
