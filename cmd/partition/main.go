@@ -76,8 +76,6 @@ func run(args []string) (int, error) {
 		verb, noun = args[1], args[2]
 		args = args[1:]
 	}
-	// Registered names are lower case; `experiment Table1` means table1.
-	noun = strings.ToLower(noun)
 	fs := flag.NewFlagSet("partition", flag.ContinueOnError)
 	sf := service.RegisterSpecFlags(fs)
 	tracePath := fs.String("trace", "", "record the sim-time event trace and write it as JSONL to this path")
@@ -190,11 +188,7 @@ func openJournal(spec core.Spec, dir string, resume bool) (*checkpoint.Journal, 
 		}
 		return j, log, path, nil
 	}
-	canonical, err := spec.CanonicalJSON()
-	if err != nil {
-		return nil, nil, "", err
-	}
-	j, err := checkpoint.CreateJournal(path, fp, checkpoint.JournalOptions{Spec: canonical})
+	j, err := checkpoint.CreateJournal(path, fp, checkpoint.JournalOptions{})
 	if err != nil {
 		return nil, nil, "", err
 	}

@@ -9,9 +9,10 @@ import (
 	"repro/internal/service"
 )
 
-// TestRunRefusesFlagMisuse pins the flag combinations run refuses before
-// any study is built or journal directory created: each exits 1 with an
-// error naming the misuse.
+// TestRunRefusesFlagMisuse pins the flag combinations and names run
+// refuses before any study is built or journal directory created: each
+// exits 1 with an error naming the misuse. Names match exactly, as
+// `partitiond submit` and a submitted spec document require.
 func TestRunRefusesFlagMisuse(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpt")
 	cases := []struct {
@@ -27,6 +28,8 @@ func TestRunRefusesFlagMisuse(t *testing.T) {
 		{"onfault without checkpoint", []string{"experiment", "all", "-onfault", "degrade", "-stepbudget", "5"}, "-onfault needs -checkpoint DIR"},
 		{"grid engine selector", []string{"experiment", "all", "-shards", "4"}, "flag provided but not defined: -shards"},
 		{"negative step budget", []string{"experiment", "all", "-stepbudget", "-5"}, "spec field step_budget is negative"},
+		{"wrong case name", []string{"experiment", "Table1"}, `unknown command "experiment Table1"`},
+		{"wrong case spec", []string{"spec", "experiment", "Table1"}, `unknown command "experiment Table1"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

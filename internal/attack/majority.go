@@ -97,7 +97,7 @@ func ExecuteMajority51(sim *netsim.Simulation, cfg MajorityConfig) (*MajorityRes
 	private := []*blockchain.Block{}
 	parent := forkBase
 	for t := time.Duration(stats.Exponential(rng, lambda) * float64(time.Second)); t <= cfg.MineFor; t += time.Duration(stats.Exponential(rng, lambda) * float64(time.Second)) {
-		b := blockchain.NewBlock(parent, -3, sim.Engine.Now()+t, sim.NewTxs(sim.Config().TxPerBlock), true)
+		b := blockchain.NewBlock(parent, -3, sim.Engine.Now()+t, sim.NewTxs(netsim.TxPerBlock), true)
 		private = append(private, b)
 		parent = b
 	}

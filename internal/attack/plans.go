@@ -190,9 +190,8 @@ func runCascade(env Env) (Result, error) {
 			Outbound:     outbound,
 			Seed:         env.Seed + 7,
 			GatewayNodes: []p2p.NodeID{total - 1}, // honest blocks enter outside
-			Obs:          env.Obs,
 			Faults:       env.Faults,
-			Gossip:       p2p.Config{FailureRate: 0.10},
+			Gossip:       p2p.Config{FailureRate: 0.10, Obs: env.Obs},
 		})
 	}
 	var b strings.Builder

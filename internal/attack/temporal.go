@@ -245,7 +245,7 @@ func executeOnVictims(sim *netsim.Simulation, cfg TemporalConfig, victims []p2p.
 			if now > releaseAt {
 				return
 			}
-			txs := sim.NewTxs(sim.Config().TxPerBlock)
+			txs := sim.NewTxs(netsim.TxPerBlock)
 			b := blockchain.NewBlock(parent, -2, now, txs, true)
 			if cfg.TrackPayment && paymentHeight < 0 {
 				// The first counterfeit block carries the payment to the

@@ -117,24 +117,10 @@ func sampleJournal(f *testing.F) []byte {
 }
 
 // sampleSpecJournal renders a journal whose header embeds a canonical spec
-// document plus one record — the partitiond on-disk shape.
+// document plus one record — the on-disk shape partitiond wrote while
+// headers carried the spec, which must still parse.
 func sampleSpecJournal(f *testing.F) []byte {
 	f.Helper()
-	dir := f.TempDir()
 	spec := []byte(`{"version":1,"run":{"kind":"experiment","target":"all"},"seed":1}`)
-	j, err := CreateJournal(dir+"/spec.ckpt", Fingerprint("fuzz-spec"), JournalOptions{Spec: spec})
-	if err != nil {
-		f.Fatal(err)
-	}
-	if err := j.Append(Record{Kind: KindResult, Task: 0, Seed: 9, Output: []byte("out")}); err != nil {
-		f.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		f.Fatal(err)
-	}
-	data, err := os.ReadFile(dir + "/spec.ckpt")
-	if err != nil {
-		f.Fatal(err)
-	}
-	return data
+	return specHeaderJournal(f, f.TempDir()+"/spec.ckpt", Fingerprint("fuzz-spec"), spec, 9)
 }

@@ -70,15 +70,12 @@ type Record struct {
 	Input string `json:"input,omitempty"`
 }
 
-// header is the first framed line of a journal. Spec optionally embeds the
-// canonical study-spec document the run was keyed by (partitiond writes it
-// so a journal found after a crash is self-describing: the daemon can
-// rebuild and resume the job from the journal alone). Journals written
-// without a spec stay byte-identical to the pre-spec format.
+// header is the first framed line of a journal. Journals written before
+// the spec moved to partitiond's .spec.json sidecar carry a third field,
+// "spec"; decoding ignores it, so they still load and resume.
 type header struct {
-	Schema      string          `json:"schema"`
-	Fingerprint string          `json:"fingerprint"`
-	Spec        json.RawMessage `json:"spec,omitempty"`
+	Schema      string `json:"schema"`
+	Fingerprint string `json:"fingerprint"`
 }
 
 // Journal is an append-only write-ahead journal. Append is safe for
@@ -93,7 +90,6 @@ type Journal struct {
 	f           iofault.File
 	bw          *bufio.Writer
 	fingerprint string
-	spec        []byte
 	sync        bool
 }
 
@@ -107,10 +103,6 @@ type JournalOptions struct {
 	// crash" to "survives power loss". partitiond enables it; the CLI's
 	// default stays flush-only.
 	Sync bool
-	// Spec optionally embeds the canonical study-spec document in the
-	// header, making the journal self-describing (see header). Nil writes
-	// the plain header, byte-identical to the pre-spec format.
-	Spec []byte
 }
 
 // CreateJournal opens a fresh journal at path (truncating any existing
@@ -122,7 +114,7 @@ func CreateJournal(path, fingerprint string, opts JournalOptions) (*Journal, err
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: create journal: %w", err)
 	}
-	j := &Journal{f: f, bw: bufio.NewWriter(f), fingerprint: fingerprint, spec: opts.Spec, sync: opts.Sync}
+	j := &Journal{f: f, bw: bufio.NewWriter(f), fingerprint: fingerprint, sync: opts.Sync}
 	if err := j.writeHeader(); err != nil {
 		_ = f.Close() // the header error is the one worth reporting
 		return nil, err
@@ -165,7 +157,7 @@ func ResumeJournal(path, fingerprint string, opts JournalOptions) (*Journal, *Lo
 
 // writeHeader frames and flushes the schema/fingerprint line.
 func (j *Journal) writeHeader() error {
-	payload, err := json.Marshal(header{Schema: SchemaV1, Fingerprint: j.fingerprint, Spec: j.spec})
+	payload, err := json.Marshal(header{Schema: SchemaV1, Fingerprint: j.fingerprint})
 	if err != nil {
 		return fmt.Errorf("checkpoint: encode header: %w", err)
 	}

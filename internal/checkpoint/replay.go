@@ -13,9 +13,6 @@ import (
 type Log struct {
 	// Fingerprint is the run fingerprint the journal was written under.
 	Fingerprint string
-	// Spec is the canonical study-spec document embedded in the header
-	// (JournalOptions.Spec), nil for journals written without one.
-	Spec []byte
 	// Records is the valid record prefix, in file (completion) order.
 	Records []Record
 	// Truncated reports that the file ended in a corrupt or half-written
@@ -91,7 +88,7 @@ func parse(data []byte, fingerprint string) (*Log, int, error) {
 	if fingerprint != "" && hdr.Fingerprint != fingerprint {
 		return nil, 0, fmt.Errorf("%w: journal has %q, run has %q", ErrFingerprint, hdr.Fingerprint, fingerprint)
 	}
-	log := &Log{Fingerprint: hdr.Fingerprint, Spec: hdr.Spec, results: map[int]Record{}}
+	log := &Log{Fingerprint: hdr.Fingerprint, results: map[int]Record{}}
 	validLen := len(data) - len(rest)
 	data = rest
 	for len(data) > 0 {

@@ -70,8 +70,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Full returns options at the paper's scale (minutes of CPU rather than
-// seconds).
+// Full returns options at the paper's scale: 60-day traces, a 100×100
+// grid and a 10,000-node live network. `experiment all` at this scale
+// takes seconds, not minutes (about 4–6 s wall on 2 CPUs, most of it
+// figure5's 10,000-node network); healstudy, outside `all`, about 20 s.
 func Full() Options {
 	return Options{
 		TableVTraceDays: 60,

@@ -23,12 +23,6 @@ import (
 // profiles sampled from the population (AS, organization, version,
 // up-state), at the study's configured scale, with uniform peering.
 func (s *Study) NewSimFromPopulation(n int, seed int64) (*netsim.Simulation, error) {
-	return s.NewSimFromPopulationBias(n, seed, 0)
-}
-
-// NewSimFromPopulationBias is NewSimFromPopulation with locality-biased
-// peer selection (the cascade experiments need intra-AS clustering).
-func (s *Study) NewSimFromPopulationBias(n int, seed int64, sameASBias float64) (*netsim.Simulation, error) {
 	if n <= 0 || n > len(s.Pop.Nodes) {
 		return nil, fmt.Errorf("core: population slice %d outside 1..%d", n, len(s.Pop.Nodes))
 	}
@@ -56,13 +50,8 @@ func (s *Study) NewSimFromPopulationBias(n int, seed int64, sameASBias float64) 
 		Population: nodes,
 		Seed:       seed,
 		Pools:      dataset.TableIV(),
-		Obs:        s.obs,
 		Faults:     s.Opts.Faults,
-		Gossip: p2p.Config{
-			FailureRate:    0.10,
-			MeanRelayDelay: 2 * time.Second,
-			SameASBias:     sameASBias,
-		},
+		Gossip:     p2p.Config{FailureRate: 0.10, Obs: s.obs},
 	})
 }
 

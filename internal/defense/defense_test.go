@@ -16,7 +16,7 @@ func warmSim(t *testing.T, nodes int, seed int64) *netsim.Simulation {
 	t.Helper()
 	sim, err := netsim.FromConfig(netsim.Config{
 		Nodes: nodes, Seed: seed,
-		Gossip: p2p.Config{FailureRate: 0.10, MeanRelayDelay: 2 * time.Second},
+		Gossip: p2p.Config{FailureRate: 0.10},
 	})
 	if err != nil {
 		t.Fatal(err)

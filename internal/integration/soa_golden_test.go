@@ -50,8 +50,8 @@ func soaTraceWorkload(t *testing.T) []byte {
 
 	netObs := obs.New(0)
 	sim, err := netsim.FromConfig(netsim.Config{
-		Nodes: 150, Seed: 7, Obs: netObs,
-		Gossip: p2p.Config{FailureRate: 0.10},
+		Nodes: 150, Seed: 7,
+		Gossip: p2p.Config{FailureRate: 0.10, Obs: netObs},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func benchNetwork(b *testing.B, n int, cfg Config) *Network {
 	for i := range nodes {
 		nodes[i] = NewNode(NodeID(i), Profile{Family: topology.FamilyIPv4})
 	}
-	net, err := NewNetwork(engine, nodes, cfg, rng)
+	net, err := NewNetwork(engine, nodes, cfg, rng, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func BenchmarkConnectBiased(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewNetwork(engine, nodes, Config{SameASBias: 0.8}, rng); err != nil {
+		if _, err := NewNetwork(engine, nodes, Config{SameASBias: 0.8}, rng, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package p2p
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -31,66 +32,38 @@ type FaultInjector interface {
 
 // RewirePeers re-picks a node's outbound peer set, modelling the peer
 // re-discovery of a restarting node: a restarted bitcoind re-dials from
-// addrman rather than resuming its previous connections. Undirected edges
-// that existed only because of this node's old outbound picks are removed;
-// edges backed by another node's outbound connection to this node survive,
-// exactly as the inbound side of a real restart does. The caller supplies
-// the rng (fault injectors pass one derived from their own churn stream).
+// addrman rather than resuming its previous connections, uniformly at
+// random whatever Config.SameASBias says. Undirected edges that existed
+// only because of this node's old outbound picks are removed; edges backed
+// by another node's outbound connection to this node survive, exactly as
+// the inbound side of a real restart does. The caller supplies the rng
+// (fault injectors pass one derived from their own churn stream).
 func (n *Network) RewirePeers(id NodeID, rng *rand.Rand) {
 	node := n.Nodes[id]
 	for _, p := range node.Peers {
-		if !n.hasOutbound(p, id) {
+		if !slices.Contains(n.Nodes[p].Peers, id) {
 			n.removeAdj(id, p)
 			n.removeAdj(p, id)
 		}
 	}
-	node.Peers = node.Peers[:0]
-	count := n.cfg.PeerCount
-	if count > len(n.Nodes)-1 {
-		count = len(n.Nodes) - 1
-	}
-	picked := make(map[NodeID]bool, count)
-	for len(node.Peers) < count {
-		p := NodeID(rng.Intn(len(n.Nodes)))
-		if p == id || picked[p] {
-			continue
-		}
-		picked[p] = true
-		node.Peers = append(node.Peers, p)
+	node.Peers = drawPeers(node.Peers, rng, id, len(n.Nodes), n.cfg.PeerCount, 0, nil)
+	for _, p := range node.Peers {
 		n.addAdj(id, p)
 		n.addAdj(p, id)
 	}
 }
 
-// hasOutbound reports whether from lists to among its outbound peers.
-func (n *Network) hasOutbound(from, to NodeID) bool {
-	for _, p := range n.Nodes[from].Peers {
-		if p == to {
-			return true
-		}
-	}
-	return false
-}
-
-// addAdj inserts an undirected relay edge, keeping the adjacency sorted
-// and duplicate-free.
+// addAdj inserts an undirected relay edge end, keeping the row sorted and
+// duplicate-free.
 func (n *Network) addAdj(a, b NodeID) {
-	for _, p := range n.adj[a] {
-		if p == b {
-			return
-		}
+	if i, found := slices.BinarySearch(n.adj[a], b); !found {
+		n.adj[a] = slices.Insert(n.adj[a], i, b)
 	}
-	n.adj[a] = append(n.adj[a], b)
-	sortNodeIDs(n.adj[a])
 }
 
 // removeAdj deletes an undirected relay edge end.
 func (n *Network) removeAdj(a, b NodeID) {
-	lst := n.adj[a]
-	for i, p := range lst {
-		if p == b {
-			n.adj[a] = append(lst[:i], lst[i+1:]...)
-			return
-		}
+	if i, found := slices.BinarySearch(n.adj[a], b); found {
+		n.adj[a] = slices.Delete(n.adj[a], i, i+1)
 	}
 }

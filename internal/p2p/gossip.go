@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/blockchain"
@@ -25,9 +26,25 @@ const (
 	// Diffusion relays each message with an independent exponential delay.
 	Diffusion
 	// Trickle relays in fixed rounds: each hop waits a uniformly chosen
-	// 1-4 multiples of TrickleInterval, approximating the legacy staged
-	// flooding.
+	// 1-4 multiples of the 10s trickleInterval, approximating the legacy
+	// staged flooding.
 	Trickle
+)
+
+// Relay timing the paper fixes and no experiment varies.
+const (
+	// meanRelayDelay is the mean of the exponential per-hop delay under
+	// diffusion: 2s, consistent with measured Bitcoin relay latency (Decker
+	// & Wattenhofer report medians of a few seconds).
+	meanRelayDelay = 2 * time.Second
+	// diffusionRate is the hop sampler's rate 1/meanRelayDelay, in 1/s, so
+	// the per-message sampler does no division on the hot path.
+	diffusionRate = float64(time.Second) / float64(meanRelayDelay)
+	// trickleInterval is the trickle round length.
+	trickleInterval = 10 * time.Second
+	// requestTimeout is how long a node waits on an in-flight getdata
+	// before a fresh inv may trigger a re-request.
+	requestTimeout = 30 * time.Second
 )
 
 // Config parameterizes a gossip network. Zero values are replaced by the
@@ -37,21 +54,12 @@ type Config struct {
 	// default number of Bitcoin peers is 8, which is used in our
 	// simulation").
 	PeerCount int
-	// MeanRelayDelay is the mean of the exponential per-hop delay under
-	// diffusion. Default 2s, consistent with measured Bitcoin relay latency
-	// (Decker & Wattenhofer report medians of a few seconds).
-	MeanRelayDelay time.Duration
 	// FailureRate is the probability an individual message is lost.
 	// Default 0.10 ("peer communication failure rate is ... typically
 	// around 10 percent").
 	FailureRate float64
 	// Spreading selects diffusion (default) or trickle.
 	Spreading Spreading
-	// TrickleInterval is the trickle round length. Default 10s.
-	TrickleInterval time.Duration
-	// RequestTimeout is how long a node waits on an in-flight getdata
-	// before a fresh inv may trigger a re-request. Default 30s.
-	RequestTimeout time.Duration
 	// SameASBias is the probability an outbound peer slot is filled with a
 	// node from the same AS when one exists (locality-biased peering; the
 	// clustering approaches of Fadhil et al. and Sallal et al. the paper
@@ -76,20 +84,11 @@ func (c Config) withDefaults() Config {
 	if c.PeerCount == 0 {
 		c.PeerCount = 8
 	}
-	if c.MeanRelayDelay == 0 {
-		c.MeanRelayDelay = 2 * time.Second
-	}
 	if c.FailureRate == 0 {
 		c.FailureRate = 0.10
 	}
 	if c.Spreading == SpreadingInvalid {
 		c.Spreading = Diffusion
-	}
-	if c.TrickleInterval == 0 {
-		c.TrickleInterval = 10 * time.Second
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -101,9 +100,6 @@ func (c Config) Validate() error {
 	}
 	if c.FailureRate < 0 || c.FailureRate >= 1 {
 		return fmt.Errorf("p2p: failure rate %v outside [0,1)", c.FailureRate)
-	}
-	if c.MeanRelayDelay < 0 {
-		return fmt.Errorf("p2p: negative relay delay %v", c.MeanRelayDelay)
 	}
 	if c.SameASBias < 0 || c.SameASBias > 1 {
 		return fmt.Errorf("p2p: same-AS bias %v outside [0,1]", c.SameASBias)
@@ -131,10 +127,7 @@ type Network struct {
 	Engine *sim.Engine
 	Nodes  []*Node
 
-	cfg Config
-	// lambda is the precomputed diffusion delay rate 1/MeanRelayDelay, so
-	// the per-message hop sampler does no division on the hot path.
-	lambda   float64
+	cfg      Config
 	rng      *rand.Rand
 	policy   LinkPolicy
 	adj      [][]NodeID // undirected adjacency (out ∪ in edges)
@@ -200,10 +193,15 @@ func (n *Network) initObs(o *obs.Observer) {
 	n.obs.revTxs = reg.Counter("p2p.reversed_txs")
 }
 
-// NewNetwork builds a network over the given nodes and wires a random
-// peer graph. The engine and rng are owned by the caller so several
-// subsystems can share one virtual clock and one seed.
-func NewNetwork(engine *sim.Engine, nodes []*Node, cfg Config, rng *rand.Rand) (*Network, error) {
+// NewNetwork builds a network over the given nodes. outbound[i] lists
+// node i's outbound peers; a nil outbound has each node, in ID order, draw
+// its own from rng (see drawPeers). Relay runs over the undirected closure
+// (out ∪ in), as in Bitcoin. Experiments pass an explicit graph to build
+// structured topologies (e.g. an AS whose interior nodes relay exclusively
+// through border nodes, the precondition of the §V-A cascade effect). The
+// engine and rng are owned by the caller so several subsystems can share
+// one virtual clock and one seed.
+func NewNetwork(engine *sim.Engine, nodes []*Node, cfg Config, rng *rand.Rand, outbound [][]NodeID) (*Network, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -214,141 +212,104 @@ func NewNetwork(engine *sim.Engine, nodes []*Node, cfg Config, rng *rand.Rand) (
 	if len(nodes) < 2 {
 		return nil, errors.New("p2p: need at least two nodes")
 	}
-	n := &Network{
-		Engine:  engine,
-		Nodes:   nodes,
-		cfg:     cfg,
-		lambda:  1 / cfg.MeanRelayDelay.Seconds(),
-		rng:     rng,
-		refTip:  blockchain.Genesis(),
-		hashIdx: map[blockchain.Hash]int32{},
-	}
-	n.initObs(cfg.Obs)
-	n.connect()
-	return n, nil
-}
-
-// NewNetworkWithGraph builds a network over an explicit outbound-peer
-// graph instead of random selection. outbound[i] lists node i's outbound
-// peers; relay still runs over the undirected closure (out ∪ in), as in
-// Bitcoin. Experiments use this to construct structured topologies (e.g.
-// an AS whose interior nodes relay exclusively through border nodes, the
-// precondition of the §V-A cascade effect).
-func NewNetworkWithGraph(engine *sim.Engine, nodes []*Node, cfg Config, rng *rand.Rand, outbound [][]NodeID) (*Network, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if engine == nil || rng == nil {
-		return nil, errors.New("p2p: nil engine or rng")
-	}
-	if len(nodes) < 2 {
-		return nil, errors.New("p2p: need at least two nodes")
-	}
-	if len(outbound) != len(nodes) {
-		return nil, fmt.Errorf("p2p: graph has %d rows for %d nodes", len(outbound), len(nodes))
+	if outbound == nil {
+		// The paper notes peers are distributed across ASes rather than
+		// clustered, so uniform selection (SameASBias 0) is the faithful
+		// model.
+		var byAS map[topology.ASN][]NodeID
+		if cfg.SameASBias > 0 {
+			byAS = map[topology.ASN][]NodeID{}
+			for i, node := range nodes {
+				byAS[node.Profile.ASN] = append(byAS[node.Profile.ASN], NodeID(i))
+			}
+		}
+		for i, node := range nodes {
+			node.Peers = drawPeers(node.Peers, rng, NodeID(i), len(nodes), cfg.PeerCount,
+				cfg.SameASBias, byAS[node.Profile.ASN])
+		}
+	} else {
+		if len(outbound) != len(nodes) {
+			return nil, fmt.Errorf("p2p: graph has %d rows for %d nodes", len(outbound), len(nodes))
+		}
+		for i, peers := range outbound {
+			for _, p := range peers {
+				if int(p) < 0 || int(p) >= len(nodes) || int(p) == i {
+					return nil, fmt.Errorf("p2p: node %d has invalid peer %d", i, p)
+				}
+			}
+			nodes[i].Peers = append(nodes[i].Peers[:0], peers...)
+		}
 	}
 	n := &Network{
 		Engine:  engine,
 		Nodes:   nodes,
 		cfg:     cfg,
-		lambda:  1 / cfg.MeanRelayDelay.Seconds(),
 		rng:     rng,
+		adj:     relayGraph(nodes),
 		refTip:  blockchain.Genesis(),
 		hashIdx: map[blockchain.Hash]int32{},
 	}
 	n.initObs(cfg.Obs)
-	adjSet := make([]map[NodeID]bool, len(nodes))
-	for i := range adjSet {
-		adjSet[i] = map[NodeID]bool{}
-	}
-	for i, peers := range outbound {
-		nodes[i].Peers = nodes[i].Peers[:0]
-		for _, p := range peers {
-			if int(p) < 0 || int(p) >= len(nodes) || int(p) == i {
-				return nil, fmt.Errorf("p2p: node %d has invalid peer %d", i, p)
-			}
-			nodes[i].Peers = append(nodes[i].Peers, p)
-			adjSet[i][p] = true
-			adjSet[p][NodeID(i)] = true
-		}
-	}
-	n.adj = make([][]NodeID, len(nodes))
-	for i, set := range adjSet {
-		for p := range set {
-			n.adj[i] = append(n.adj[i], p)
-		}
-		sortNodeIDs(n.adj[i])
-	}
 	return n, nil
 }
 
-// connect assigns each node PeerCount distinct random outbound peers and
-// builds the undirected adjacency used for relay (Bitcoin gossips over both
-// inbound and outbound connections). The paper notes peers are distributed
-// across ASes rather than clustered, so uniform random selection is the
-// faithful model.
-func (n *Network) connect() {
-	count := n.cfg.PeerCount
-	if count > len(n.Nodes)-1 {
-		count = len(n.Nodes) - 1
-	}
-	adjSet := make([]map[NodeID]bool, len(n.Nodes))
-	for i := range adjSet {
-		adjSet[i] = make(map[NodeID]bool, count*2)
-	}
-	// Pre-index nodes by AS for locality-biased selection.
-	var byAS map[topology.ASN][]NodeID
-	if n.cfg.SameASBias > 0 {
-		byAS = map[topology.ASN][]NodeID{}
-		for i, node := range n.Nodes {
-			byAS[node.Profile.ASN] = append(byAS[node.Profile.ASN], NodeID(i))
+// drawPeers returns min(count, total-1) distinct random outbound peers for
+// node id out of total nodes, reusing dst's storage. With probability bias
+// a slot is drawn from sameAS, the node's own AS, when that holds another
+// node; the bias gives up after count*16 attempts, so a same-AS pool
+// smaller than the budget still terminates. Picks are distinct among
+// themselves only: an outbound connection may coexist with an inbound one
+// from the same peer, and requiring distinctness against inbound edges can
+// leave too few candidates on small networks.
+func drawPeers(dst []NodeID, rng *rand.Rand, id NodeID, total, count int, bias float64, sameAS []NodeID) []NodeID {
+	count = min(count, total-1)
+	peers := dst[:0]
+	for attempts := 0; len(peers) < count; attempts++ {
+		var p NodeID
+		if bias > 0 && len(sameAS) > 1 && attempts < count*16 && rng.Float64() < bias {
+			p = sameAS[rng.Intn(len(sameAS))]
+		} else {
+			p = NodeID(rng.Intn(total))
+		}
+		if p != id && !slices.Contains(peers, p) {
+			peers = append(peers, p)
 		}
 	}
-	for i, node := range n.Nodes {
-		node.Peers = node.Peers[:0]
-		// Deduplicate against this node's own outbound picks only: an
-		// outbound connection may legitimately coexist with an inbound one
-		// from the same peer, and requiring distinctness against inbound
-		// edges can leave too few candidates on small networks.
-		picked := make(map[NodeID]bool, count)
-		sameAS := byAS[node.Profile.ASN]
-		for attempts := 0; len(node.Peers) < count; attempts++ {
-			var p NodeID
-			// Locality bias: prefer a same-AS peer when configured and
-			// available. Bounded attempts keep termination guaranteed when
-			// the same-AS pool is smaller than the peer budget.
-			if n.cfg.SameASBias > 0 && len(sameAS) > 1 && attempts < count*16 &&
-				n.rng.Float64() < n.cfg.SameASBias {
-				p = sameAS[n.rng.Intn(len(sameAS))]
-			} else {
-				p = NodeID(n.rng.Intn(len(n.Nodes)))
-			}
-			if int(p) == i || picked[p] {
-				continue
-			}
-			picked[p] = true
-			node.Peers = append(node.Peers, p)
-			adjSet[i][p] = true
-			adjSet[p][NodeID(i)] = true
-		}
-	}
-	n.adj = make([][]NodeID, len(n.Nodes))
-	for i, set := range adjSet {
-		for p := range set {
-			n.adj[i] = append(n.adj[i], p)
-		}
-		// Deterministic order: sort ascending.
-		sortNodeIDs(n.adj[i])
-	}
+	return peers
 }
 
-func sortNodeIDs(ids []NodeID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+// relayGraph builds the undirected relay adjacency of the nodes' outbound
+// rows: row i is the sorted, duplicate-free union of node i's outbound and
+// inbound peers. The rows share one backing array, each capped at its own
+// region, so RewirePeers' in-place edits never spill into a neighbour row.
+func relayGraph(nodes []*Node) [][]NodeID {
+	off := make([]int, len(nodes)+1)
+	for i, node := range nodes {
+		off[i+1] += len(node.Peers)
+		for _, p := range node.Peers {
+			off[p+1]++
 		}
 	}
+	for i := range nodes {
+		off[i+1] += off[i]
+	}
+	buf := make([]NodeID, off[len(nodes)])
+	next := append([]int(nil), off[:len(nodes)]...)
+	for i, node := range nodes {
+		for _, p := range node.Peers {
+			buf[next[i]] = p
+			next[i]++
+			buf[next[p]] = NodeID(i)
+			next[p]++
+		}
+	}
+	adj := make([][]NodeID, len(nodes))
+	for i := range adj {
+		row := buf[off[i]:off[i+1]:off[i+1]]
+		slices.Sort(row)
+		adj[i] = slices.Compact(row)
+	}
+	return adj
 }
 
 // Neighbors returns the relay neighbors of a node (outbound ∪ inbound).
@@ -387,9 +348,9 @@ func (n *Network) hopDelay() time.Duration {
 	switch n.cfg.Spreading {
 	case Trickle:
 		rounds := 1 + n.rng.Intn(4)
-		return time.Duration(rounds) * n.cfg.TrickleInterval
+		return time.Duration(rounds) * trickleInterval
 	default:
-		return time.Duration(stats.Exponential(n.rng, n.lambda) * float64(time.Second))
+		return time.Duration(stats.Exponential(n.rng, diffusionRate) * float64(time.Second))
 	}
 }
 
@@ -461,7 +422,7 @@ func (n *Network) scheduleDelivery(m Message, delay time.Duration) {
 func (n *Network) HandleMsg(now time.Duration, ev sim.MsgEvent) {
 	if ev.Kind == evRetry {
 		// A getdata fired earlier did not produce the block within
-		// RequestTimeout: re-request from the same provider.
+		// requestTimeout: re-request from the same provider.
 		node := n.Nodes[ev.To]
 		h := blockchain.Hash(ev.Key)
 		if !node.Up || node.Tree.Has(h) {
@@ -485,7 +446,7 @@ func (n *Network) HandleMsg(now time.Duration, ev sim.MsgEvent) {
 		// identical in any order; checking the ledger before the tree only
 		// adds a request mark for already-held blocks, which no later path
 		// consults (a held block is never re-requested).
-		if to.hasIdx(ev.Idx) || to.markRequested(ev.Idx, now, n.cfg.RequestTimeout) || to.Tree.Has(blockchain.Hash(ev.Key)) {
+		if to.hasIdx(ev.Idx) || to.markRequested(ev.Idx, now, requestTimeout) || to.Tree.Has(blockchain.Hash(ev.Key)) {
 			n.obs.deduped[MsgInv].Inc()
 			return
 		}
@@ -538,7 +499,7 @@ func (n *Network) handleBlock(id, from NodeID, b *blockchain.Block, now time.Dur
 			}
 			missing = o.Parent
 		}
-		if idx := n.intern(missing); !node.markRequested(idx, now, n.cfg.RequestTimeout) {
+		if idx := n.intern(missing); !node.markRequested(idx, now, requestTimeout) {
 			n.requestBlock(id, from, missing, idx, 0)
 		}
 		return
@@ -552,7 +513,7 @@ func (n *Network) handleBlock(id, from NodeID, b *blockchain.Block, now time.Dur
 const maxRequestRetries = 5
 
 // requestBlock sends a getdata and arms a retry: if the block has not
-// arrived within RequestTimeout, the request is re-sent to the same
+// arrived within requestTimeout, the request is re-sent to the same
 // provider, up to maxRequestRetries times. Without retries a single lost
 // message would strand a node one block behind until the next block's
 // arrival happened to heal it — and forever, for the newest block. The
@@ -565,7 +526,7 @@ func (n *Network) requestBlock(to, provider NodeID, h blockchain.Hash, idx int32
 	if attempt >= maxRequestRetries {
 		return
 	}
-	err := n.Engine.AfterMsg(n.cfg.RequestTimeout, n, sim.MsgEvent{
+	err := n.Engine.AfterMsg(requestTimeout, n, sim.MsgEvent{
 		Kind: evRetry, Attempt: uint8(attempt + 1),
 		From: int32(provider), To: int32(to), Idx: idx, Key: uint64(h),
 	})

@@ -19,7 +19,7 @@ func newTestNetwork(t *testing.T, n int, cfg Config, seed int64) *Network {
 	for i := range nodes {
 		nodes[i] = NewNode(NodeID(i), Profile{Family: topology.FamilyIPv4})
 	}
-	net, err := NewNetwork(engine, nodes, cfg, rng)
+	net, err := NewNetwork(engine, nodes, cfg, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,26 +28,25 @@ func newTestNetwork(t *testing.T, n int, cfg Config, seed int64) *Network {
 
 func TestNewNetworkValidation(t *testing.T) {
 	engine := &sim.Engine{}
-	rng := stats.NewRand(1)
 	nodes := []*Node{NewNode(0, Profile{}), NewNode(1, Profile{})}
 	tests := []struct {
-		name    string
-		engine  *sim.Engine
-		nodes   []*Node
-		cfg     Config
-		rng     interface{}
-		wantErr bool
+		name     string
+		engine   *sim.Engine
+		nodes    []*Node
+		cfg      Config
+		outbound [][]NodeID
+		wantErr  bool
 	}{
-		{"nil engine", nil, nodes, Config{}, rng, true},
-		{"one node", engine, nodes[:1], Config{}, rng, true},
-		{"negative failure", engine, nodes, Config{FailureRate: -0.5}, rng, true},
-		{"failure rate 1", engine, nodes, Config{FailureRate: 1.0}, rng, true},
-		{"negative peers", engine, nodes, Config{PeerCount: -1}, rng, true},
-		{"ok", engine, nodes, Config{}, rng, false},
+		{"nil engine", nil, nodes, Config{}, nil, true},
+		{"one node", engine, nodes[:1], Config{}, nil, true},
+		{"negative failure", engine, nodes, Config{FailureRate: -0.5}, nil, true},
+		{"failure rate 1", engine, nodes, Config{FailureRate: 1.0}, nil, true},
+		{"negative peers", engine, nodes, Config{PeerCount: -1}, nil, true},
+		{"ok", engine, nodes, Config{}, nil, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewNetwork(tt.engine, tt.nodes, tt.cfg, stats.NewRand(1))
+			_, err := NewNetwork(tt.engine, tt.nodes, tt.cfg, stats.NewRand(1), tt.outbound)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("err = %v, wantErr %v", err, tt.wantErr)
 			}
@@ -263,10 +262,8 @@ func TestTrickleSlowerThanDiffusion(t *testing.T) {
 	// network than diffusion with comparable parameters.
 	reachTime := func(spreading Spreading) time.Duration {
 		net := newTestNetwork(t, 100, Config{
-			FailureRate:     1e-12,
-			Spreading:       spreading,
-			MeanRelayDelay:  2 * time.Second,
-			TrickleInterval: 10 * time.Second,
+			FailureRate: 1e-12,
+			Spreading:   spreading,
 		}, 17)
 		b := blockchain.NewBlock(blockchain.Genesis(), 0, 0, nil, false)
 		if err := net.Publish(0, b); err != nil {

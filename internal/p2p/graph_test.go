@@ -1,6 +1,7 @@
 package p2p
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/topology"
 )
 
+// TestNewNetworkWithGraph builds a network over an explicit outbound graph.
 func TestNewNetworkWithGraph(t *testing.T) {
 	engine := &sim.Engine{}
 	rng := stats.NewRand(1)
@@ -19,7 +21,7 @@ func TestNewNetworkWithGraph(t *testing.T) {
 	}
 	// A line: 0-1-2-3.
 	outbound := [][]NodeID{{1}, {2}, {3}, {}}
-	net, err := NewNetworkWithGraph(engine, nodes, Config{FailureRate: 1e-9}, rng, outbound)
+	net, err := NewNetwork(engine, nodes, Config{FailureRate: 1e-9}, rng, outbound)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,31 +43,100 @@ func TestNewNetworkWithGraph(t *testing.T) {
 	}
 }
 
+// TestNewNetworkWithGraphValidation: NewNetwork rejects a malformed
+// explicit outbound graph, and checks engine and node count with one given.
 func TestNewNetworkWithGraphValidation(t *testing.T) {
 	engine := &sim.Engine{}
-	rng := stats.NewRand(1)
 	nodes := []*Node{NewNode(0, Profile{}), NewNode(1, Profile{})}
 	tests := []struct {
 		name     string
+		engine   *sim.Engine
+		nodes    []*Node
 		outbound [][]NodeID
+		wantErr  bool
 	}{
-		{"row mismatch", [][]NodeID{{1}}},
-		{"self loop", [][]NodeID{{0}, {0}}},
-		{"out of range", [][]NodeID{{7}, {0}}},
-		{"negative", [][]NodeID{{-1}, {0}}},
+		{"row mismatch", engine, nodes, [][]NodeID{{1}}, true},
+		{"self loop", engine, nodes, [][]NodeID{{0}, {0}}, true},
+		{"out of range", engine, nodes, [][]NodeID{{7}, {0}}, true},
+		{"negative", engine, nodes, [][]NodeID{{-1}, {0}}, true},
+		{"nil engine", nil, nodes, [][]NodeID{{1}, {0}}, true},
+		{"one node", engine, nodes[:1], [][]NodeID{{}}, true},
+		{"ok", engine, nodes, [][]NodeID{{1}, {0}}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewNetworkWithGraph(engine, nodes, Config{}, rng, tt.outbound); err == nil {
-				t.Error("invalid graph accepted")
+			_, err := NewNetwork(tt.engine, tt.nodes, Config{}, stats.NewRand(1), tt.outbound)
+			if (err != nil) != tt.wantErr {
+				t.Errorf("err = %v, wantErr %v", err, tt.wantErr)
 			}
 		})
 	}
-	if _, err := NewNetworkWithGraph(nil, nodes, Config{}, rng, [][]NodeID{{1}, {0}}); err == nil {
-		t.Error("nil engine accepted")
+}
+
+// outInClosure is the reference relay adjacency: for every node, the
+// sorted, duplicate-free union of its outbound and inbound peers.
+func outInClosure(nodes []*Node) [][]NodeID {
+	sets := make([]map[NodeID]bool, len(nodes))
+	for i := range sets {
+		sets[i] = map[NodeID]bool{}
 	}
-	if _, err := NewNetworkWithGraph(engine, nodes[:1], Config{}, rng, [][]NodeID{{}}); err == nil {
-		t.Error("single node accepted")
+	for i, node := range nodes {
+		for _, p := range node.Peers {
+			sets[i][p] = true
+			sets[p][NodeID(i)] = true
+		}
+	}
+	adj := make([][]NodeID, len(nodes))
+	for i, set := range sets {
+		for p := range set {
+			adj[i] = append(adj[i], p)
+		}
+		slices.Sort(adj[i])
+	}
+	return adj
+}
+
+// checkRelayGraph fails unless every node's Neighbors equal the out ∪ in
+// closure of the current outbound rows.
+func checkRelayGraph(t *testing.T, net *Network) {
+	t.Helper()
+	for i, want := range outInClosure(net.Nodes) {
+		if got := net.Neighbors(NodeID(i)); !slices.Equal(got, want) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestRelayGraphIsOutInClosure: an explicit graph and a random one both
+// relay over the sorted, duplicate-free closure of outbound ∪ inbound, an
+// explicit graph keeps its rows exactly as given (repeats included, as the
+// cascade plan's builder can produce), and RewirePeers keeps the closure
+// exact in every row, not only the rewired node's.
+func TestRelayGraphIsOutInClosure(t *testing.T) {
+	nodes := make([]*Node, 5)
+	for i := range nodes {
+		nodes[i] = NewNode(NodeID(i), Profile{})
+	}
+	outbound := [][]NodeID{{1, 1, 2}, {0, 3}, {4, 1, 4}, {}, {0, 2}}
+	net, err := NewNetwork(&sim.Engine{}, nodes, Config{}, stats.NewRand(1), outbound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, node := range nodes {
+		if !slices.Equal(node.Peers, outbound[i]) {
+			t.Errorf("node %d Peers = %v, want the row %v as given", i, node.Peers, outbound[i])
+		}
+	}
+	checkRelayGraph(t, net)
+	if got := net.Neighbors(0); !slices.Equal(got, []NodeID{1, 2, 4}) {
+		t.Errorf("Neighbors(0) = %v, want [1 2 4]", got)
+	}
+
+	random := newTestNetwork(t, 60, Config{}, 3)
+	checkRelayGraph(t, random)
+	for id := NodeID(0); id < 60; id += 7 {
+		random.RewirePeers(id, stats.NewRand(int64(id)))
+		checkRelayGraph(t, random)
 	}
 }
 
@@ -81,7 +152,7 @@ func TestSameASBiasClustersPeers(t *testing.T) {
 		}
 		nodes[i] = NewNode(NodeID(i), Profile{ASN: asn})
 	}
-	net, err := NewNetwork(engine, nodes, Config{SameASBias: 0.9}, rng)
+	net, err := NewNetwork(engine, nodes, Config{SameASBias: 0.9}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +177,7 @@ func TestSameASBiasClustersPeers(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = NewNode(NodeID(i), nodes[i].Profile)
 	}
-	net2, err := NewNetwork(&sim.Engine{}, nodes, Config{}, rng2)
+	net2, err := NewNetwork(&sim.Engine{}, nodes, Config{}, rng2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +198,10 @@ func TestSameASBiasClustersPeers(t *testing.T) {
 func TestSameASBiasValidation(t *testing.T) {
 	engine := &sim.Engine{}
 	nodes := []*Node{NewNode(0, Profile{}), NewNode(1, Profile{})}
-	if _, err := NewNetwork(engine, nodes, Config{SameASBias: -0.1}, stats.NewRand(1)); err == nil {
+	if _, err := NewNetwork(engine, nodes, Config{SameASBias: -0.1}, stats.NewRand(1), nil); err == nil {
 		t.Error("negative bias accepted")
 	}
-	if _, err := NewNetwork(engine, nodes, Config{SameASBias: 1.5}, stats.NewRand(1)); err == nil {
+	if _, err := NewNetwork(engine, nodes, Config{SameASBias: 1.5}, stats.NewRand(1), nil); err == nil {
 		t.Error("bias > 1 accepted")
 	}
 }
@@ -142,7 +213,7 @@ func TestBypassLinkCrossesPolicy(t *testing.T) {
 	for i := range nodes {
 		nodes[i] = NewNode(NodeID(i), Profile{})
 	}
-	net, err := NewNetwork(engine, nodes, Config{FailureRate: 1e-9}, rng)
+	net, err := NewNetwork(engine, nodes, Config{FailureRate: 1e-9}, rng, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,12 +209,6 @@ func (s *Service) runJob(j *job) {
 			}
 		}
 		if journal == nil && err == nil {
-			canonical, cerr := j.spec.CanonicalJSON()
-			if cerr != nil {
-				j.finish(StateFailed, nil, ExitHardError, cerr.Error())
-				return
-			}
-			jopts.Spec = canonical
 			journal, err = checkpoint.CreateJournal(path, j.fp, jopts)
 		}
 		if err != nil {

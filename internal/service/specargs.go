@@ -23,7 +23,7 @@ type SpecFlags struct {
 func RegisterSpecFlags(fs *flag.FlagSet) *SpecFlags {
 	return &SpecFlags{
 		seed:       fs.Int64("seed", 1, "generation seed"),
-		full:       fs.Bool("full", false, "paper-scale experiment windows (slow)"),
+		full:       fs.Bool("full", false, "paper scale: 60-day traces, 100x100 grid, 10,000 live nodes (experiment all: seconds)"),
 		workers:    fs.Int("workers", 0, "parallel fan-out bound (0 = one per CPU, 1 = sequential); output is identical either way"),
 		faultsName: fs.String("faults", "", "fault scenario every simulation runs under (stable, churny, flaky, hijack-recovery); empty = no faults"),
 		stepBudget: fs.Int("stepbudget", 0, "grid-simulation step watchdog: cancel any replicate exceeding this many steps (0 disables); exhaustion exits 1, or 4 from experiment all -checkpoint"),

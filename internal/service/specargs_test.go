@@ -41,6 +41,7 @@ func TestSpecFlagsMatchSubmittedDocument(t *testing.T) {
 		{"stepbudget -5", []string{"-stepbudget", "-5"}, "experiment", "table1", spec("experiment", "table1", 1, core.Options{StepBudget: -5})},
 		{"unknown preset", []string{"-faults", "gremlins"}, "experiment", "table1", nil},
 		{"wrong case", nil, "attack", "Spatial", spec("attack", "Spatial", 1, core.Options{})},
+		{"wrong case experiment", nil, "experiment", "Table1", spec("experiment", "Table1", 1, core.Options{})},
 	}
 	for _, name := range faults.PresetNames() {
 		sc, err := faults.Preset(name)
@@ -64,6 +65,9 @@ func TestSpecFlagsMatchSubmittedDocument(t *testing.T) {
 				t.Fatal(err)
 			}
 			built, flagErr := sf.Spec(c.verb, c.noun)
+			if c.noun != strings.ToLower(c.noun) && flagErr == nil {
+				t.Fatalf("wrong-case name %q accepted", c.noun)
+			}
 			if c.want == nil {
 				if flagErr == nil || !strings.Contains(flagErr.Error(), "gremlins") {
 					t.Fatalf("flags %q built %+v, %v; want the preset refused", c.args, built, flagErr)
