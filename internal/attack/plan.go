@@ -17,40 +17,23 @@ import (
 // command table in core turns every entry into an `attack <name>` command,
 // and partitiond's /v1/plans serves the same entries with their parameters.
 
-// Result is a completed plan's outcome.
-type Result struct {
-	// Summary is the paper-style text the CLI prints.
-	Summary string
-	// Metrics are the plan's headline metrics, sorted by name.
-	Metrics obs.Snapshot
-}
-
-// Env carries the study-level context a plan needs to build its scenario:
-// the population, the live-simulation scale, the seed the per-attack
-// sub-seeds derive from, the observability sink, the fault scenario every
-// built simulation runs under, and a simulation factory
-// (core.Study.NewSimFromPopulation in the CLI, which realizes Faults
-// itself; plans that assemble their own netsim.Config thread Faults into
-// it directly).
+// Env carries the study-level context a plan builds its scenario from:
+// the population, the live-network scale, the seed the per-attack
+// sub-seeds derive from, the observer that receives the plan's headline
+// metrics and summary event, and the fault scenario every simulation it
+// builds runs under.
 type Env struct {
 	Pop          *dataset.Population
 	NetworkNodes int
 	Seed         int64
 	Obs          *obs.Observer
 	Faults       faults.Scenario
-	NewSim       func(n int, seed int64) (*netsim.Simulation, error)
-	// plan is the registry name of the running plan, set by RunPlan.
-	plan string
 }
 
-// finish seals a plan run: headline metrics merge into the Env's observer,
-// and the summary goes into the trace as an "attack"/"summary" event so a
-// recorded JSONL stream replays it.
-func (e Env) finish(summary string, local *obs.Registry, tick int64) Result {
-	e.Obs.Registry().Merge(local)
-	e.Obs.Tracer().Emit(tick, "attack", "summary",
-		obs.F("plan", e.plan), obs.F("text", summary))
-	return Result{Summary: summary, Metrics: local.Snapshot()}
+// newSim builds a live network from env's population at env's scale,
+// under its fault scenario and observer (netsim.FromPopulation).
+func (e Env) newSim(seed int64) (*netsim.Simulation, error) {
+	return netsim.FromPopulation(e.Pop, e.NetworkNodes, seed, e.Faults, e.Obs)
 }
 
 // plan is one registered scenario: its runner and the canonical parameter
@@ -58,9 +41,11 @@ func (e Env) finish(summary string, local *obs.Registry, tick int64) Result {
 // runner (they come from the paper's §V setups and are part of the
 // byte-identical summary contract); the document describes them, so an
 // entry's two halves sit side by side and are edited together. Durations
-// are Go duration strings, shares fractions.
+// are Go duration strings, shares fractions. A runner writes its headline
+// `plan.<name>.*` metrics into env's observer and returns its summary text
+// with the simulated tick it finished at.
 type plan struct {
-	run    func(Env) (Result, error)
+	run    func(Env) (summary string, tick int64, err error)
 	params map[string]any
 }
 
@@ -140,17 +125,22 @@ func lookupPlan(name string) (plan, error) {
 	return p, nil
 }
 
-// RunPlan runs the named plan on the simulation(s) it builds from env.
-// Headline metrics are merged into env's observer registry, and the
-// summary is emitted to its tracer so recorded traces replay it
+// RunPlan runs the named plan on the simulation(s) it builds from env and
+// returns its summary. The summary also goes into env's trace as an
+// "attack"/"summary" event, so a recorded JSONL stream replays it
 // (ReplaySummaries).
-func RunPlan(name string, env Env) (Result, error) {
+func RunPlan(name string, env Env) (string, error) {
 	p, err := lookupPlan(name)
 	if err != nil {
-		return Result{}, err
+		return "", err
 	}
-	env.plan = name
-	return p.run(env)
+	summary, tick, err := p.run(env)
+	if err != nil {
+		return "", err
+	}
+	env.Obs.Tracer().Emit(tick, "attack", "summary",
+		obs.F("plan", name), obs.F("text", summary))
+	return summary, nil
 }
 
 // PlanParams returns the named plan's canonical parameter document as

@@ -19,6 +19,11 @@ import (
 // (DeriveSeed treats it as the stream index).
 const temporalSeedSalt = 0x7E3A
 
+// connectRate is λ, per second, of the exponential delay before the
+// attacker's direct connection to each victim comes up (Eq. 1; Table VI
+// sweeps λ over 0.4-0.9 analytically).
+const connectRate = 0.5
+
 // Temporal partitioning (§V-B, Figure 5): the attacker identifies nodes
 // that are behind the main chain, cuts their links to the synced network,
 // and feeds them a counterfeit branch mined with the attacker's own hash
@@ -41,10 +46,6 @@ type TemporalConfig struct {
 	// HealFor is how long the network runs after release before damage is
 	// measured.
 	HealFor time.Duration
-	// ConnectRate is λ of the exponential delay for the attacker's direct
-	// connection to each victim (Eq. 1; Table VI sweeps λ over 0.4-0.9 per
-	// second). Default 0.5.
-	ConnectRate float64
 	// TrackPayment, when set, plants a designated payment transaction in
 	// the first counterfeit block — the double-spend scenario: a merchant
 	// inside the partition sees the payment confirm and deepen, and when
@@ -67,17 +68,7 @@ func (c TemporalConfig) Validate() error {
 	if c.HealFor < 0 {
 		return errors.New("attack: negative HealFor")
 	}
-	if c.ConnectRate < 0 {
-		return errors.New("attack: negative ConnectRate")
-	}
 	return nil
-}
-
-func (c TemporalConfig) withDefaults() TemporalConfig {
-	if c.ConnectRate == 0 {
-		c.ConnectRate = 0.5
-	}
-	return c
 }
 
 // TemporalResult reports the attack outcome.
@@ -131,28 +122,20 @@ func FindVictims(sim *netsim.Simulation, minLag, max int) []p2p.NodeID {
 	return out
 }
 
-// ExecuteTemporal runs the attack against a live simulation. The
-// simulation should already have mining started and some history (the
-// caller controls warm-up). The attacker:
-//
-//  1. selects victims by lag,
-//  2. installs a link policy cutting victim ↔ non-victim traffic,
-//  3. reduces honest mining to (1 - AttackerShare) and mines a counterfeit
-//     branch from the victims' best stale tip at AttackerShare rate,
-//  4. releases the partition after HoldFor and lets the network heal.
+// ExecuteTemporal runs the attack on the victims FindVictims picks by
+// cfg.MinLag and cfg.MaxVictims (ExecuteTemporalOn).
 func ExecuteTemporal(sim *netsim.Simulation, cfg TemporalConfig) (*TemporalResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	victims := FindVictims(sim, cfg.MinLag, cfg.MaxVictims)
-	if len(victims) == 0 {
-		return nil, errors.New("attack: no victims match the lag criterion")
-	}
-	return executeOnVictims(sim, cfg, victims)
+	return ExecuteTemporalOn(sim, cfg, FindVictims(sim, cfg.MinLag, cfg.MaxVictims))
 }
 
-// ExecuteTemporalOn runs the attack against an explicit victim set (used by
-// the spatio-temporal planner, which picks victims by AS as well as lag).
+// ExecuteTemporalOn runs the attack against a live simulation and an
+// explicit victim set. The simulation should already have mining started
+// and some history (the caller controls warm-up). The attacker:
+//
+//  1. installs a link policy cutting victim ↔ non-victim traffic,
+//  2. reduces honest mining to (1 - AttackerShare) and mines a counterfeit
+//     branch from the victims' lowest tip at AttackerShare rate,
+//  3. releases the partition after HoldFor and lets the network heal.
 func ExecuteTemporalOn(sim *netsim.Simulation, cfg TemporalConfig, victims []p2p.NodeID) (*TemporalResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -160,11 +143,6 @@ func ExecuteTemporalOn(sim *netsim.Simulation, cfg TemporalConfig, victims []p2p
 	if len(victims) == 0 {
 		return nil, errors.New("attack: empty victim set")
 	}
-	return executeOnVictims(sim, cfg, victims)
-}
-
-func executeOnVictims(sim *netsim.Simulation, cfg TemporalConfig, victims []p2p.NodeID) (*TemporalResult, error) {
-	cfg = cfg.withDefaults()
 	reg := sim.Obs().Registry()
 	trace := sim.Obs().Tracer()
 	res := &TemporalResult{Victims: victims}
@@ -218,7 +196,7 @@ func executeOnVictims(sim *netsim.Simulation, cfg TemporalConfig, victims []p2p.
 		obs.Ffloat("attacker_share", cfg.AttackerShare))
 
 	// The attacker connects to each victim after an exponential delay with
-	// rate ConnectRate (the Eq. 1 model behind Table VI). The stream is
+	// rate connectRate (the Eq. 1 model behind Table VI). The stream is
 	// derived from the simulation seed so distinct studies draw distinct
 	// attacker schedules (seeding off len(victims) correlated every study
 	// with the same victim count).
@@ -226,7 +204,7 @@ func executeOnVictims(sim *netsim.Simulation, cfg TemporalConfig, victims []p2p.
 	start := sim.Engine.Now()
 	connectedAt := make(map[p2p.NodeID]time.Duration, len(victims))
 	for _, v := range victims {
-		connectedAt[v] = start + time.Duration(stats.Exponential(rng, cfg.ConnectRate)*float64(time.Second))
+		connectedAt[v] = start + time.Duration(stats.Exponential(rng, connectRate)*float64(time.Second))
 	}
 
 	// Attacker mining loop: exponential inter-block times at

@@ -138,15 +138,13 @@ func (s *Study) Run(cmd Command) (string, error) {
 
 // runAttack runs one plan of the attack registry on the study.
 func (s *Study) runAttack(name string) (string, error) {
-	res, err := attack.RunPlan(name, attack.Env{
+	return attack.RunPlan(name, attack.Env{
 		Pop:          s.Pop,
 		NetworkNodes: s.Opts.NetworkNodes,
 		Seed:         s.seed,
 		Obs:          s.obs,
 		Faults:       s.Opts.Faults,
-		NewSim:       s.NewSimFromPopulation,
 	})
-	return res.Summary, err
 }
 
 // renderable is any experiment result with a paper-style rendering.

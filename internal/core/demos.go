@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"repro/internal/attack"
-	"repro/internal/dataset"
 	"repro/internal/netsim"
-	"repro/internal/p2p"
 	"repro/internal/spv"
 	"repro/internal/stats"
 	"repro/internal/topology"
@@ -19,40 +17,11 @@ import (
 // corresponding machinery end to end, so the repository covers every
 // figure with executable code.
 
-// NewSimFromPopulation builds a live network simulation whose nodes carry
-// profiles sampled from the population (AS, organization, version,
-// up-state), at the study's configured scale, with uniform peering.
+// NewSimFromPopulation builds a live network simulation of n nodes whose
+// profiles are sampled from the study's population, under the study's
+// fault scenario and observer (netsim.FromPopulation).
 func (s *Study) NewSimFromPopulation(n int, seed int64) (*netsim.Simulation, error) {
-	if n <= 0 || n > len(s.Pop.Nodes) {
-		return nil, fmt.Errorf("core: population slice %d outside 1..%d", n, len(s.Pop.Nodes))
-	}
-	nodes := make([]*p2p.Node, 0, n)
-	// Stride through the population so all ASes are represented.
-	stride := len(s.Pop.Nodes) / n
-	if stride == 0 {
-		stride = 1
-	}
-	for i := 0; len(nodes) < n; i += stride {
-		rec := s.Pop.Nodes[i%len(s.Pop.Nodes)]
-		node := p2p.NewNode(p2p.NodeID(len(nodes)), p2p.Profile{
-			Addr:         rec.IP,
-			Family:       rec.Family,
-			ASN:          rec.ASN,
-			Org:          rec.Org,
-			LinkSpeedMbs: rec.LinkSpeedMbs,
-			LatencyIndex: rec.LatencyIndex,
-			UptimeIndex:  rec.UptimeIndex,
-			Version:      rec.Version,
-		})
-		nodes = append(nodes, node)
-	}
-	return netsim.FromConfig(netsim.Config{
-		Population: nodes,
-		Seed:       seed,
-		Pools:      dataset.TableIV(),
-		Faults:     s.Opts.Faults,
-		Gossip:     p2p.Config{FailureRate: 0.10, Obs: s.obs},
-	})
+	return netsim.FromPopulation(s.Pop, n, seed, s.Opts.Faults, s.obs)
 }
 
 // Figure1Demo runs the full model of Figure 1: full nodes plus the
@@ -123,31 +92,12 @@ func (s *Study) Figure2Demo() (string, error) {
 	return b.String(), nil
 }
 
-// Figure5Demo executes the temporal attack of Figure 5 on a live network:
-// lagging nodes are isolated and fed a counterfeit branch, producing the
-// partitioned blockchain, then the partition heals.
+// Figure5Demo executes the temporal attack of Figure 5 on a live network
+// of the study's scale (attack.Figure5).
 func (s *Study) Figure5Demo() (*attack.TemporalResult, string, error) {
 	sim, err := s.NewSimFromPopulation(s.Opts.NetworkNodes, s.seed)
 	if err != nil {
 		return nil, "", err
 	}
-	sim.StartMining()
-	sim.Run(6 * time.Hour)
-	victims := attack.FindVictims(sim, 0, s.Opts.NetworkNodes/8)
-	res, err := attack.ExecuteTemporal(sim, attack.TemporalConfig{
-		AttackerShare: 0.30,
-		MinLag:        0,
-		MaxVictims:    s.Opts.NetworkNodes / 8,
-		HoldFor:       8 * time.Hour,
-		HealFor:       4 * time.Hour,
-	})
-	if err != nil {
-		return nil, "", err
-	}
-	var b strings.Builder
-	b.WriteString("Figure 5 (attack demo): temporal partitioning\n")
-	fmt.Fprintf(&b, "victims isolated: %d; counterfeit blocks fed: %d\n", len(victims), res.CounterfeitBlocks)
-	fmt.Fprintf(&b, "captured at release: %d; max fork depth: %d\n", res.CapturedAtRelease, res.MaxForkDepth)
-	fmt.Fprintf(&b, "recovered after heal: %d; transactions reversed: %d\n", res.RecoveredAfterHeal, res.ReversedTxs)
-	return res, b.String(), nil
+	return attack.Figure5(sim)
 }

@@ -16,31 +16,19 @@ import (
 	"repro/internal/stats"
 )
 
+// The monitor's settings: the paper's tc - tl > 600 s staleness trigger
+// (the fixed Bitcoin block interval), a self-check every minute, and four
+// random fresh peers queried by a triggered node.
+const (
+	staleAfter = 600 * time.Second
+	checkEvery = 60 * time.Second
+	queryPeers = 4
+)
+
 // BlockAwareConfig parameterizes the BlockAware monitor.
 type BlockAwareConfig struct {
-	// Threshold is the staleness trigger: the paper proposes tc - tl > 600 s
-	// (the fixed Bitcoin block interval). Default 600 s.
-	Threshold time.Duration
-	// CheckEvery is how often nodes self-check. Default 60 s.
-	CheckEvery time.Duration
-	// QueryPeers is how many random fresh peers a triggered node queries.
-	// Default 4.
-	QueryPeers int
 	// Seed drives peer selection.
 	Seed int64
-}
-
-func (c BlockAwareConfig) withDefaults() BlockAwareConfig {
-	if c.Threshold == 0 {
-		c.Threshold = 600 * time.Second
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 60 * time.Second
-	}
-	if c.QueryPeers == 0 {
-		c.QueryPeers = 4
-	}
-	return c
 }
 
 // BlockAware is the §VI monitor running over a simulation. A triggered node
@@ -53,7 +41,6 @@ func (c BlockAwareConfig) withDefaults() BlockAwareConfig {
 // implies.)
 type BlockAware struct {
 	sim     *netsim.Simulation
-	cfg     BlockAwareConfig
 	rng     *rand.Rand
 	enabled map[p2p.NodeID]bool
 	// Triggers counts staleness detections; Rescues counts queries that
@@ -69,13 +56,8 @@ func NewBlockAware(sim *netsim.Simulation, nodes []p2p.NodeID, cfg BlockAwareCon
 	if sim == nil {
 		return nil, errors.New("defense: nil simulation")
 	}
-	cfg = cfg.withDefaults()
-	if cfg.Threshold <= 0 || cfg.CheckEvery <= 0 || cfg.QueryPeers <= 0 {
-		return nil, fmt.Errorf("defense: invalid config %+v", cfg)
-	}
 	ba := &BlockAware{
 		sim:     sim,
-		cfg:     cfg,
 		rng:     stats.NewRand(cfg.Seed),
 		enabled: map[p2p.NodeID]bool{},
 	}
@@ -101,7 +83,7 @@ func (ba *BlockAware) Start() {
 func (ba *BlockAware) Stop() { ba.stopped = true }
 
 func (ba *BlockAware) scheduleCheck() {
-	err := ba.sim.Engine.After(ba.cfg.CheckEvery, func(now time.Duration) {
+	err := ba.sim.Engine.After(checkEvery, func(now time.Duration) {
 		if ba.stopped {
 			return
 		}
@@ -113,7 +95,7 @@ func (ba *BlockAware) scheduleCheck() {
 	}
 }
 
-// checkAll runs the tc - tl > threshold test on every enabled node and
+// checkAll runs the tc - tl > 600 s test on every enabled node and
 // queries fresh peers for the stale ones.
 func (ba *BlockAware) checkAll(now time.Duration) {
 	net := ba.sim.Network
@@ -121,11 +103,11 @@ func (ba *BlockAware) checkAll(now time.Duration) {
 		if !ba.enabled[node.ID] || !node.Up {
 			continue
 		}
-		if now-node.LastBlockAt <= ba.cfg.Threshold {
+		if now-node.LastBlockAt <= staleAfter {
 			continue
 		}
 		ba.Triggers++
-		for i := 0; i < ba.cfg.QueryPeers; i++ {
+		for range queryPeers {
 			peer := p2p.NodeID(ba.rng.Intn(len(net.Nodes)))
 			if peer == node.ID || !net.Nodes[peer].Up {
 				continue

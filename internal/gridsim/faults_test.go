@@ -59,6 +59,42 @@ func TestGridZeroScenarioMatchesNoFaults(t *testing.T) {
 	}
 }
 
+// TestHealStudyBlockInterval checks that the heal study times its arc on
+// the block interval the grid mines at. At span 0.5 on a 25-grid a block
+// is 13 steps (12.5 rounded), so the boundary lifts at step 13·Blocks/2 and
+// the settle is half a block: the study's row must equal an ensemble run
+// with exactly that window.
+func TestHealStudyBlockInterval(t *testing.T) {
+	grid := trialsBase()
+	grid.Size, grid.AttackerRow, grid.AttackerCol = 25, 12, 12
+	const trials, blocks = 4, 10
+	res, err := RunHealStudy(HealConfig{
+		Grid: grid, Trials: trials, Blocks: blocks,
+		Scenarios: []faults.Scenario{faults.Stable()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spb := grid.StepsPerBlock()
+	if spb != 13 {
+		t.Fatalf("steps per block = %d, want 13", spb)
+	}
+	want := grid
+	want.BoundaryUntil = spb * blocks / 2
+	want.Faults = faults.Stable()
+	want.Obs = obs.NewMetricsOnly()
+	tr, err := RunTrials(want, TrialsConfig{Trials: trials, Blocks: blocks, SettleSteps: spb / 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := res.Rows[0]
+	got := []float64{row.ForkRate, row.CounterfeitShare, row.StaleShare}
+	exp := []float64{tr.ForkRate, tr.MeanCounterfeitShare, tr.MeanStaleShare}
+	if !reflect.DeepEqual(got, exp) {
+		t.Errorf("heal study (fork rate, counterfeit, stale) = %v, want %v from a %d-step boundary", got, exp, want.BoundaryUntil)
+	}
+}
+
 // TestHealStudySmoke runs a miniature heal study end to end: every preset
 // row present, the stable control row injecting nothing, the faulted rows
 // injecting something, and the rendering mentioning each scenario.

@@ -84,10 +84,7 @@ type HealStudyResult struct {
 func RunHealStudy(hc HealConfig) (*HealStudyResult, error) {
 	hc = hc.withDefaults()
 	base := hc.Grid.withDefaults()
-	stepsPerBlock := int(base.SpanRatio * float64(base.Size))
-	if stepsPerBlock < 1 {
-		stepsPerBlock = 1
-	}
+	stepsPerBlock := base.StepsPerBlock()
 	// Force the heal arc: disruption from the start, lifted at the horizon
 	// midpoint.
 	base.BoundaryFrom = 0

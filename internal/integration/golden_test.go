@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/attack"
@@ -131,15 +132,13 @@ func planEnv(t *testing.T, seed int64, observer *obs.Observer) attack.Env {
 		NetworkNodes: study.Opts.NetworkNodes,
 		Seed:         study.Seed(),
 		Obs:          observer,
-		NewSim:       study.NewSimFromPopulation,
 	}
 }
 
 // TestAttackPlansUnderChurny runs every registered attack plan under the
 // churny preset — the CLI's `-faults churny attack <name>` path — and checks
 // each still completes with a summary, twice with identical results. The
-// fault scenario reaches both factory-built sims (via the study options) and
-// self-assembling plans (via Env.Faults).
+// fault scenario reaches every simulation a plan builds through Env.Faults.
 func TestAttackPlansUnderChurny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs all seven attack scenarios twice")
@@ -157,18 +156,17 @@ func TestAttackPlansUnderChurny(t *testing.T) {
 			NetworkNodes: study.Opts.NetworkNodes,
 			Seed:         study.Seed(),
 			Faults:       study.Opts.Faults,
-			NewSim:       study.NewSimFromPopulation,
 		}
 		summaries := map[string]string{}
 		for _, name := range attack.PlanNames() {
-			res, err := attack.RunPlan(name, env)
+			summary, err := attack.RunPlan(name, env)
 			if err != nil {
 				t.Fatalf("%s under churny: %v", name, err)
 			}
-			if res.Summary == "" {
+			if summary == "" {
 				t.Fatalf("%s under churny: empty summary", name)
 			}
-			summaries[name] = res.Summary
+			summaries[name] = summary
 		}
 		return summaries
 	}
@@ -198,17 +196,17 @@ func TestTraceDeterministicAndReplaysSummaries(t *testing.T) {
 		env := planEnv(t, 1, observer)
 		summaries := map[string]string{}
 		for _, name := range attack.PlanNames() {
-			res, err := attack.RunPlan(name, env)
+			summary, err := attack.RunPlan(name, env)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if res.Summary == "" {
+			if summary == "" {
 				t.Fatalf("%s: empty summary", name)
 			}
-			if m := res.Metrics; len(m.Counters)+len(m.Gauges)+len(m.Histograms) == 0 {
+			if !hasPlanMetric(observer.Registry().Snapshot(), name) {
 				t.Errorf("%s: no headline metrics", name)
 			}
-			summaries[name] = res.Summary
+			summaries[name] = summary
 		}
 		var buf bytes.Buffer
 		if err := observer.Tracer().WriteJSONL(&buf); err != nil {
@@ -238,4 +236,21 @@ func TestTraceDeterministicAndReplaysSummaries(t *testing.T) {
 			t.Errorf("%s: replayed summary diverged:\n--- live ---\n%s--- replay ---\n%s", name, want, got)
 		}
 	}
+}
+
+// hasPlanMetric reports whether the snapshot holds a headline metric of the
+// named plan (a `plan.<name>.` series).
+func hasPlanMetric(snap obs.Snapshot, name string) bool {
+	prefix := "plan." + name + "."
+	for _, c := range snap.Counters {
+		if strings.HasPrefix(c.Name, prefix) {
+			return true
+		}
+	}
+	for _, g := range snap.Gauges {
+		if strings.HasPrefix(g.Name, prefix) {
+			return true
+		}
+	}
+	return false
 }

@@ -18,11 +18,11 @@ func runPlansWithCapacity(t *testing.T, capacity int) (map[string]string, *obs.T
 	live := map[string]string{}
 	var order []string
 	for _, name := range attack.PlanNames() {
-		res, err := attack.RunPlan(name, env)
+		summary, err := attack.RunPlan(name, env)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		live[name] = res.Summary
+		live[name] = summary
 		order = append(order, name)
 	}
 	var buf bytes.Buffer
